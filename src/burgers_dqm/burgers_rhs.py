@@ -8,11 +8,13 @@
     u_t = nu (u_xx + u_yy) - u u_x - v u_y
     v_t = nu (v_xx + v_yy) - u v_x - v v_y
 
-Spatial derivatives are weighted sums over all grid nodes.  Each sum can be
-split into its interior part plus a boundary forcing term (F for u, G for v)
-that collects the first/last-column contributions with the convection
-coefficients frozen at the node value; both routes are implemented and must
-agree to rounding.
+Spatial derivatives are weighted sums over all grid nodes.  The solvers use
+the full-sum route (``rhs_1d``/``rhs_2d``).  The paper writes each sum as
+its interior part plus a boundary forcing term (F for u, G for v) that
+collects the first/last-column contributions with the convection
+coefficients frozen at the node value; ``rhs_*_split`` and
+``boundary_forcing_*`` implement that formulation as a reference, and the
+two routes agree to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ConfigError, ShapeMismatch
-
-GFORMS = ("printed", "symmetric")
+from .exceptions import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,12 @@ def rhs_1d(u, v, t, prob, w1, w2):
     return du, dv
 
 
-def boundary_forcing_1d(u, v, prob, w1, w2, gform="printed"):
+def boundary_forcing_1d(u, v, prob, w1, w2):
     """Boundary forcing terms (F, G): the first/last-column parts of each sum.
 
     The convection coefficients are frozen per node (eta_i = eta*u_i and so
-    on).  gform selects between the formula exactly as published ("printed")
-    and the same terms written by mirroring F's construction with the roles
-    of u and v swapped ("symmetric"); the two agree identically.
+    on), as in the published formula.
     """
-    if gform not in GFORMS:
-        raise ConfigError(f"unknown gform {gform!r}")
     _check_1d(u, v, w1)
     a1l, a1r = w1[:, 0], w1[:, -1]
     a2l, a2r = w2[:, 0], w2[:, -1]
@@ -130,17 +126,12 @@ def boundary_forcing_1d(u, v, prob, w1, w2, gform="printed"):
     vb = a1l * v[0] + a1r * v[-1]
     f = (a2l * u[0] + a2r * u[-1]) - (prob.eta * u) * ub \
         - (prob.alpha * u) * vb - (prob.alpha * v) * ub
-    if gform == "printed":
-        g = (a2l * v[0] + a2r * v[-1]) - (prob.xi * v) * vb \
-            - (prob.beta * u) * vb - (prob.beta * v) * ub
-    else:
-        # mirror of the F line under u <-> v, eta -> xi, alpha -> beta
-        g = (a2l * v[0] + a2r * v[-1]) - (prob.xi * v) * vb \
-            - (prob.beta * v) * ub - (prob.beta * u) * vb
+    g = (a2l * v[0] + a2r * v[-1]) - (prob.xi * v) * vb \
+        - (prob.beta * u) * vb - (prob.beta * v) * ub
     return f, g
 
 
-def rhs_1d_split(u, v, t, prob, w1, w2, gform="printed"):
+def rhs_1d_split(u, v, t, prob, w1, w2):
     """Interior-sum RHS plus boundary forcing; equals rhs_1d to rounding."""
     _check_1d(u, v, w1)
     w1i = w1[:, 1:-1]
@@ -149,7 +140,7 @@ def rhs_1d_split(u, v, t, prob, w1, w2, gform="printed"):
     vi = v[1:-1]
     ux = w1i @ ui
     vx = w1i @ vi
-    f, g = boundary_forcing_1d(u, v, prob, w1, w2, gform)
+    f, g = boundary_forcing_1d(u, v, prob, w1, w2)
     du = w2i @ ui - prob.eta * u * ux - prob.alpha * (u * vx + v * ux) + f
     dv = w2i @ vi - prob.xi * v * vx - prob.beta * (u * vx + v * ux) + g
     du[0] = du[-1] = 0.0

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .burgers_rhs import GFORMS
 from .dqm_weights import (
     Grid1D,
     dump_weights_csv,
@@ -283,7 +282,6 @@ SOLVE_DEFAULTS = {
     "re": None,
     "out": "out",
     "boundary_policy": "base",
-    "gform": "printed",
     "stability_check": False,
 }
 
@@ -354,7 +352,7 @@ def run_solve(cfg):
     else:
         sol = solve_1d(prob, nx, dt, t_end,
                        boundary_policy=cfg["boundary_policy"],
-                       gform=cfg["gform"], snapshots=snapshots)
+                       snapshots=snapshots)
         grid1 = sol.grid
         weight = sol.grid.h
     manifest.start("output")
@@ -441,7 +439,6 @@ CONVERGENCE_DEFAULTS = {
     "re": None,
     "out": "out",
     "boundary_policy": "base",
-    "gform": "printed",
 }
 
 
@@ -477,8 +474,7 @@ def run_convergence(cfg):
             weight = sol.grid.xgrid.h * sol.grid.ygrid.h
         else:
             sol = solve_1d(prob, n, dt, t_end,
-                           boundary_policy=cfg["boundary_policy"],
-                           gform=cfg["gform"])
+                           boundary_policy=cfg["boundary_policy"])
             exact = prob.exact_u(sol.grid.x, sol.t)
             weight = sol.grid.h
         reports.append(error_norms(sol.u, exact, weight, dt=dt, t=t_end))
@@ -851,8 +847,6 @@ def _add_common_solver_flags(sp):
     sp.add_argument("--boundary-policy", dest="boundary_policy",
                     choices=BOUNDARY_POLICIES, default=None,
                     help="evaluate boundary data at step base time or stage times")
-    sp.add_argument("--gform", choices=GFORMS, default=None,
-                    help="boundary-forcing assembly variant (1D)")
 
 
 def build_parser():

@@ -1,24 +1,26 @@
 """Time-stepping drivers for the 1D and 2D coupled Burgers' problems.
 
-These tie together grid construction, quadrature weights, the semi-discrete
-right-hand side, and the five-stage Runge-Kutta integrator.  Dirichlet data
-is reimposed on the stored state after every step so that boundary entries
-track the prescribed traces exactly; during stages the right-hand side sees
-trace values at either the step base time (``boundary_policy='base'``, the
-default) or the stage times (``'stage'``).
+``solve_1d`` and ``solve_2d`` build the grid, the quadrature weights and the
+initial state, then hand one shared driver two closures: ``impose(w, t)``,
+which writes the Dirichlet traces at time ``t`` into a stacked ``(2, *shape)``
+state, and ``rhs(w, t)``, the full-sum semi-discrete right-hand side.  The
+driver advances the state with the five-stage Runge-Kutta step and reimposes
+Dirichlet data after every step, so boundary entries track the prescribed
+traces exactly.
+
+During stages the boundary entries hold the traces at the step base time
+(``boundary_policy='base'``, the default): the right-hand side is zero on
+boundary nodes, so every stage keeps them to rounding.  Under ``'stage'``
+each stage evaluates the right-hand side on a copy with the traces imposed at
+that stage's time.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (
-    GFORMS,
-    apply_dirichlet_1d,
-    apply_dirichlet_2d,
-    rhs_1d_split,
-    rhs_2d_split,
-)
+from .burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d, rhs_1d, rhs_2d
 from .dqm_weights import (
     Grid1D,
     Grid2D,
@@ -53,21 +55,13 @@ class Solution2D:
     snapshots: list = field(default_factory=list)
 
 
-def _check_policy(boundary_policy, gform=None):
-    if boundary_policy not in BOUNDARY_POLICIES:
-        raise ConfigError(
-            "boundary_policy must be one of %s, got %r"
-            % (BOUNDARY_POLICIES, boundary_policy)
-        )
-    if gform is not None and gform not in GFORMS:
-        raise ConfigError("gform must be one of %s, got %r" % (GFORMS, gform))
-
-
 def _snapshot_steps(snapshots, t0, dt, steps):
     """Map requested snapshot times to step indices, validating alignment."""
     table = {}
     for s in snapshots:
         s = float(s)
+        if not math.isfinite(s):
+            raise ConfigError("snapshot time %r is not finite" % s)
         k = int(round((s - t0) / dt))
         if abs(t0 + k * dt - s) > SNAP_TOL * max(dt, abs(s), 1e-300):
             raise ConfigError(
@@ -81,53 +75,74 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     return table
 
 
+def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
+           snapshots, observer):
+    """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
+
+    ``observer(step_index, t, u, v)`` is called after every step, once the
+    Dirichlet data are reimposed, with read-only views of the solver state;
+    copy them to keep them past the call.
+    """
+    if boundary_policy not in BOUNDARY_POLICIES:
+        raise ConfigError(
+            "boundary_policy must be one of %s, got %r"
+            % (BOUNDARY_POLICIES, boundary_policy)
+        )
+    steps = num_steps(t0, t_end, dt)
+    snap_at = _snapshot_steps(snapshots, t0, dt, steps)
+
+    w = np.array([np.broadcast_to(u0, shape), np.broadcast_to(v0, shape)],
+                 dtype=float)
+    impose(w, t0)
+    collected = []
+    if 0 in snap_at:
+        collected.append((snap_at[0], w[0].copy(), w[1].copy()))
+
+    stage_times = boundary_policy == "stage"
+    if stage_times:
+        def stage_rhs(x, t):
+            x = x.copy()
+            impose(x, t)
+            return rhs(x, t)
+    else:
+        stage_rhs = rhs
+
+    for m in range(steps):
+        w = step(w, t0 + m * dt, dt, stage_rhs, stage_times=stage_times)
+        t_new = t0 + (m + 1) * dt
+        impose(w, t_new)
+        if observer is not None:
+            ro = w.view()
+            ro.flags.writeable = False
+            observer(m + 1, t_new, ro[0], ro[1])
+        if m + 1 in snap_at:
+            collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
+
+    return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
+
+
 def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
-             gform="printed", snapshots=(), observer=None):
+             snapshots=(), observer=None):
     """Integrate a 1D problem to ``t_end`` on an ``n``-node uniform grid.
 
     ``snapshots`` is an iterable of output times (each must be a step
     multiple); the state at those times is collected on the returned
     ``Solution1D``.  ``observer(step_index, t, u, v)`` is called after every
-    step with read-only views.
+    step with read-only views of the state, Dirichlet data already applied.
     """
-    _check_policy(boundary_policy, gform)
     grid = Grid1D(prob.a, prob.b, n)
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
 
-    u = np.asarray(prob.phi(grid.x), dtype=float).copy()
-    v = np.asarray(prob.psi(grid.x), dtype=float).copy()
-    apply_dirichlet_1d(u, v, t0, prob, grid)
-
-    steps = num_steps(t0, t_end, dt)
-    snap_at = _snapshot_steps(snapshots, t0, dt, steps)
-    collected = []
-    if 0 in snap_at:
-        collected.append((snap_at[0], u.copy(), v.copy()))
+    def impose(w, t):
+        apply_dirichlet_1d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        uu = w[:n].copy()
-        vv = w[n:].copy()
-        apply_dirichlet_1d(uu, vv, t, prob, grid)
-        du, dv = rhs_1d_split(uu, vv, t, prob, w1, w2, gform=gform)
-        return np.concatenate([du, dv])
+        return np.array(rhs_1d(w[0], w[1], t, prob, w1, w2))
 
-    w = np.concatenate([u, v])
-    stage_times = boundary_policy == "stage"
-    for m in range(steps):
-        w = step(w, t0 + m * dt, dt, rhs, stage_times=stage_times)
-        t_new = t0 + (m + 1) * dt
-        uu, vv = w[:n], w[n:]
-        apply_dirichlet_1d(uu, vv, t_new, prob, grid)
-        if observer is not None:
-            ro = w.copy()
-            ro.setflags(write=False)
-            observer(m + 1, t_new, ro[:n], ro[n:])
-        if m + 1 in snap_at:
-            collected.append((snap_at[m + 1], uu.copy(), vv.copy()))
-
-    return Solution1D(grid=grid, t=t0 + steps * dt,
-                      u=w[:n].copy(), v=w[n:].copy(), snapshots=collected)
+    return Solution1D(grid, *_drive(
+        prob.phi(grid.x), prob.psi(grid.x), (n,), impose, rhs, dt, t_end, t0,
+        boundary_policy, snapshots, observer))
 
 
 def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
@@ -137,7 +152,6 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
     ``ny`` defaults to ``nx``.  Snapshot and observer semantics match
     ``solve_1d``; fields are returned with shape (nx, ny), first axis x.
     """
-    _check_policy(boundary_policy)
     if ny is None:
         ny = nx
     if prob.horizon is not None and t_end > prob.horizon + 1e-12:
@@ -147,43 +161,14 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
 
-    xc = grid.xgrid.x[:, None]
-    yc = grid.ygrid.x[None, :]
-    u = np.asarray(np.broadcast_to(prob.phi(xc, yc), (nx, ny)),
-                   dtype=float).copy()
-    v = np.asarray(np.broadcast_to(prob.psi(xc, yc), (nx, ny)),
-                   dtype=float).copy()
-    apply_dirichlet_2d(u, v, t0, prob, grid)
-
-    steps = num_steps(t0, t_end, dt)
-    snap_at = _snapshot_steps(snapshots, t0, dt, steps)
-    collected = []
-    if 0 in snap_at:
-        collected.append((snap_at[0], u.copy(), v.copy()))
-
-    sz = nx * ny
+    def impose(w, t):
+        apply_dirichlet_2d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        uu = w[:sz].reshape(nx, ny).copy()
-        vv = w[sz:].reshape(nx, ny).copy()
-        apply_dirichlet_2d(uu, vv, t, prob, grid)
-        du, dv = rhs_2d_split(uu, vv, t, prob, ax1, ax2, by1, by2)
-        return np.concatenate([du.ravel(), dv.ravel()])
+        return np.array(rhs_2d(w[0], w[1], t, prob, ax1, ax2, by1, by2))
 
-    w = np.concatenate([u.ravel(), v.ravel()])
-    stage_times = boundary_policy == "stage"
-    for m in range(steps):
-        w = step(w, t0 + m * dt, dt, rhs, stage_times=stage_times)
-        t_new = t0 + (m + 1) * dt
-        uu = w[:sz].reshape(nx, ny)
-        vv = w[sz:].reshape(nx, ny)
-        apply_dirichlet_2d(uu, vv, t_new, prob, grid)
-        if observer is not None:
-            observer(m + 1, t_new, uu.copy(), vv.copy())
-        if m + 1 in snap_at:
-            collected.append((snap_at[m + 1], uu.copy(), vv.copy()))
-
-    return Solution2D(grid=grid, t=t0 + steps * dt,
-                      u=w[:sz].reshape(nx, ny).copy(),
-                      v=w[sz:].reshape(nx, ny).copy(),
-                      snapshots=collected)
+    xc = grid.xgrid.x[:, None]
+    yc = grid.ygrid.x[None, :]
+    return Solution2D(grid, *_drive(
+        prob.phi(xc, yc), prob.psi(xc, yc), (nx, ny), impose, rhs, dt, t_end,
+        t0, boundary_policy, snapshots, observer))

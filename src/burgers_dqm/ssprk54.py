@@ -5,6 +5,8 @@ substeps, which is what gives the scheme its strong-stability property.
 The eleven coefficients are kept at full published precision.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import ConfigError, NonFiniteState
@@ -76,6 +78,9 @@ def step(u, t, dt, rhs, stage_times=False):
 
 def num_steps(t0, t_end, dt):
     """Step count for a fixed-dt integration; dt must divide the interval."""
+    if not all(math.isfinite(x) for x in (t0, t_end, dt)):
+        raise ConfigError(
+            f"t0={t0!r}, t_end={t_end!r} and dt={dt!r} must all be finite")
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt!r}")
     if t_end < t0:

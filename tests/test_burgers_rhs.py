@@ -14,7 +14,6 @@ from burgers_dqm import (
     weights_2d,
     rhs_1d,
     rhs_1d_split,
-    boundary_forcing_1d,
     rhs_2d,
     rhs_2d_split,
     apply_dirichlet_1d,
@@ -24,7 +23,7 @@ from burgers_dqm import (
     problem3,
     problem4,
 )
-from burgers_dqm.exceptions import ConfigError, ShapeMismatch
+from burgers_dqm.exceptions import ShapeMismatch
 
 
 def _weights_1d(grid):
@@ -68,8 +67,7 @@ def test_rhs_matches_exact_time_derivative():
     assert np.abs(dv - want)[1:-1].max() <= 5e-3
 
 
-@pytest.mark.parametrize("gform", ["printed", "symmetric"])
-def test_split_identity_1d(gform):
+def test_split_identity_1d():
     prob = problem1()
     g = Grid1D(prob.a, prob.b, 21)
     w1, w2 = _weights_1d(g)
@@ -78,34 +76,10 @@ def test_split_identity_1d(gform):
     v = rng.standard_normal(21)
     apply_dirichlet_1d(u, v, 0.3, prob, g)
     full = rhs_1d(u, v, 0.3, prob, w1, w2)
-    split = rhs_1d_split(u, v, 0.3, prob, w1, w2, gform=gform)
+    split = rhs_1d_split(u, v, 0.3, prob, w1, w2)
     scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
     np.testing.assert_allclose(split[0], full[0], atol=1e-12 * scale)
     np.testing.assert_allclose(split[1], full[1], atol=1e-12 * scale)
-
-
-def test_gform_variants_agree():
-    # The two printed forms of the boundary forcing are algebraically equal;
-    # both stay available as distinct code paths.
-    prob = problem1()
-    g = Grid1D(prob.a, prob.b, 15)
-    w1, w2 = _weights_1d(g)
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(15)
-    v = rng.standard_normal(15)
-    fa, ga = boundary_forcing_1d(u, v, prob, w1, w2, gform="printed")
-    fb, gb = boundary_forcing_1d(u, v, prob, w1, w2, gform="symmetric")
-    np.testing.assert_allclose(fa, fb, atol=1e-12)
-    np.testing.assert_allclose(ga, gb, atol=1e-12)
-
-
-def test_bad_gform_rejected():
-    prob = problem1()
-    g = Grid1D(prob.a, prob.b, 11)
-    w1, w2 = _weights_1d(g)
-    u = np.zeros(11)
-    with pytest.raises(ConfigError):
-        rhs_1d_split(u, u, 0.0, prob, w1, w2, gform="other")
 
 
 def test_rhs_is_quadratic_in_amplitude():

@@ -119,6 +119,22 @@ def test_solve_rejects_non_dividing_dt(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dt", "nan"],
+    ["--snapshots", "nan"],
+    ["--t-end", "inf"],
+    ["--dt", "inf", "--t-end", "1"],
+    ["--problem", "p4", "--dt", "nan"],
+])
+def test_solve_rejects_non_finite_times(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    rc = main(["solve", "--problem", "p1", "--nx", "11", *flags,
+               "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_re_for_1d_problem(tmp_path):
     rc = main(["solve", "--problem", "p1", "--nx", "11", "--re", "50",
                "--out", str(tmp_path / "x")])

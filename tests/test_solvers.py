@@ -1,18 +1,29 @@
 """Tests for the 1D/2D time-marching drivers."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from burgers_dqm import (
+    Grid1D,
+    Grid2D,
     Problem1D,
+    apply_dirichlet_1d,
+    apply_dirichlet_2d,
+    first_order_weights,
     problem1,
     problem2,
     problem4,
+    rhs_1d_split,
+    rhs_2d_split,
+    second_order_weights,
     solve_1d,
     solve_2d,
     error_norms,
+    step,
+    weights_2d,
 )
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
 
@@ -59,13 +70,26 @@ def test_invalid_policies_rejected():
     with pytest.raises(ConfigError):
         solve_1d(prob, 21, 1e-3, 0.01, boundary_policy="frozen")
     with pytest.raises(ConfigError):
-        solve_1d(prob, 21, 1e-3, 0.01, gform="other")
+        solve_2d(problem4(), 9, 1e-3, 0.01, boundary_policy="frozen")
 
 
 def test_dt_must_divide_interval():
     prob = problem1()
     with pytest.raises(ConfigError):
         solve_1d(prob, 21, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": math.nan}, {"dt": math.inf}, {"t_end": math.inf},
+    {"t_end": math.nan}, {"t0": math.nan}, {"t0": -math.inf},
+    {"snapshots": (math.nan,)}, {"snapshots": (math.inf,)},
+])
+def test_non_finite_times_rejected(kwargs):
+    args = {"dt": 0.05, "t_end": 0.2, **kwargs}
+    with pytest.raises(ConfigError):
+        solve_1d(problem1(), 11, **args)
+    with pytest.raises(ConfigError):
+        solve_2d(problem4(), 5, **args)
 
 
 def test_stage_policy_runs_and_differs_from_base():
@@ -81,11 +105,26 @@ def test_stage_policy_runs_and_differs_from_base():
 
 
 def test_observer_sees_every_step():
-    prob = problem1()
-    seen = []
-    solve_1d(prob, 21, 0.05, 0.2,
-             observer=lambda k, t, u, v: seen.append((k, t)))
-    assert [k for k, _ in seen] == [1, 2, 3, 4]
+    # Both drivers hand the observer read-only views of the state after the
+    # Dirichlet data for the new time are in place.
+    for solve, prob in ((solve_1d, problem1()), (solve_2d, problem4())):
+        seen = []
+
+        def observer(k, t, u, v):
+            assert not u.flags.writeable and not v.flags.writeable
+            seen.append((k, t, u.copy(), v.copy()))
+
+        sol = solve(prob, 9, 0.05, 0.2, observer=observer)
+        assert [k for k, _, _, _ in seen] == [1, 2, 3, 4]
+        times = [t for _, t, _, _ in seen]
+        assert times == pytest.approx([0.05, 0.1, 0.15, 0.2])
+        np.testing.assert_array_equal(seen[-1][2], sol.u)
+        np.testing.assert_array_equal(seen[-1][3], sol.v)
+    # the 2D state seen after step 1 already carries the traces at t = dt
+    t, u1 = seen[0][1], seen[0][2]
+    x, y = sol.grid.xgrid.x, sol.grid.ygrid.x
+    np.testing.assert_allclose(u1[:, 0], prob.bc_u(x, y[0], t), atol=1e-15)
+    np.testing.assert_allclose(u1[0, :], prob.bc_u(x[0], y, t), atol=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -144,3 +183,70 @@ def test_2d_snapshots():
     sol = solve_2d(prob, 9, 0.01, 0.04, snapshots=(0.02, 0.04))
     assert len(sol.snapshots) == 2
     np.testing.assert_array_equal(sol.snapshots[-1][1], sol.u)
+
+
+# ---------------------------------------------------------------------------
+# driver oracle: the paper's F/G formulation stepped directly
+# ---------------------------------------------------------------------------
+
+def _reference_run(u, v, dt, steps, stage_times, dirichlet, split_rhs):
+    """SSP-RK54 on a flat (u, v) state; every stage RHS imposes the traces on
+    a copy and evaluates the boundary-split RHS."""
+    shape, size = u.shape, u.size
+
+    def unpack(w):
+        return w[:size].reshape(shape), w[size:].reshape(shape)
+
+    def rhs(w, t):
+        uu, vv = (a.copy() for a in unpack(w))
+        dirichlet(uu, vv, t)
+        return np.concatenate([d.ravel() for d in split_rhs(uu, vv, t)])
+
+    w = np.concatenate([u.ravel(), v.ravel()]).astype(float)
+    dirichlet(*unpack(w), 0.0)
+    for m in range(steps):
+        w = step(w, m * dt, dt, rhs, stage_times=stage_times)
+        dirichlet(*unpack(w), (m + 1) * dt)
+    return unpack(w)
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
+    assert np.abs(got[0] - want[0]).max() <= rtol * scale
+    assert np.abs(got[1] - want[1]).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("policy", ["base", "stage"])
+def test_solve_1d_matches_split_reference(policy):
+    # problem 1 moved to [-1, 2], so the boundary traces vary in time
+    prob = problem1()
+    a, b = -1.0, 2.0
+    ga = lambda t: prob.exact_u(a, t)
+    gb = lambda t: prob.exact_u(b, t)
+    prob = dataclasses.replace(prob, a=a, b=b, g1=ga, g2=gb, g3=ga, g4=gb)
+    n, dt, steps = 21, 1e-2, 50
+    grid = Grid1D(a, b, n)
+    w1 = first_order_weights(grid)
+    w2 = second_order_weights(w1, grid)
+    want = _reference_run(
+        prob.phi(grid.x), prob.psi(grid.x), dt, steps, policy == "stage",
+        lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid),
+        lambda u, v, t: rhs_1d_split(u, v, t, prob, w1, w2))
+    sol = solve_1d(prob, n, dt, steps * dt, boundary_policy=policy)
+    _assert_rel_close((sol.u, sol.v), want)
+
+
+@pytest.mark.parametrize("policy", ["base", "stage"])
+def test_solve_2d_matches_split_reference(policy):
+    prob = problem4()
+    nx, ny, dt, steps = 9, 7, 1e-3, 50
+    grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    ax1, ax2, by1, by2 = weights_2d(grid)
+    x = grid.xgrid.x[:, None]
+    y = grid.ygrid.x[None, :]
+    want = _reference_run(
+        prob.phi(x, y), prob.psi(x, y), dt, steps, policy == "stage",
+        lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid),
+        lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
+    sol = solve_2d(prob, nx, dt, steps * dt, ny=ny, boundary_policy=policy)
+    _assert_rel_close((sol.u, sol.v), want)

@@ -181,6 +181,10 @@ def test_num_steps_validation():
         num_steps(0.0, 1.0, -0.1)
     with pytest.raises(ConfigError):
         num_steps(1.0, 0.0, 0.1)
+    for bad in ((0.0, 1.0, float("nan")), (0.0, 1.0, float("inf")),
+                (0.0, float("inf"), 0.1), (float("nan"), 1.0, 0.1)):
+        with pytest.raises(ConfigError):
+            num_steps(*bad)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
