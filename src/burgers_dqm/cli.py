@@ -13,8 +13,10 @@ exactly; identical configurations produce byte-identical CSV bodies.  Every
 run writes a ``manifest.json`` recording the configuration, per-phase wall
 times, and a checksum per output file.
 
-Config files are flat ``key = value`` text (``#`` comments); command-line
-flags override file values.
+Config files are flat ``key = value`` text (``#`` comments).  Each key is a
+flag of the subcommand spelled with ``_`` (``t_end`` for ``--t-end``); the
+lines are parsed as ``--key=value`` flags placed before the command line,
+so command-line flags override file values.
 """
 
 import argparse
@@ -22,49 +24,46 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .burgers_rhs import Problem2D
 from .dqm_weights import (
     Grid1D,
+    Grid2D,
     dump_weights_csv,
     first_order_weights,
     second_order_weights,
 )
 from .exceptions import (
     ConfigError,
-    ConvergenceFailure,
     DegenerateError,
     DomainError,
-    NoStableDt,
     NonFiniteState,
     ShapeMismatch,
-    SingularSystem,
 )
 from .problems import (
     PROBLEM_BUILDERS,
-    REFERENCE_TABLE_KEYS,
     convergence_order,
     error_norms,
     load_reference_table,
+    problem1,
+    problem2,
+    problem3,
+    problem4,
 )
 from .solvers import BOUNDARY_POLICIES, solve_1d, solve_2d
 from .stability import FrozenParams, analyze
-
-TWO_D_PROBLEMS = ("p2", "p3", "p4")
 
 
 # ---------------------------------------------------------------------------
 # formatting / hashing helpers
 
-def fmt(x):
-    """Render a float with 17 significant digits (bit-faithful round trip)."""
-    return format(float(x), ".17g")
-
-
 def _cell(value):
+    """One CSV cell; floats get 17 significant digits (exact round trip)."""
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -72,7 +71,7 @@ def _cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return fmt(value)
+        return format(float(value), ".17g")
     return str(value)
 
 
@@ -91,10 +90,14 @@ def sha256_of(path):
 
 
 class Manifest:
-    """Collects config echo, phase timings, and output-file checksums."""
+    """Collects config echo, phase timings, and output-file checksums.
 
-    def __init__(self, config):
+    Output files and ``manifest.json`` go to ``out_dir``.
+    """
+
+    def __init__(self, config, out_dir):
         self.config = config
+        self.out_dir = Path(out_dir)
         self.phases = {}
         self.files = {}
         self._t0 = None
@@ -119,7 +122,17 @@ class Manifest:
             "bytes": path.stat().st_size,
         }
 
-    def write(self, out_dir):
+    def path(self, name):
+        """Path of output file ``name``; creates the output directory."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
+
+    def write_csv(self, name, header, rows):
+        path = self.path(name)
+        write_csv(path, header, rows)
+        self.add_file(path)
+
+    def write(self):
         self.finish()
         payload = {
             "version": __version__,
@@ -127,27 +140,32 @@ class Manifest:
             "phases_seconds": self.phases,
             "files": self.files,
         }
-        path = Path(out_dir) / "manifest.json"
-        path.write_text(
+        self.path("manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        return path
 
 
 # ---------------------------------------------------------------------------
 # config files
 
-INT_KEYS = frozenset({"nx", "ny", "order"})
-FLOAT_KEYS = frozenset({"dt", "t_end", "re", "nu", "tau0", "kappa0", "a", "b"})
-FLOAT_LIST_KEYS = frozenset({"snapshots", "dt_list"})
-INT_LIST_KEYS = frozenset({"n_list"})
-BOOL_KEYS = frozenset({"stability_check"})
+# Namespace entries that are not run settings: never config keys, not echoed.
+_NOT_SETTINGS = ("command", "config", "func")
 
 
-def parse_config_text(text):
-    """Parse flat ``key = value`` lines into a {key: raw string} dict."""
-    values = {}
+def _config_tokens(path, defaults):
+    """Read a flat ``key = value`` config file as ``--key=value`` tokens.
+
+    ``defaults`` maps each flag of the subcommand, by its destination name
+    (``t_end`` for ``--t-end``), to its default; every key must name one
+    exactly.  A switch (default ``False``) takes a boolean value and yields
+    its bare flag when true.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError("config file not found: %s" % path)
+    tokens = []
+    text = path.read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -155,256 +173,136 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError("line %d: expected 'key = value'" % lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError("line %d: empty key" % lineno)
-        values[key] = value
-    return values
-
-
-def serialize_config(values):
-    """Render a config dict back to the flat text format (sorted keys)."""
-    lines = []
-    for key in sorted(values):
-        value = values[key]
-        if isinstance(value, (list, tuple)):
-            value = ",".join(_cell(v) for v in value)
+        key, value = key.strip(), value.strip()
+        if key not in defaults or key in _NOT_SETTINGS:
+            raise ConfigError("line %d: unknown config key %r" % (lineno, key))
+        flag = "--" + key.replace("_", "-")
+        if defaults[key] is False:
+            if value.lower() in ("true", "1", "yes", "on"):
+                tokens.append(flag)
+            elif value.lower() not in ("false", "0", "no", "off"):
+                raise ConfigError("line %d: %s expects a boolean, got %r"
+                                  % (lineno, key, value))
         else:
-            value = _cell(value)
-        lines.append("%s = %s" % (key, value))
-    return "\n".join(lines) + "\n"
+            tokens.append(flag + "=" + value)
+    return tokens
 
 
-def _float_list(raw, key):
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError("%s: expected comma-separated numbers, got %r"
-                          % (key, raw))
+def _config_echo(args):
+    return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
 
 
-def _int_list(raw, key):
-    values = _float_list(raw, key)
-    if values is None:
-        return None
-    out = []
-    for v in values:
-        if v != int(v):
-            raise ConfigError("%s: expected integers, got %r" % (key, raw))
-        out.append(int(v))
-    return out
+def _comma_floats(text):
+    """Comma-separated numbers, e.g. ``0.1,0.5``."""
+    return [float(p) for p in text.split(",") if p.strip()]
 
 
-def coerce_value(key, raw):
-    """Convert a raw config-file string to the typed value for ``key``."""
-    if raw is None:
-        return None
-    try:
-        if key in INT_KEYS:
-            return int(raw)
-        if key in FLOAT_KEYS:
-            return float(raw)
-        if key in FLOAT_LIST_KEYS:
-            return _float_list(raw, key)
-        if key in INT_LIST_KEYS:
-            return _int_list(raw, key)
-        if key in BOOL_KEYS:
-            text = str(raw).strip().lower()
-            if text in ("true", "1", "yes", "on"):
-                return True
-            if text in ("false", "0", "no", "off"):
-                return False
-            raise ConfigError("%s: expected a boolean, got %r" % (key, raw))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError):
-        raise ConfigError("%s: cannot parse %r" % (key, raw))
-    return str(raw)
+def _comma_ints(text):
+    """Comma-separated integers (``10.0`` counts as 10)."""
+    values = _comma_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(text)
+    return [int(v) for v in values]
 
 
-def merged_config(args, defaults):
-    """Defaults <- config file <- explicit command-line flags."""
-    cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError("config file not found: %s" % path)
-        for key, raw in parse_config_text(path.read_text(encoding="utf-8")).items():
-            if key not in defaults:
-                raise ConfigError("unknown config key %r" % key)
-            cfg[key] = coerce_value(key, raw)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            if key in FLOAT_LIST_KEYS:
-                value = _float_list(value, key)
-            elif key in INT_LIST_KEYS:
-                value = _int_list(value, key)
-            cfg[key] = value
-    return cfg
+# ---------------------------------------------------------------------------
+# problems, solves and grids
 
-
-def _build_problem(cfg):
-    problem_id = cfg.get("problem")
-    if problem_id not in PROBLEM_BUILDERS:
-        raise ConfigError(
-            "unknown problem %r; available: %s"
-            % (problem_id, ", ".join(sorted(PROBLEM_BUILDERS)))
-        )
-    builder = PROBLEM_BUILDERS[problem_id]
-    re_value = cfg.get("re")
-    if problem_id == "p1":
-        if re_value is not None:
-            raise ConfigError("re applies to the 2D problems only")
+def _build_problem(args):
+    builder = PROBLEM_BUILDERS[args.problem]
+    if args.re is None:
         return builder()
-    if re_value is None:
-        return builder()
-    return builder(re=re_value)
+    if args.problem == "p1":
+        raise ConfigError("re applies to the 2D problems only")
+    return builder(re=args.re)
+
+
+def _solve(prob, n, dt, t_end, **kwargs):
+    """``solve_2d`` for a 2D problem, ``solve_1d`` for a 1D one."""
+    if isinstance(prob, Problem2D):
+        return solve_2d(prob, n, dt, t_end, **kwargs)
+    return solve_1d(prob, n, dt, t_end, **kwargs)
+
+
+def _nodes(sol):
+    """A solution's node coordinates and the measure of one cell.
+
+    The coordinates are one array per axis, shaped to broadcast against the
+    solution fields; the measure is the spacing in 1D and the cell area in
+    2D, the weight of the discrete L2 norm.
+    """
+    grid = sol.grid
+    if isinstance(grid, Grid2D):
+        return ((grid.xgrid.x[:, None], grid.ygrid.x[None, :]),
+                grid.xgrid.h * grid.ygrid.h)
+    return (grid.x,), grid.h
 
 
 # ---------------------------------------------------------------------------
 # solve
 
-SOLVE_DEFAULTS = {
-    "problem": "p1",
-    "nx": 41,
-    "ny": None,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "snapshots": None,
-    "re": None,
-    "out": "out",
-    "boundary_policy": "base",
-    "stability_check": False,
-}
-
-
 def _time_token(t):
     return ("%g" % t).replace("-", "m")
 
 
-def _solution_rows_1d(sol_t, grid, u, v, prob):
-    header = ["x", "u", "v"]
-    cols = [grid.x, u, v]
-    if prob.exact_u is not None:
-        eu = prob.exact_u(grid.x, sol_t)
-        ev = prob.exact_v(grid.x, sol_t)
+def _solution_rows(coords, u, v, exact):
+    """Header and rows of one snapshot, one row per node (x before y).
+
+    ``exact`` is the pair of exact fields, or None when there is none.
+    """
+    header = ["x", "y"][:len(coords)] + ["u", "v"]
+    cols = [*coords, u, v]
+    if exact is not None:
+        eu, ev = exact
         header += ["exact_u", "exact_v", "err_u", "err_v"]
         cols += [eu, ev, u - eu, v - ev]
-    rows = [[col[i] for col in cols] for i in range(grid.n)]
-    return header, rows
+    return header, zip(*(np.broadcast_to(c, u.shape).ravel() for c in cols))
 
 
-def _solution_rows_2d(sol_t, grid, u, v, prob):
-    x = grid.xgrid.x
-    y = grid.ygrid.x
-    header = ["x", "y", "u", "v"]
-    exact = None
-    if prob.exact_u is not None:
-        eu = prob.exact_u(x[:, None], y[None, :], sol_t)
-        ev = prob.exact_v(x[:, None], y[None, :], sol_t)
-        header += ["exact_u", "exact_v", "err_u", "err_v"]
-        exact = (eu, ev)
-    rows = []
-    for i in range(grid.xgrid.n):
-        for j in range(grid.ygrid.n):
-            row = [x[i], y[j], u[i, j], v[i, j]]
-            if exact is not None:
-                eu, ev = exact
-                row += [eu[i, j], ev[i, j],
-                        u[i, j] - eu[i, j], v[i, j] - ev[i, j]]
-            rows.append(row)
-    return header, rows
+def run_solve(args):
+    """Integrate one problem and write solution/error CSVs."""
+    prob = _build_problem(args)
+    is_2d = isinstance(prob, Problem2D)
+    dt, t_end = args.dt, args.t_end
+    snapshots = sorted(set(args.snapshots or [t_end]))
 
-
-def run_solve(cfg):
-    """Integrate one problem per ``cfg`` and write solution/error CSVs."""
-    prob = _build_problem(cfg)
-    is_2d = cfg["problem"] in TWO_D_PROBLEMS
-    nx, dt, t_end = cfg["nx"], cfg["dt"], cfg["t_end"]
-    if nx is None or dt is None or t_end is None:
-        raise ConfigError("nx, dt, and t_end are required")
-    snapshots = cfg.get("snapshots")
-    if not snapshots:
-        snapshots = [t_end]
-    snapshots = sorted(set(float(s) for s in snapshots))
-    for s in snapshots:
-        if s < 0.0 or s > t_end + 1e-12:
-            raise ConfigError("snapshot %r outside [0, %r]" % (s, t_end))
-
-    manifest = Manifest(_config_echo(cfg))
-    out_dir = Path(cfg["out"])
-
+    manifest = Manifest(_config_echo(args), args.out)
     manifest.start("integrate")
-    if is_2d:
-        sol = solve_2d(prob, nx, dt, t_end, ny=cfg.get("ny"),
-                       boundary_policy=cfg["boundary_policy"],
-                       snapshots=snapshots)
-        grid1 = sol.grid.xgrid
-        weight = sol.grid.xgrid.h * sol.grid.ygrid.h
-    else:
-        sol = solve_1d(prob, nx, dt, t_end,
-                       boundary_policy=cfg["boundary_policy"],
-                       snapshots=snapshots)
-        grid1 = sol.grid
-        weight = sol.grid.h
+    sol = _solve(prob, args.nx, dt, t_end, snapshots=snapshots,
+                 boundary_policy=args.boundary_policy,
+                 **({"ny": args.ny} if is_2d else {}))
+    coords, measure = _nodes(sol)
     manifest.start("output")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     error_rows = []
     for snap_t, su, sv in sol.snapshots:
-        if is_2d:
-            header, rows = _solution_rows_2d(snap_t, sol.grid, su, sv, prob)
-        else:
-            header, rows = _solution_rows_1d(snap_t, sol.grid, su, sv, prob)
-        path = out_dir / ("solution_t%s.csv" % _time_token(snap_t))
-        write_csv(path, header, rows)
-        manifest.add_file(path)
+        exact = None
         if prob.exact_u is not None:
-            if is_2d:
-                x = sol.grid.xgrid.x[:, None]
-                y = sol.grid.ygrid.x[None, :]
-                eu = prob.exact_u(x, y, snap_t)
-                ev = prob.exact_v(x, y, snap_t)
-            else:
-                eu = prob.exact_u(sol.grid.x, snap_t)
-                ev = prob.exact_v(sol.grid.x, snap_t)
-            ru = error_norms(su, eu, weight, dt=dt, t=snap_t)
-            rv = error_norms(sv, ev, weight, dt=dt, t=snap_t)
-            error_rows.append([snap_t, nx, dt, ru.l2, ru.linf, rv.l2, rv.linf])
+            exact = (prob.exact_u(*coords, snap_t), prob.exact_v(*coords, snap_t))
+        manifest.write_csv("solution_t%s.csv" % _time_token(snap_t),
+                           *_solution_rows(coords, su, sv, exact))
+        if exact is not None:
+            ru = error_norms(su, exact[0], measure, dt=dt, t=snap_t)
+            rv = error_norms(sv, exact[1], measure, dt=dt, t=snap_t)
+            error_rows.append([snap_t, args.nx, dt, ru.l2, ru.linf, rv.l2, rv.linf])
 
     if error_rows:
-        path = out_dir / "errors.csv"
-        write_csv(path, ["t", "n", "dt", "l2_u", "linf_u", "l2_v", "linf_v"],
-                  error_rows)
-        manifest.add_file(path)
+        manifest.write_csv("errors.csv", ["t", "n", "dt", "l2_u", "linf_u",
+                                          "l2_v", "linf_v"], error_rows)
         for row in error_rows:
             print("t=%g  L2(u)=%.6e  Linf(u)=%.6e  L2(v)=%.6e  Linf(v)=%.6e"
                   % (row[0], row[3], row[4], row[5], row[6]))
 
-    if cfg.get("stability_check"):
+    if args.stability_check:
         manifest.start("stability")
         if is_2d:
-            x = sol.grid.xgrid.x[:, None]
-            y = sol.grid.ygrid.x[None, :]
-            u0 = np.broadcast_to(prob.phi(x, y), (grid1.n, sol.grid.ygrid.n))
-            v0 = np.broadcast_to(prob.psi(x, y), (grid1.n, sol.grid.ygrid.n))
-            nu = prob.nu
+            grid, nu = sol.grid.xgrid, prob.nu
         else:
-            u0 = prob.phi(grid1.x)
-            v0 = prob.psi(grid1.x)
-            nu = 1.0
-        params = FrozenParams(tau0=float(np.abs(u0).max()),
-                              kappa0=float(np.abs(v0).max()),
+            grid, nu = sol.grid, 1.0  # the 1D equations have unit viscosity
+        params = FrozenParams(tau0=float(np.abs(prob.phi(*coords)).max()),
+                              kappa0=float(np.abs(prob.psi(*coords)).max()),
                               nu=nu, dt=dt)
-        report = analyze(grid1, params)
+        report = analyze(grid, params)
         verdict = "inside" if report.all_inside else "OUTSIDE"
         print("stability check: max|R(z)| = %.6f (%s), "
               "lambda1 max|Re|/max|Im| = %.3e"
@@ -414,206 +312,158 @@ def run_solve(cfg):
             "max_abs_r": report.max_abs_r,
         }
 
-    manifest.write(out_dir)
+    manifest.write()
     return 0
 
 
-def _config_echo(cfg):
-    echo = {}
-    for key, value in sorted(cfg.items()):
-        if isinstance(value, (list, tuple)):
-            echo[key] = [float(v) for v in value]
-        else:
-            echo[key] = value
-    return echo
-
-
 # ---------------------------------------------------------------------------
-# convergence
+# grid sweeps: convergence studies and published tables
 
-CONVERGENCE_DEFAULTS = {
-    "problem": "p1",
-    "n_list": None,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "re": None,
-    "out": "out",
-    "boundary_policy": "base",
-}
+@dataclass(frozen=True)
+class TableSpec:
+    """What one comparison solves and which values it reports.
+
+    ``n_values`` are the grid labels, nodes per side unless ``intervals``
+    (then each label counts intervals and the grid has one node more);
+    ``times`` are the output times, the last one the horizon.  A norm table
+    measures the error of ``field`` on each grid at each time, with two-grid
+    orders when ``columns`` has ``r_l2``; a pointwise table (``field=None``)
+    reads u and v at the published points.  ``columns`` is the header; an
+    entry ``"name=key"`` prints the row value ``key`` under ``name``.
+    """
+
+    problem: object
+    n_values: tuple
+    dt: float
+    times: tuple
+    columns: tuple
+    field: str = None
+    intervals: bool = False
+    notes: tuple = ()
 
 
-def run_convergence(cfg):
+def _ratio(computed, published):
+    if computed is None or published in (None, 0.0):
+        return None
+    return computed / published
+
+
+def _matching(refs, **keys):
+    """The first reference row that agrees with ``keys`` on every key it has."""
+    for ref in refs:
+        if all(ref.get(k, v) == v for k, v in keys.items()):
+            return ref
+    return {}
+
+
+def _row(columns, values, ref):
+    """Select ``columns`` from ``values`` plus their published counterparts."""
+    for name in ("u", "v", "l2", "linf", "r_l2", "r_linf"):
+        if name in values:
+            published = ref.get(name, ref.get(name + "_ref"))
+            values[name + "_pub"] = published
+            values[name + "_ratio"] = _ratio(values[name], published)
+    return [values[c.partition("=")[2] or c] for c in columns]
+
+
+def _sweep(spec, refs=(), boundary_policy="base"):
+    """Solve on each grid; rows per grid and time, or per published point."""
+    prob = spec.problem
+    with_orders = "r_l2" in spec.columns
+    rows, previous = [], {}
+    for n in spec.n_values:
+        sol = _solve(prob, n + 1 if spec.intervals else n, spec.dt,
+                     max(spec.times), snapshots=spec.times,
+                     boundary_policy=boundary_policy)
+        coords, measure = _nodes(sol)
+        for t, u, v in sol.snapshots:
+            if spec.field is None:
+                for ref in refs:
+                    if ref.get("t", t) != t:
+                        continue
+                    i = int(np.abs(coords[0] - ref["x"]).argmin())
+                    j = int(np.abs(coords[1] - ref["y"]).argmin())
+                    values = {"x": ref["x"], "y": ref["y"], "t": t,
+                              "u": float(u[i, j]), "v": float(v[i, j])}
+                    rows.append(_row(spec.columns, values, ref))
+                continue
+            computed = u if spec.field == "u" else v
+            exact = getattr(prob, "exact_" + spec.field)(*coords, t)
+            # orders are taken on the grid labels (log 2 under doubling)
+            rep = replace(error_norms(computed, exact, measure,
+                                      dt=spec.dt, t=t), n=n)
+            values = {"n": n, "t": t, "l2": rep.l2, "linf": rep.linf,
+                      "r_l2": None, "r_linf": None}
+            if with_orders and t in previous:
+                orders = convergence_order(previous[t], rep)
+                values.update(r_l2=orders.l2, r_linf=orders.linf)
+            previous[t] = rep
+            # table 1.1 labels its grids N
+            rows.append(_row(spec.columns, values, _matching(refs, N=n, n=n, t=t)))
+    return rows
+
+
+def run_convergence(args):
     """Grid-refinement study: solve on each grid, estimate two-grid orders."""
-    prob = _build_problem(cfg)
-    is_2d = cfg["problem"] in TWO_D_PROBLEMS
+    prob = _build_problem(args)
     if prob.exact_u is None:
-        raise ConfigError("problem %r has no exact solution" % cfg["problem"])
-    n_list = cfg.get("n_list")
+        raise ConfigError("problem %r has no exact solution" % args.problem)
+    n_list = args.n_list
     if not n_list:
         raise ConfigError("n_list is required")
-    if len(n_list) != len(set(n_list)) or sorted(n_list) != list(n_list):
-        raise ConfigError("n_list must be strictly increasing")
     for coarse, fine in zip(n_list, n_list[1:]):
         if fine != 2 * coarse:
             raise ConfigError(
                 "n_list must double at each refinement, got %d -> %d"
                 % (coarse, fine)
             )
-    dt, t_end = cfg["dt"], cfg["t_end"]
+    spec = TableSpec(prob, n_list, args.dt, (args.t_end,),
+                     ("n", "l2", "r_l2", "linf", "r_linf"), field="u")
 
-    manifest = Manifest(_config_echo(cfg))
+    manifest = Manifest(_config_echo(args), args.out)
     manifest.start("integrate")
-    reports = []
-    for n in n_list:
-        if is_2d:
-            sol = solve_2d(prob, n, dt, t_end,
-                           boundary_policy=cfg["boundary_policy"])
-            x = sol.grid.xgrid.x[:, None]
-            y = sol.grid.ygrid.x[None, :]
-            exact = prob.exact_u(x, y, sol.t)
-            weight = sol.grid.xgrid.h * sol.grid.ygrid.h
-        else:
-            sol = solve_1d(prob, n, dt, t_end,
-                           boundary_policy=cfg["boundary_policy"])
-            exact = prob.exact_u(sol.grid.x, sol.t)
-            weight = sol.grid.h
-        reports.append(error_norms(sol.u, exact, weight, dt=dt, t=t_end))
+    rows = _sweep(spec, boundary_policy=args.boundary_policy)
 
     manifest.start("output")
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
     print("%6s  %13s  %6s  %13s  %6s" % ("N", "L2", "R", "Linf", "R"))
-    for k, rep in enumerate(reports):
-        r_l2 = r_linf = None
-        if k > 0:
-            orders = convergence_order(reports[k - 1], rep)
-            r_l2, r_linf = orders.l2, orders.linf
-        rows.append([rep.n, rep.l2, r_l2, rep.linf, r_linf])
+    for n, l2, r_l2, linf, r_linf in rows:
         print("%6d  %13.6e  %6s  %13.6e  %6s"
-              % (rep.n, rep.l2,
-                 "-" if r_l2 is None else "%.2f" % r_l2,
-                 rep.linf,
-                 "-" if r_linf is None else "%.2f" % r_linf))
-    path = out_dir / "convergence.csv"
-    write_csv(path, ["n", "l2", "r_l2", "linf", "r_linf"], rows)
-    manifest.add_file(path)
-    manifest.write(out_dir)
+              % (n, l2, "-" if r_l2 is None else "%.2f" % r_l2,
+                 linf, "-" if r_linf is None else "%.2f" % r_linf))
+    manifest.write_csv("convergence.csv", spec.columns, rows)
+    manifest.write()
     return 0
 
 
-# ---------------------------------------------------------------------------
-# stability
+_ORDER_COLUMNS = ("l2", "l2_pub", "l2_ratio", "r_l2", "r_l2_pub",
+                  "linf", "linf_pub", "linf_ratio", "r_linf", "r_linf_pub")
 
-STABILITY_DEFAULTS = {
-    "nx": 11,
-    "a": -np.pi,
-    "b": np.pi,
-    "nu": 1.0,
-    "tau0": 1.0,
-    "kappa0": 1.0,
-    "dt_list": None,
-    "out": "out",
+# The published setups; ``run_table`` overrides shrink them for quick runs.
+TABLES = {
+    "1.1": TableSpec(problem1(), (10, 20, 40, 80, 160), 1e-3, (1.0,),
+                     ("N=n",) + _ORDER_COLUMNS, field="u"),
+    "1.3": TableSpec(problem1(), (121,), 1e-3, (0.5, 1.0, 2.0, 3.0),
+                     ("t", "linf", "linf_pub", "linf_ratio",
+                      "l2", "l2_pub", "l2_ratio"), field="u"),
+    "2.1": TableSpec(problem2(re=80.0), (21,), 1e-4, (0.1, 0.3, 0.5),
+                     ("x", "y", "t", "u", "u_pub", "ratio=u_ratio")),
+    "2.3": TableSpec(
+        problem2(re=100.0), (4, 8, 17, 32, 44, 64), 1e-4, (0.01, 0.5),
+        ("n", "t", "l2", "l2_pub", "l2_ratio",
+         "linf", "linf_pub", "linf_ratio"), field="v",
+        notes=("published errors sit at rounding level (1e-8 and below), so "
+               "ratios against them are indicative only",)),
+    "3.1": TableSpec(problem3(re=50.0), (21,), 1e-4, (0.625,),
+                     ("x", "y", "u", "u_pub", "u_ratio",
+                      "v", "v_pub", "v_ratio")),
+    "4.1": TableSpec(
+        problem4(re=100.0), (4, 8, 16, 32, 64), 1e-4, (1.0,),
+        ("n",) + _ORDER_COLUMNS, field="u", intervals=True,
+        notes=("mesh labels count intervals (n+1 nodes per side, h = 1/n)",
+               "the published linf column is smaller than the published l2 "
+               "of the same row, which the area-weighted norm cannot "
+               "produce; linf ratios are therefore expected to be large")),
 }
-
-
-def run_stability(cfg):
-    """Spectra of the frozen-coefficient operator plus per-dt verdicts."""
-    dt_list = cfg.get("dt_list")
-    if not dt_list:
-        raise ConfigError("dt_list is required")
-    for dt in dt_list:
-        if dt <= 0.0:
-            raise ConfigError("dt values must be positive, got %r" % (dt,))
-    grid = Grid1D(cfg["a"], cfg["b"], cfg["nx"])
-
-    manifest = Manifest(_config_echo(cfg))
-    manifest.start("analyze")
-    reports = [
-        analyze(grid, FrozenParams(tau0=cfg["tau0"], kappa0=cfg["kappa0"],
-                                   nu=cfg["nu"], dt=dt))
-        for dt in dt_list
-    ]
-
-    manifest.start("output")
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    first = reports[0]
-    spec_rows = []
-    for idx, lam in enumerate(first.lambda1, start=1):
-        spec_rows.append(["lambda1", idx, lam.real, lam.imag])
-    for idx, lam in enumerate(first.lambda2, start=1):
-        spec_rows.append(["lambda2", idx, lam.real, lam.imag])
-    path = out_dir / "spectra.csv"
-    write_csv(path, ["matrix", "index", "re", "im"], spec_rows)
-    manifest.add_file(path)
-
-    asm_rows = [[idx, lam.real, lam.imag]
-                for idx, lam in enumerate(first.assembled, start=1)]
-    path = out_dir / "assembled_spectrum.csv"
-    write_csv(path, ["index", "re", "im"], asm_rows)
-    manifest.add_file(path)
-
-    verdict_rows = []
-    for dt, report in zip(dt_list, reports):
-        verdict_rows.append([dt, report.all_inside, report.max_abs_r])
-        print("dt=%-12g all_inside=%-5s max|R(z)|=%.9f"
-              % (dt, report.all_inside, report.max_abs_r))
-    print("lambda1 max|Re|/max|Im| = %.6e" % first.ratio_re_im)
-    path = out_dir / "stability.csv"
-    write_csv(path, ["dt", "all_inside", "max_abs_r"], verdict_rows)
-    manifest.add_file(path)
-    manifest.write(out_dir)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# weights dump
-
-WEIGHTS_DEFAULTS = {
-    "nx": 11,
-    "a": -np.pi,
-    "b": np.pi,
-    "order": None,
-    "out": "out",
-}
-
-
-def run_weights_dump(cfg):
-    """Dump first/second derivative weight matrices as (row, col, value)."""
-    grid = Grid1D(cfg["a"], cfg["b"], cfg["nx"])
-    order = cfg.get("order")
-    if order not in (None, 1, 2):
-        raise ConfigError("order must be 1 or 2, got %r" % (order,))
-
-    manifest = Manifest(_config_echo(cfg))
-    manifest.start("weights")
-    w1 = first_order_weights(grid)
-    w2 = second_order_weights(w1, grid) if order in (None, 2) else None
-
-    manifest.start("output")
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if order in (None, 1):
-        path = out_dir / "weights_order1.csv"
-        dump_weights_csv(w1, path)
-        manifest.add_file(path)
-    if order in (None, 2):
-        path = out_dir / "weights_order2.csv"
-        dump_weights_csv(w2, path)
-        manifest.add_file(path)
-    manifest.write(out_dir)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# published-table reproduction
-
-def _ratio(computed, published):
-    if published in (None, 0.0):
-        return None
-    return computed / published
 
 
 def _print_comparison(title, header, rows, notes=()):
@@ -634,219 +484,124 @@ def _print_comparison(title, header, rows, notes=()):
         print("note: %s" % note)
 
 
-def _table_1_1(n_values=None, dt=1e-3, t_end=1.0):
-    from .problems import problem1
-
-    _, ref_rows = load_reference_table("1.1")
-    ref_by_n = {int(r["N"]): r for r in ref_rows}
-    prob = problem1()
-    wanted = n_values or sorted(ref_by_n)
-    reports = []
-    for n in wanted:
-        sol = solve_1d(prob, n, dt, t_end)
-        exact = prob.exact_u(sol.grid.x, sol.t)
-        reports.append(error_norms(sol.u, exact, sol.grid.h, dt=dt, t=t_end))
-    rows = []
-    for k, rep in enumerate(reports):
-        r_l2 = r_linf = None
-        if k > 0:
-            orders = convergence_order(reports[k - 1], rep)
-            r_l2, r_linf = orders.l2, orders.linf
-        ref = ref_by_n.get(rep.n, {})
-        rows.append([rep.n, rep.l2, ref.get("l2"), _ratio(rep.l2, ref.get("l2")),
-                     r_l2, ref.get("r_l2"),
-                     rep.linf, ref.get("linf"), _ratio(rep.linf, ref.get("linf")),
-                     r_linf, ref.get("r_linf")])
-    header = ["N", "l2", "l2_pub", "l2_ratio", "r_l2", "r_l2_pub",
-              "linf", "linf_pub", "linf_ratio", "r_linf", "r_linf_pub"]
-    return header, rows, ()
-
-
-def _table_1_3(nx=121, dt=1e-3, times=(0.5, 1.0, 2.0, 3.0)):
-    from .problems import problem1
-
-    _, ref_rows = load_reference_table("1.3")
-    ref_by_t = {float(r["t"]): r for r in ref_rows}
-    prob = problem1()
-    sol = solve_1d(prob, nx, dt, max(times), snapshots=times)
-    rows = []
-    for snap_t, su, _sv in sol.snapshots:
-        exact = prob.exact_u(sol.grid.x, snap_t)
-        rep = error_norms(su, exact, sol.grid.h, dt=dt, t=snap_t)
-        ref = ref_by_t.get(snap_t, {})
-        rows.append([snap_t,
-                     rep.linf, ref.get("linf"), _ratio(rep.linf, ref.get("linf")),
-                     rep.l2, ref.get("l2"), _ratio(rep.l2, ref.get("l2"))])
-    header = ["t", "linf", "linf_pub", "linf_ratio", "l2", "l2_pub", "l2_ratio"]
-    return header, rows, ()
-
-
-def _table_2_1(nx=21, dt=1e-4):
-    from .problems import problem2
-
-    _, ref_rows = load_reference_table("2.1")
-    prob = problem2(re=80.0)
-    times = sorted(set(float(r["t"]) for r in ref_rows))
-    sol = solve_2d(prob, nx, dt, max(times), snapshots=times)
-    by_time = {snap_t: su for snap_t, su, _sv in sol.snapshots}
-    hx = sol.grid.xgrid.h
-    hy = sol.grid.ygrid.h
-    rows = []
-    for ref in ref_rows:
-        x, y, t = ref["x"], ref["y"], ref["t"]
-        i = int(round((x - prob.a) / hx))
-        j = int(round((y - prob.c) / hy))
-        computed = float(by_time[t][i, j])
-        rows.append([x, y, t, computed, ref["u_ref"],
-                     _ratio(computed, ref["u_ref"])])
-    header = ["x", "y", "t", "u", "u_pub", "ratio"]
-    return header, rows, ()
-
-
-def _table_2_3(n_values=None, dt=1e-4):
-    from .problems import problem2
-
-    _, ref_rows = load_reference_table("2.3")
-    prob = problem2(re=100.0)
-    times = sorted(set(float(r["t"]) for r in ref_rows))
-    wanted = n_values or sorted(set(int(r["n"]) for r in ref_rows))
-    rows = []
-    for n in wanted:
-        sol = solve_2d(prob, n, dt, max(times), snapshots=times)
-        weight = sol.grid.xgrid.h * sol.grid.ygrid.h
-        x = sol.grid.xgrid.x[:, None]
-        y = sol.grid.ygrid.x[None, :]
-        for snap_t, _su, sv in sol.snapshots:
-            rep = error_norms(sv, prob.exact_v(x, y, snap_t), weight,
-                              dt=dt, t=snap_t)
-            ref = next((r for r in ref_rows
-                        if int(r["n"]) == n and float(r["t"]) == snap_t), {})
-            rows.append([n, snap_t,
-                         rep.l2, ref.get("l2"), _ratio(rep.l2, ref.get("l2")),
-                         rep.linf, ref.get("linf"),
-                         _ratio(rep.linf, ref.get("linf"))])
-    header = ["n", "t", "l2", "l2_pub", "l2_ratio",
-              "linf", "linf_pub", "linf_ratio"]
-    notes = ("published errors sit at rounding level (1e-8 and below), so "
-             "ratios against them are indicative only",)
-    return header, rows, notes
-
-
-def _table_3_1(nx=21, dt=1e-4, t_end=0.625):
-    from .problems import problem3
-
-    _, ref_rows = load_reference_table("3.1")
-    prob = problem3(re=50.0)
-    sol = solve_2d(prob, nx, dt, t_end)
-    hx = sol.grid.xgrid.h
-    hy = sol.grid.ygrid.h
-    rows = []
-    for ref in ref_rows:
-        x, y = ref["x"], ref["y"]
-        i = int(round((x - prob.a) / hx))
-        j = int(round((y - prob.c) / hy))
-        u_c = float(sol.u[i, j])
-        v_c = float(sol.v[i, j])
-        rows.append([x, y,
-                     u_c, ref["u_ref"], _ratio(u_c, ref["u_ref"]),
-                     v_c, ref["v_ref"], _ratio(v_c, ref["v_ref"])])
-    header = ["x", "y", "u", "u_pub", "u_ratio", "v", "v_pub", "v_ratio"]
-    return header, rows, ()
-
-
-def _table_4_1(n_values=None, dt=1e-4, t_end=1.0):
-    from .problems import problem4
-
-    _, ref_rows = load_reference_table("4.1")
-    ref_by_n = {int(r["n"]): r for r in ref_rows}
-    prob = problem4(re=100.0)
-    wanted = n_values or sorted(ref_by_n)
-    reports = []
-    for n in wanted:
-        # published mesh labels count intervals; solve with n+1 nodes per side
-        sol = solve_2d(prob, n + 1, dt, t_end)
-        x = sol.grid.xgrid.x[:, None]
-        y = sol.grid.ygrid.x[None, :]
-        weight = sol.grid.xgrid.h * sol.grid.ygrid.h
-        rep = error_norms(sol.u, prob.exact_u(x, y, sol.t), weight,
-                          dt=dt, t=t_end)
-        reports.append((n, rep))
-    rows = []
-    prev = None
-    for n, rep in reports:
-        r_l2 = r_linf = None
-        if prev is not None:
-            orders = convergence_order(prev, rep)
-            r_l2, r_linf = orders.l2, orders.linf
-        prev = rep
-        ref = ref_by_n.get(n, {})
-        rows.append([n, rep.l2, ref.get("l2"), _ratio(rep.l2, ref.get("l2")),
-                     r_l2, ref.get("r_l2"),
-                     rep.linf, ref.get("linf"),
-                     _ratio(rep.linf, ref.get("linf")),
-                     r_linf, ref.get("r_linf")])
-    header = ["n", "l2", "l2_pub", "l2_ratio", "r_l2", "r_l2_pub",
-              "linf", "linf_pub", "linf_ratio", "r_linf", "r_linf_pub"]
-    notes = ("mesh labels count intervals (n+1 nodes per side, h = 1/n)",
-             "the published linf column is smaller than the published l2 of "
-             "the same row, which the area-weighted norm cannot produce; "
-             "linf ratios are therefore expected to be large")
-    return header, rows, notes
-
-
-TABLE_RUNNERS = {
-    "1.1": _table_1_1,
-    "1.3": _table_1_3,
-    "2.1": _table_2_1,
-    "2.3": _table_2_3,
-    "3.1": _table_3_1,
-    "4.1": _table_4_1,
-}
-
-
 def run_table(key, out=None, **overrides):
     """Recompute one published table and print computed vs published values.
 
     ``overrides`` (n_values, nx, dt, t_end, times) shrink the parameter set
-    for quick runs; the defaults reproduce the published setup exactly.
+    for quick runs; ``nx`` is a single grid and ``t_end`` a single output
+    time.  The defaults reproduce the published setup exactly.
     """
-    if key not in TABLE_RUNNERS:
+    if key not in TABLES:
         raise ConfigError(
             "unknown table %r; available: %s"
-            % (key, ", ".join(REFERENCE_TABLE_KEYS))
+            % (key, ", ".join(TABLES))
         )
-    header, rows, notes = TABLE_RUNNERS[key](**overrides)
+    if "nx" in overrides:
+        overrides["n_values"] = (overrides.pop("nx"),)
+    if "t_end" in overrides:
+        overrides["times"] = (overrides.pop("t_end"),)
+    spec = replace(TABLES[key], **overrides)
+    rows = _sweep(spec, load_reference_table(key)[1])
+    header = [c.partition("=")[0] for c in spec.columns]
     _print_comparison("table %s: computed vs published" % key, header, rows,
-                      notes)
+                      spec.notes)
     if out is not None:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = Manifest({"table": key, "out": str(out)})
+        manifest = Manifest({"table": key, "out": str(out)}, out)
         manifest.start("output")
-        path = out_dir / ("table_%s_comparison.csv" % key.replace(".", "_"))
-        write_csv(path, header, rows)
-        manifest.add_file(path)
-        manifest.write(out_dir)
+        manifest.write_csv("table_%s_comparison.csv" % key.replace(".", "_"),
+                           header, rows)
+        manifest.write()
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# stability
+
+def run_stability(args):
+    """Spectra of the frozen-coefficient operator plus per-dt verdicts."""
+    dt_list = args.dt_list
+    if not dt_list:
+        raise ConfigError("dt_list is required")
+    grid = Grid1D(args.a, args.b, args.nx)
+
+    manifest = Manifest(_config_echo(args), args.out)
+    manifest.start("analyze")
+    reports = [
+        analyze(grid, FrozenParams(tau0=args.tau0, kappa0=args.kappa0,
+                                   nu=args.nu, dt=dt))
+        for dt in dt_list
+    ]
+
+    manifest.start("output")
+    first = reports[0]
+    spec_rows = []
+    for name, spectrum in (("lambda1", first.lambda1), ("lambda2", first.lambda2)):
+        for idx, lam in enumerate(spectrum, start=1):
+            spec_rows.append([name, idx, lam.real, lam.imag])
+    manifest.write_csv("spectra.csv", ["matrix", "index", "re", "im"], spec_rows)
+    asm_rows = [[idx, lam.real, lam.imag]
+                for idx, lam in enumerate(first.assembled, start=1)]
+    manifest.write_csv("assembled_spectrum.csv", ["index", "re", "im"], asm_rows)
+
+    verdict_rows = []
+    for dt, report in zip(dt_list, reports):
+        verdict_rows.append([dt, report.all_inside, report.max_abs_r])
+        print("dt=%-12g all_inside=%-5s max|R(z)|=%.9f"
+              % (dt, report.all_inside, report.max_abs_r))
+    print("lambda1 max|Re|/max|Im| = %.6e" % first.ratio_re_im)
+    manifest.write_csv("stability.csv", ["dt", "all_inside", "max_abs_r"],
+                       verdict_rows)
+    manifest.write()
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# weights dump
+
+def run_weights_dump(args):
+    """Dump first/second derivative weight matrices as (row, col, value)."""
+    grid = Grid1D(args.a, args.b, args.nx)
+
+    manifest = Manifest(_config_echo(args), args.out)
+    manifest.start("weights")
+    w1 = first_order_weights(grid)
+    w2 = second_order_weights(w1, grid) if args.order in (None, 2) else None
+
+    manifest.start("output")
+    for order, w in ((1, w1), (2, w2)):
+        if args.order in (None, order):
+            path = manifest.path("weights_order%d.csv" % order)
+            dump_weights_csv(w, path)
+            manifest.add_file(path)
+    manifest.write()
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_solver_flags(sp):
-    sp.add_argument("--problem", default=None,
-                    help="problem id: p1, p2, p3, p4")
-    sp.add_argument("--dt", type=float, default=None, help="time step")
-    sp.add_argument("--t-end", dest="t_end", type=float, default=None,
-                    help="final time")
+def _add_solver_flags(sp):
+    sp.add_argument("--problem", choices=sorted(PROBLEM_BUILDERS),
+                    default="p1", help="problem id")
+    sp.add_argument("--dt", type=float, default=1e-3, help="time step")
+    sp.add_argument("--t-end", type=float, default=1.0, help="final time")
     sp.add_argument("--re", type=float, default=None,
                     help="Reynolds number (2D problems)")
-    sp.add_argument("--out", default=None, help="output directory")
+    sp.add_argument("--boundary-policy", choices=BOUNDARY_POLICIES,
+                    default="base",
+                    help="evaluate boundary data at step base time or stage times")
+
+
+def _add_interval_flags(sp):
+    sp.add_argument("--nx", type=int, default=11, help="nodes along x")
+    sp.add_argument("--a", type=float, default=-np.pi, help="left endpoint")
+    sp.add_argument("--b", type=float, default=np.pi, help="right endpoint")
+
+
+def _add_output_flags(sp):
+    sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--config", default=None,
                     help="flat key=value config file; flags override it")
-    sp.add_argument("--boundary-policy", dest="boundary_policy",
-                    choices=BOUNDARY_POLICIES, default=None,
-                    help="evaluate boundary data at step base time or stage times")
 
 
 def build_parser():
@@ -859,100 +614,81 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="integrate one problem and dump CSVs")
-    _add_common_solver_flags(sp)
-    sp.add_argument("--nx", type=int, default=None, help="nodes along x")
+    _add_solver_flags(sp)
+    sp.add_argument("--nx", type=int, default=41, help="nodes along x")
     sp.add_argument("--ny", type=int, default=None,
                     help="nodes along y (default: nx)")
-    sp.add_argument("--snapshots", default=None,
+    sp.add_argument("--snapshots", type=_comma_floats, default=None,
                     help="comma-separated output times (default: t_end)")
-    sp.add_argument("--stability-check", dest="stability_check",
-                    action="store_true", default=None,
+    sp.add_argument("--stability-check", action="store_true",
                     help="run a frozen-coefficient stability check")
-    sp.set_defaults(func=cmd_solve)
+    _add_output_flags(sp)
+    sp.set_defaults(func=run_solve)
 
     sp = sub.add_parser("convergence", help="grid refinement study")
-    _add_common_solver_flags(sp)
-    sp.add_argument("--n-list", dest="n_list", default=None,
+    _add_solver_flags(sp)
+    sp.add_argument("--n-list", type=_comma_ints, default=None,
                     help="comma-separated node counts, each double the last")
-    sp.set_defaults(func=cmd_convergence)
+    _add_output_flags(sp)
+    sp.set_defaults(func=run_convergence)
 
     sp = sub.add_parser("stability", help="frozen-coefficient spectra")
-    sp.add_argument("--nx", type=int, default=None, help="nodes along x")
-    sp.add_argument("--a", type=float, default=None, help="left endpoint")
-    sp.add_argument("--b", type=float, default=None, help="right endpoint")
-    sp.add_argument("--nu", type=float, default=None, help="viscosity")
-    sp.add_argument("--tau0", type=float, default=None,
+    _add_interval_flags(sp)
+    sp.add_argument("--nu", type=float, default=1.0, help="viscosity")
+    sp.add_argument("--tau0", type=float, default=1.0,
                     help="frozen u-convection speed")
-    sp.add_argument("--kappa0", type=float, default=None,
+    sp.add_argument("--kappa0", type=float, default=1.0,
                     help="frozen v-convection speed")
-    sp.add_argument("--dt-list", dest="dt_list", default=None,
+    sp.add_argument("--dt-list", type=_comma_floats, default=None,
                     help="comma-separated candidate steps")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_stability)
+    _add_output_flags(sp)
+    sp.set_defaults(func=run_stability)
 
     sp = sub.add_parser("weights-dump", help="dump weight matrices as CSV")
-    sp.add_argument("--nx", type=int, default=None, help="nodes along x")
-    sp.add_argument("--a", type=float, default=None, help="left endpoint")
-    sp.add_argument("--b", type=float, default=None, help="right endpoint")
-    sp.add_argument("--order", type=int, default=None,
+    _add_interval_flags(sp)
+    sp.add_argument("--order", type=int, choices=(1, 2), default=None,
                     help="derivative order 1 or 2 (default: both)")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_weights_dump)
+    _add_output_flags(sp)
+    sp.set_defaults(func=run_weights_dump)
 
     sp = sub.add_parser(
         "table",
         help="recompute a published benchmark table (may take minutes)",
     )
-    sp.add_argument("table_id", choices=REFERENCE_TABLE_KEYS)
+    sp.add_argument("table_id", choices=tuple(TABLES))
     sp.add_argument("--out", default=None,
                     help="also write the comparison as CSV here")
-    sp.set_defaults(func=cmd_table)
+    sp.set_defaults(func=lambda args: run_table(args.table_id, out=args.out))
 
     return parser
 
 
-def cmd_solve(args):
-    return run_solve(merged_config(args, SOLVE_DEFAULTS))
-
-
-def cmd_convergence(args):
-    return run_convergence(merged_config(args, CONVERGENCE_DEFAULTS))
-
-
-def cmd_stability(args):
-    return run_stability(merged_config(args, STABILITY_DEFAULTS))
-
-
-def cmd_weights_dump(args):
-    return run_weights_dump(merged_config(args, WEIGHTS_DEFAULTS))
-
-
-def cmd_table(args):
-    return run_table(args.table_id, out=args.out)
-
-
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
+        if getattr(args, "config", None):
+            # the file's flags go first, so command-line flags win
+            at = argv.index(args.command) + 1
+            defaults = vars(parser.parse_args(argv[:at]))
+            args = parser.parse_args(
+                argv[:at] + _config_tokens(args.config, defaults) + argv[at:])
         # Blow-ups surface as a typed exception below; the overflow warnings
         # numpy emits on the way there are noise at the command line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except (ConfigError, DomainError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except NonFiniteState as exc:
         print("instability: %s" % exc, file=sys.stderr)
         return 3
-    except (SingularSystem, ConvergenceFailure, NoStableDt, DegenerateError,
-            ShapeMismatch, np.linalg.LinAlgError, ArithmeticError) as exc:
+    # ArithmeticError covers SingularSystem, ConvergenceFailure and NoStableDt
+    except (DegenerateError, ShapeMismatch, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 4
 

@@ -34,6 +34,11 @@ P2_TIME_LIMIT = 1.0 / math.sqrt(2.0) - 1e-6
 P2_HORIZON = 0.6
 
 
+def _check_re(re):
+    if not 0.0 < re < math.inf:
+        raise DomainError("re must be finite and positive, got %r" % (re,))
+
+
 def problem1():
     """1D coupled problem on (-pi, pi) with exact u = v = exp(-t) sin x.
 
@@ -75,8 +80,7 @@ def problem2(re=80.0, symmetric_domain=False):
     t beyond the validity limit raises DomainError; the integration horizon
     is capped at 0.6.
     """
-    if re <= 0.0:
-        raise DomainError("re must be positive, got %r" % (re,))
+    _check_re(re)
 
     def _guard(t):
         if np.any(np.asarray(t) >= P2_TIME_LIMIT):
@@ -120,8 +124,7 @@ def problem3(re=50.0):
     and the t = 0 compatibility condition are automatic).  No closed-form
     solution; computed values are checked against the published table.
     """
-    if re <= 0.0:
-        raise DomainError("re must be positive, got %r" % (re,))
+    _check_re(re)
 
     def trace_u(x, y, t):
         return np.sin(math.pi * x) + np.cos(math.pi * y)
@@ -153,8 +156,7 @@ def problem4(re=100.0):
     E = exp((-4x + 4y - t) Re/32); u + v = 3/2 identically.  All initial
     and boundary data come from the exact solution.
     """
-    if re <= 0.0:
-        raise DomainError("re must be positive, got %r" % (re,))
+    _check_re(re)
 
     def _bump(x, y, t):
         e = np.exp((-4.0 * x + 4.0 * y - t) * re / 32.0)

@@ -43,6 +43,10 @@ class FrozenParams:
     dt: float
 
     def __post_init__(self):
+        for name in ("tau0", "kappa0", "nu", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError("%s must be finite, got %r"
+                                  % (name, getattr(self, name)))
         if self.nu < 0.0:
             raise DomainError("nu must be >= 0, got %r" % (self.nu,))
         if self.dt <= 0.0:

@@ -8,12 +8,10 @@ import hashlib
 import json
 import math
 
-import numpy as np
 import pytest
 
 from burgers_dqm import cli, problem1
 from burgers_dqm.cli import main
-from burgers_dqm.exceptions import ConfigError
 
 
 def _read_csv(path):
@@ -141,6 +139,18 @@ def test_solve_rejects_re_for_1d_problem(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("problem,re", [
+    ("p2", "nan"), ("p4", "nan"), ("p4", "inf"), ("p3", "inf"), ("p2", "-inf"),
+])
+def test_solve_rejects_non_finite_re(tmp_path, capsys, problem, re):
+    out = tmp_path / "x"
+    rc = main(["solve", "--problem", problem, "--nx", "9", "--dt", "0.01",
+               "--t-end", "0.02", "--re=" + re, "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_solve_unstable_run_exits_3(tmp_path, capsys):
     rc = main(["solve", "--problem", "p4", "--nx", "21", "--dt", "1",
@@ -161,16 +171,31 @@ def test_solve_with_stability_check(tmp_path, capsys):
 # config files
 # ---------------------------------------------------------------------------
 
-def test_config_file_round_trip():
-    # the parser keeps raw strings; coercion is per-key and must round-trip
-    cfg = {"problem": "p1", "nx": 21, "dt": 0.01, "t_end": 0.1,
-           "stability_check": True, "snapshots": [0.05, 0.1]}
-    text = cli.serialize_config(cfg)
-    back = {k: cli.coerce_value(k, v) for k, v in cli.parse_config_text(text).items()}
-    assert back == cfg
-    again = {k: cli.coerce_value(k, v)
-             for k, v in cli.parse_config_text(cli.serialize_config(back)).items()}
-    assert again == back
+def test_config_file_round_trip(tmp_path):
+    # every solve key from a file gives the run the same flags would
+    out = tmp_path / "run"
+    settings = {"problem": "p4", "nx": "9", "ny": "7", "dt": "0.01",
+                "t_end": "0.02", "snapshots": "0.01,0.02", "re": "50",
+                "out": str(out), "boundary_policy": "stage",
+                "stability_check": "true"}
+    conf = tmp_path / "run.conf"
+    conf.write_text("# every solve key\n" + "".join(
+        "%s = %s\n" % item for item in settings.items()))
+    assert main(["solve", "--config", str(conf)]) == 0
+    from_file = json.loads((out / "manifest.json").read_text())["config"]
+    csv_from_file = (out / "solution_t0.02.csv").read_bytes()
+
+    flags = ["solve", "--stability-check"]
+    for key, value in settings.items():
+        if key != "stability_check":
+            flags += ["--" + key.replace("_", "-"), value]
+    assert main(flags) == 0
+    from_flags = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(from_file) == set(settings) | {"stability_verdict"}
+    assert from_file == from_flags
+    assert from_file["snapshots"] == [0.01, 0.02]
+    assert from_file["stability_check"] is True
+    assert (out / "solution_t0.02.csv").read_bytes() == csv_from_file
 
 
 def test_config_file_drives_solve_and_flags_override(tmp_path):
@@ -192,13 +217,28 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert rc == 2
 
 
-def test_config_parser_errors():
-    with pytest.raises(ConfigError):
-        cli.parse_config_text("just words\n")
-    with pytest.raises(ConfigError):
-        cli.coerce_value("nx", "abc")
-    with pytest.raises(ConfigError):
-        cli.coerce_value("dt", "fast")
+def test_config_parser_errors(tmp_path):
+    # "t" would prefix-match --t-end on a command line; a key must be exact
+    for line in ("just words", "nx = abc", "dt = fast", "t = 1", "config = x",
+                 "t-end = 1", "stability_check = maybe"):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("problem = p1\n%s\n" % line)
+        out = tmp_path / "x"
+        rc = main(["solve", "--config", str(conf), "--nx", "11",
+                   "--dt", "0.01", "--t-end", "0.02", "--out", str(out)])
+        assert rc == 2, line
+        assert not out.exists(), line
+
+
+def test_config_switch_false_and_missing_file(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("stability_check = false\nnx = 11\n")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(conf), "--dt", "0.01",
+                 "--t-end", "0.02", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())[
+        "config"]["stability_check"] is False
+    assert main(["solve", "--config", str(tmp_path / "none.conf")]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +300,21 @@ def test_stability_requires_dt_list(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dt-list", "nan"],
+    ["--dt-list", "1e-3,inf"],
+    ["--dt-list", "1e-3", "--nu", "nan"],
+    ["--dt-list", "1e-3", "--tau0", "inf"],
+    ["--dt-list", "1e-3", "--kappa0=-inf"],
+])
+def test_stability_rejects_non_finite_inputs(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    rc = main(["stability", "--nx", "11", *flags, "--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # weights dump
 # ---------------------------------------------------------------------------
@@ -301,6 +356,21 @@ def test_run_table_quick_comparison(tmp_path, capsys):
     assert 0.1 <= ratio <= 10.0
 
 
+def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, capsys):
+    # labels count intervals (5 and 9 nodes); the order divides by log 2
+    rc = cli.run_table("4.1", out=str(tmp_path / "t"), n_values=[4, 8],
+                       dt=1e-3, t_end=0.1)
+    assert rc == 0
+    header, rows = _read_csv(tmp_path / "t" / "table_4_1_comparison.csv")
+    col = {name: k for k, name in enumerate(header)}
+    coarse, fine = rows
+    assert [coarse[0], fine[0]] == ["4", "8"]
+    for norm in ("l2", "linf"):
+        want = math.log2(float(coarse[col[norm]]) / float(fine[col[norm]]))
+        assert float(fine[col["r_" + norm]]) == pytest.approx(want, rel=1e-12)
+        assert coarse[col["r_" + norm]] == ""
+
+
 def test_table_cli_rejects_unknown_key(tmp_path):
     rc = main(["table", "9.9", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -310,3 +380,4 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert "burgers-dqm" in capsys.readouterr().out
+

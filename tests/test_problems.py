@@ -328,7 +328,6 @@ def test_problem_builder_registry():
 
 def test_builders_reject_bad_reynolds():
     for build in (problem2, problem3, problem4):
-        with pytest.raises(DomainError):
-            build(re=0.0)
-        with pytest.raises(DomainError):
-            build(re=-5.0)
+        for re in (0.0, -5.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                build(re=re)

@@ -141,6 +141,11 @@ def test_frozen_params_validation():
         FrozenParams(tau0=1.0, kappa0=1.0, nu=-1.0, dt=1e-3)
     with pytest.raises(DomainError):
         FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0, dt=0.0)
+    good = dict(tau0=1.0, kappa0=1.0, nu=1.0, dt=1e-3)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                FrozenParams(**{**good, name: bad})
 
 
 # ---------------------------------------------------------------------------
