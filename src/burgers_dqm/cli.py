@@ -217,10 +217,12 @@ def _build_problem(args):
     return builder(re=args.re)
 
 
-def _solve(prob, n, dt, t_end, **kwargs):
+def _solve(prob, n, dt, t_end, ny=None, **kwargs):
     """``solve_2d`` for a 2D problem, ``solve_1d`` for a 1D one."""
     if isinstance(prob, Problem2D):
-        return solve_2d(prob, n, dt, t_end, **kwargs)
+        return solve_2d(prob, n, dt, t_end, ny=ny, **kwargs)
+    if ny is not None:
+        raise ConfigError("ny applies to the 2D problems only")
     return solve_1d(prob, n, dt, t_end, **kwargs)
 
 
@@ -262,15 +264,13 @@ def _solution_rows(coords, u, v, exact):
 def run_solve(args):
     """Integrate one problem and write solution/error CSVs."""
     prob = _build_problem(args)
-    is_2d = isinstance(prob, Problem2D)
     dt, t_end = args.dt, args.t_end
     snapshots = sorted(set(args.snapshots or [t_end]))
 
     manifest = Manifest(_config_echo(args), args.out)
     manifest.start("integrate")
-    sol = _solve(prob, args.nx, dt, t_end, snapshots=snapshots,
-                 boundary_policy=args.boundary_policy,
-                 **({"ny": args.ny} if is_2d else {}))
+    sol = _solve(prob, args.nx, dt, t_end, ny=args.ny, snapshots=snapshots,
+                 boundary_policy=args.boundary_policy)
     coords, measure = _nodes(sol)
     manifest.start("output")
 
@@ -295,22 +295,21 @@ def run_solve(args):
 
     if args.stability_check:
         manifest.start("stability")
-        if is_2d:
+        if isinstance(prob, Problem2D):
             grid, nu = sol.grid.xgrid, prob.nu
         else:
             grid, nu = sol.grid, 1.0  # the 1D equations have unit viscosity
         params = FrozenParams(tau0=float(np.abs(prob.phi(*coords)).max()),
                               kappa0=float(np.abs(prob.psi(*coords)).max()),
-                              nu=nu, dt=dt)
-        report = analyze(grid, params)
-        verdict = "inside" if report.all_inside else "OUTSIDE"
+                              nu=nu)
+        report = analyze(grid, params, [dt])
+        inside, max_abs_r = report.all_inside[0], report.max_abs_r[0]
         print("stability check: max|R(z)| = %.6f (%s), "
               "lambda1 max|Re|/max|Im| = %.3e"
-              % (report.max_abs_r, verdict, report.ratio_re_im))
-        manifest.config["stability_verdict"] = {
-            "all_inside": report.all_inside,
-            "max_abs_r": report.max_abs_r,
-        }
+              % (max_abs_r, "inside" if inside else "OUTSIDE",
+                 report.ratio_re_im))
+        manifest.config["stability_verdict"] = {"all_inside": inside,
+                                                "max_abs_r": max_abs_r}
 
     manifest.write()
     return 0
@@ -526,29 +525,24 @@ def run_stability(args):
 
     manifest = Manifest(_config_echo(args), args.out)
     manifest.start("analyze")
-    reports = [
-        analyze(grid, FrozenParams(tau0=args.tau0, kappa0=args.kappa0,
-                                   nu=args.nu, dt=dt))
-        for dt in dt_list
-    ]
+    report = analyze(grid, FrozenParams(tau0=args.tau0, kappa0=args.kappa0,
+                                        nu=args.nu), dt_list)
 
     manifest.start("output")
-    first = reports[0]
     spec_rows = []
-    for name, spectrum in (("lambda1", first.lambda1), ("lambda2", first.lambda2)):
+    for name, spectrum in (("lambda1", report.lambda1),
+                           ("lambda2", report.lambda2)):
         for idx, lam in enumerate(spectrum, start=1):
             spec_rows.append([name, idx, lam.real, lam.imag])
     manifest.write_csv("spectra.csv", ["matrix", "index", "re", "im"], spec_rows)
     asm_rows = [[idx, lam.real, lam.imag]
-                for idx, lam in enumerate(first.assembled, start=1)]
+                for idx, lam in enumerate(report.assembled, start=1)]
     manifest.write_csv("assembled_spectrum.csv", ["index", "re", "im"], asm_rows)
 
-    verdict_rows = []
-    for dt, report in zip(dt_list, reports):
-        verdict_rows.append([dt, report.all_inside, report.max_abs_r])
-        print("dt=%-12g all_inside=%-5s max|R(z)|=%.9f"
-              % (dt, report.all_inside, report.max_abs_r))
-    print("lambda1 max|Re|/max|Im| = %.6e" % first.ratio_re_im)
+    verdict_rows = list(zip(dt_list, report.all_inside, report.max_abs_r))
+    for row in verdict_rows:
+        print("dt=%-12g all_inside=%-5s max|R(z)|=%.9f" % row)
+    print("lambda1 max|Re|/max|Im| = %.6e" % report.ratio_re_im)
     manifest.write_csv("stability.csv", ["dt", "all_inside", "max_abs_r"],
                        verdict_rows)
     manifest.write()

@@ -191,8 +191,8 @@ def weights_2d(grid, cx=None, cy=None):
 
 def dump_weights_csv(w, path):
     """Write a weight matrix as (row, col, value) CSV, 17 significant digits."""
+    lines = ["row,col,value\n"]
+    for i, row in enumerate(w.tolist(), start=1):
+        lines += ["%d,%d,%.17g\n" % (i, j, v) for j, v in enumerate(row, start=1)]
     with open(path, "w", newline="") as f:
-        f.write("row,col,value\n")
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                f.write(f"{i + 1},{j + 1},{format(w[i, j], '.17g')}\n")
+        f.write("".join(lines))

@@ -3,10 +3,11 @@
 Linearizing the semi-discrete system around locally constant convection
 velocities (tau0, kappa0) gives a linear operator built from the interior
 blocks of the first- and second-derivative weight matrices.  This module
-computes those spectra, forms the derived eigenvalues
-lambda_B = 2 nu lambda2 - (tau0 + kappa0) lambda1, scales them by a
-candidate time step, and tests membership in the integrator's stability
-region via the amplification factor R(z).
+computes those spectra once per grid and set of frozen parameters, forms
+the derived eigenvalues lambda_B = 2 nu lambda2 - (tau0 + kappa0) lambda1,
+and judges each candidate time step against them: dt only scales the
+spectrum, so membership of lambda_B * dt in the integrator's stability
+region (via the amplification factor R(z)) needs no further eigenvalues.
 
 The lambda_B construction pairs eigenvalues of two non-commuting matrices,
 which is heuristic; the report therefore also carries the exact spectrum of
@@ -35,44 +36,41 @@ PROBE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class FrozenParams:
-    """Locally frozen convection velocities, viscosity, and candidate dt."""
+    """Locally frozen convection velocities and viscosity."""
 
     tau0: float
     kappa0: float
     nu: float
-    dt: float
 
     def __post_init__(self):
-        for name in ("tau0", "kappa0", "nu", "dt"):
+        for name in ("tau0", "kappa0", "nu"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError("%s must be finite, got %r"
                                   % (name, getattr(self, name)))
         if self.nu < 0.0:
             raise DomainError("nu must be >= 0, got %r" % (self.nu,))
-        if self.dt <= 0.0:
-            raise DomainError("dt must be > 0, got %r" % (self.dt,))
 
 
 @dataclass
 class StabilityReport:
-    """Spectra and the membership verdict for one (grid, params) pair.
+    """Spectra of one (grid, params) pair and a verdict per candidate dt.
 
     ``lambda1``/``lambda2`` are the interior first-/second-derivative
-    spectra (sorted as paired), ``lambda_b`` the heuristic combination,
-    ``z = lambda_b * dt``, and ``assembled`` the exact spectrum of
-    -(tau0+kappa0) A1 + 2 nu A2.  ``ratio_re_im`` is
-    max|Re lambda1| / max|Im lambda1|, an observability measure of how
-    close the convection spectrum is to purely imaginary.
+    spectra (sorted as paired), ``lambda_b`` the heuristic combination, and
+    ``assembled`` the exact spectrum of -(tau0+kappa0) A1 + 2 nu A2.
+    ``ratio_re_im`` is max|Re lambda1| / max|Im lambda1|, an observability
+    measure of how close the convection spectrum is to purely imaginary.
+    ``max_abs_r``/``all_inside`` hold max|R(lambda_b * dt)| and whether it
+    is <= 1 (up to roundoff), one entry per requested dt, in order.
     """
 
     lambda1: np.ndarray
     lambda2: np.ndarray
     lambda_b: np.ndarray
-    z: np.ndarray
-    all_inside: bool
-    max_abs_r: float
     assembled: np.ndarray
     ratio_re_im: float
+    max_abs_r: tuple
+    all_inside: tuple
 
 
 def interior_weight_matrix(w):
@@ -131,48 +129,56 @@ def operator_matrices(grid):
     return interior_weight_matrix(w1), interior_weight_matrix(w2)
 
 
-def _paired_lambdas(a1, a2):
-    """Spectra of A1/A2, index-paired after sorting lambda1 by imaginary
-    part and lambda2 by real part (with the other component breaking ties
-    so the pairing is deterministic)."""
+def _spectra(grid, params):
+    """Operator blocks (A1, A2), their spectra and lambda_B; lambda1 is
+    sorted by imaginary part, lambda2 by real part (the other component
+    breaking ties), and lambda_B pairs them by index."""
+    a1, a2 = operator_matrices(grid)
     lam1 = eigen_spectrum(a1)
     lam2 = eigen_spectrum(a2)
     lam1 = lam1[np.lexsort((lam1.real, lam1.imag))]
     lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
-    return lam1, lam2
+    lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
+    return a1, a2, lam1, lam2, lam_b
 
 
-def analyze(grid, params, scheme=None):
-    """Stability report for one grid and one set of frozen parameters.
+def _max_abs_r(r_of_z, lam_b, dt):
+    return float(np.abs(r_of_z(lam_b * dt)).max())
+
+
+def analyze(grid, params, dts, scheme=None):
+    """Stability report for one grid, one set of frozen parameters and each
+    candidate step in ``dts`` (each finite and > 0).
 
     ``scheme`` is the amplification factor R(z) as a callable; defaults to
     the built-in five-stage scheme.
     """
+    dts = tuple(dts)
+    for dt in dts:
+        if not math.isfinite(dt):
+            raise DomainError("dt must be finite, got %r" % (dt,))
+        if dt <= 0.0:
+            raise DomainError("dt must be > 0, got %r" % (dt,))
     r_of_z = amplification if scheme is None else scheme
-    a1, a2 = operator_matrices(grid)
-    lam1, lam2 = _paired_lambdas(a1, a2)
+    a1, a2, lam1, lam2, lam_b = _spectra(grid, params)
     speed = params.tau0 + params.kappa0
-    lam_b = 2.0 * params.nu * lam2 - speed * lam1
-    z = lam_b * params.dt
-    r = np.abs(r_of_z(z))
-    max_abs_r = float(r.max())
     assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
     im_max = float(np.abs(lam1.imag).max())
     re_max = float(np.abs(lam1.real).max())
     ratio = re_max / im_max if im_max > 0.0 else math.inf
+    max_abs_r = tuple(_max_abs_r(r_of_z, lam_b, dt) for dt in dts)
     return StabilityReport(
         lambda1=lam1,
         lambda2=lam2,
         lambda_b=lam_b,
-        z=z,
-        all_inside=bool(max_abs_r <= 1.0 + MEMBERSHIP_TOL),
-        max_abs_r=max_abs_r,
         assembled=assembled,
         ratio_re_im=ratio,
+        max_abs_r=max_abs_r,
+        all_inside=tuple(r <= 1.0 + MEMBERSHIP_TOL for r in max_abs_r),
     )
 
 
-def max_stable_dt(grid, nu, tau0, kappa0, scheme=None):
+def max_stable_dt(grid, params, scheme=None):
     """Largest dt in (0, 10] whose scaled spectrum stays inside the region.
 
     The spectra are computed once (z is linear in dt) and the boundary is
@@ -180,12 +186,10 @@ def max_stable_dt(grid, nu, tau0, kappa0, scheme=None):
     even dt = 1e-9 falls outside.
     """
     r_of_z = amplification if scheme is None else scheme
-    a1, a2 = operator_matrices(grid)
-    lam1, lam2 = _paired_lambdas(a1, a2)
-    lam_b = 2.0 * nu * lam2 - (tau0 + kappa0) * lam1
+    lam_b = _spectra(grid, params)[-1]
 
     def inside(dt):
-        return float(np.abs(r_of_z(lam_b * dt)).max()) <= 1.0 + MEMBERSHIP_TOL
+        return _max_abs_r(r_of_z, lam_b, dt) <= 1.0 + MEMBERSHIP_TOL
 
     lo = 1e-9
     if not inside(lo):

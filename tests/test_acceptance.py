@@ -239,7 +239,7 @@ def test_c8_second_derivative_spectra_left_half_plane(tmp_path):
         assert len(spectra) == 1 + 2 * (n - 2)  # header + both spectra
 
         g = Grid1D(-math.pi, math.pi, n)
-        rep = analyze(g, FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0, dt=1e-4))
+        rep = analyze(g, FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0), [1e-4])
         _, a2 = operator_matrices(g)
         threshold = 1e-8 * np.linalg.norm(a2, 2)
         worst = rep.lambda2.real.max()

@@ -133,10 +133,15 @@ def test_solve_rejects_non_finite_times(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_solve_rejects_re_for_1d_problem(tmp_path):
-    rc = main(["solve", "--problem", "p1", "--nx", "11", "--re", "50",
-               "--out", str(tmp_path / "x")])
-    assert rc == 2
+def test_solve_rejects_re_for_1d_problem(tmp_path, capsys):
+    # both 2D-only flags, --re and --ny, are configuration errors in 1D
+    for flag, value in (("--re", "50"), ("--ny", "5")):
+        out = tmp_path / flag.strip("-")
+        rc = main(["solve", "--problem", "p1", "--nx", "11", flag, value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("problem,re", [
@@ -293,6 +298,26 @@ def test_stability_outputs_spectra_and_verdicts(tmp_path, capsys):
     assert verdicts[-1] == "false"
     assert (out / "assembled_spectrum.csv").exists()
     assert "max|Re|/max|Im|" in capsys.readouterr().out
+
+
+def test_stability_dt_list_shares_one_analysis(tmp_path):
+    # one run over a list of steps writes the verdict rows of one run per
+    # step, and spectra that do not depend on the list
+    dts = ["1e-4", "1e-2", "0.5"]
+    rc = main(["stability", "--nx", "11", "--dt-list", ",".join(dts),
+               "--out", str(tmp_path / "all")])
+    assert rc == 0
+    rows = []
+    for dt in dts:
+        out = tmp_path / dt
+        assert main(["stability", "--nx", "11", "--dt-list", dt,
+                     "--out", str(out)]) == 0
+        rows += _read_csv(out / "stability.csv")[1]
+        for name in ("spectra.csv", "assembled_spectrum.csv"):
+            assert ((out / name).read_bytes()
+                    == (tmp_path / "all" / name).read_bytes())
+    assert _read_csv(tmp_path / "all" / "stability.csv")[1] == rows
+    assert [r[1] for r in rows] == ["true", "true", "false"]
 
 
 def test_stability_requires_dt_list(tmp_path):

@@ -312,3 +312,12 @@ def test_dump_weights_csv_round_trips(tmp_path):
         r, cidx, v = line.split(",")
         back[int(r) - 1, int(cidx) - 1] = float(v)
     np.testing.assert_array_equal(back, w1)
+    # the exact bytes: 1-based indices, 17 significant digits, LF endings
+    dump_weights_csv(np.array([[0.1, -2.0], [1e-300, 1.0 / 3.0]]), path)
+    assert path.read_bytes() == (
+        b"row,col,value\n"
+        b"1,1,0.10000000000000001\n"
+        b"1,2,-2\n"
+        b"2,1,1e-300\n"
+        b"2,2,0.33333333333333331\n"
+    )

@@ -81,29 +81,27 @@ def test_eigen_spectrum_validation():
 # frozen-coefficient analysis
 # ---------------------------------------------------------------------------
 
-def _params(dt, nu=1.0, tau0=1.0, kappa0=1.0):
-    return FrozenParams(tau0=tau0, kappa0=kappa0, nu=nu, dt=dt)
+UNIT = FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0)
 
 
 def test_analyze_small_dt_is_stable():
     g = Grid1D(-math.pi, math.pi, 11)
-    rep = analyze(g, _params(1e-9))
-    assert rep.all_inside
-    assert rep.max_abs_r <= 1.0 + 1e-12
+    rep = analyze(g, UNIT, [1e-9])
+    assert rep.all_inside == (True,)
+    assert rep.max_abs_r[0] <= 1.0 + 1e-12
     assert len(rep.lambda_b) == 9
-    assert len(rep.z) == 9
 
 
 def test_analyze_huge_dt_is_unstable():
     g = Grid1D(-math.pi, math.pi, 11)
-    rep = analyze(g, _params(10.0))
-    assert not rep.all_inside
-    assert rep.max_abs_r > 1.0
+    rep = analyze(g, UNIT, [10.0])
+    assert rep.all_inside == (False,)
+    assert rep.max_abs_r[0] > 1.0
 
 
 def test_analyze_first_derivative_spectrum_is_essentially_imaginary():
     g = Grid1D(-math.pi, math.pi, 11)
-    rep = analyze(g, _params(1e-3))
+    rep = analyze(g, UNIT, [1e-3])
     assert rep.ratio_re_im <= 1e-10
 
 
@@ -112,24 +110,40 @@ def test_analyze_second_derivative_spectrum_has_negative_real_parts():
     # closure of the second-derivative rows could first turn unstable
     for n in (11, 21, 121):
         g = Grid1D(-math.pi, math.pi, n)
-        rep = analyze(g, _params(1e-3))
+        rep = analyze(g, UNIT, [1e-3])
         assert rep.lambda2.real.max() < 0.0
         assert rep.assembled.real.max() < 0.0
 
 
 def test_analyze_is_deterministic():
     g = Grid1D(-math.pi, math.pi, 11)
-    a = analyze(g, _params(1e-3))
-    b = analyze(g, _params(1e-3))
+    a = analyze(g, UNIT, [1e-3])
+    b = analyze(g, UNIT, [1e-3])
     np.testing.assert_array_equal(a.lambda_b, b.lambda_b)
-    np.testing.assert_array_equal(a.z, b.z)
     assert a.max_abs_r == b.max_abs_r
+
+
+def test_analyze_many_dts_equals_one_call_per_dt():
+    # the spectra do not depend on dt, so one shared analysis must give
+    # exactly what separate single-dt analyses give, verdicts in order
+    g = Grid1D(-math.pi, math.pi, 121)
+    dts = [1.8e-3, 1e-4, 1.1e-3, 5e-4]
+    rep = analyze(g, UNIT, dts)
+    assert len(rep.max_abs_r) == len(rep.all_inside) == len(dts)
+    for k, dt in enumerate(dts):
+        one = analyze(g, UNIT, [dt])
+        assert one.max_abs_r == (rep.max_abs_r[k],)
+        assert one.all_inside == (rep.all_inside[k],)
+        np.testing.assert_array_equal(one.lambda_b, rep.lambda_b)
+        np.testing.assert_array_equal(one.assembled, rep.assembled)
+    assert rep.all_inside == (False, True, True, True)
+    assert analyze(g, UNIT, []).max_abs_r == ()
 
 
 def test_analyze_reports_assembled_operator_spectrum():
     g = Grid1D(-math.pi, math.pi, 11)
-    p = _params(1e-3, nu=2.0, tau0=0.5, kappa0=0.25)
-    rep = analyze(g, p)
+    p = FrozenParams(tau0=0.5, kappa0=0.25, nu=2.0)
+    rep = analyze(g, p, [1e-3])
     a1, a2 = operator_matrices(g)
     want = eigen_spectrum(-(p.tau0 + p.kappa0) * a1 + 2.0 * p.nu * a2)
     got = np.sort_complex(rep.assembled)
@@ -138,14 +152,19 @@ def test_analyze_reports_assembled_operator_spectrum():
 
 def test_frozen_params_validation():
     with pytest.raises(DomainError):
-        FrozenParams(tau0=1.0, kappa0=1.0, nu=-1.0, dt=1e-3)
-    with pytest.raises(DomainError):
-        FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0, dt=0.0)
-    good = dict(tau0=1.0, kappa0=1.0, nu=1.0, dt=1e-3)
+        FrozenParams(tau0=1.0, kappa0=1.0, nu=-1.0)
+    good = dict(tau0=1.0, kappa0=1.0, nu=1.0)
     for name in good:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 FrozenParams(**{**good, name: bad})
+    # the candidate steps are checked by analyze, each one of them
+    g = Grid1D(-math.pi, math.pi, 11)
+    for bad in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            analyze(g, UNIT, [bad])
+        with pytest.raises(DomainError):
+            analyze(g, UNIT, [1e-3, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +175,25 @@ def test_max_stable_dt_scales_with_diffusion_grid():
     # pure diffusion: dt_max ~ h^2, so halving h cuts it roughly fourfold
     g1 = Grid1D(-math.pi, math.pi, 11)
     g2 = Grid1D(-math.pi, math.pi, 21)
-    dt1 = max_stable_dt(g1, nu=1.0, tau0=0.0, kappa0=0.0)
-    dt2 = max_stable_dt(g2, nu=1.0, tau0=0.0, kappa0=0.0)
+    diffusion = FrozenParams(tau0=0.0, kappa0=0.0, nu=1.0)
+    dt1 = max_stable_dt(g1, diffusion)
+    dt2 = max_stable_dt(g2, diffusion)
     assert 3.0 <= dt1 / dt2 <= 5.0
 
 
 def test_max_stable_dt_scales_with_advection_rate():
     # pure advection: dt_max ~ 1/(tau0 + kappa0)
     g = Grid1D(-math.pi, math.pi, 21)
-    dt_slow = max_stable_dt(g, nu=0.0, tau0=1.0, kappa0=1.0)
-    dt_fast = max_stable_dt(g, nu=0.0, tau0=2.0, kappa0=2.0)
+    dt_slow = max_stable_dt(g, FrozenParams(tau0=1.0, kappa0=1.0, nu=0.0))
+    dt_fast = max_stable_dt(g, FrozenParams(tau0=2.0, kappa0=2.0, nu=0.0))
     assert dt_slow > 0.0
     assert dt_fast == pytest.approx(dt_slow / 2.0, rel=0.1)
 
 
 def test_max_stable_dt_honours_bisection_width():
     g = Grid1D(-math.pi, math.pi, 11)
-    dt = max_stable_dt(g, nu=1.0, tau0=1.0, kappa0=1.0)
-    rep_ok = analyze(g, FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0, dt=dt))
-    assert rep_ok.all_inside
-    rep_bad = analyze(g, FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0, dt=dt * 1.01))
-    assert not rep_bad.all_inside
+    dt = max_stable_dt(g, UNIT)
+    assert analyze(g, UNIT, [dt, dt * 1.01]).all_inside == (True, False)
 
 
 def test_max_stable_dt_kept_by_boundary_closure():
@@ -186,14 +203,14 @@ def test_max_stable_dt_kept_by_boundary_closure():
     # 0.001108 at n = 11, 41, 121
     for n, unclosed in ((11, 0.1482), (41, 0.009928), (121, 0.001108)):
         g = Grid1D(-math.pi, math.pi, n)
-        assert max_stable_dt(g, nu=1.0, tau0=1.0, kappa0=1.0) >= 0.9 * unclosed
+        assert max_stable_dt(g, UNIT) >= 0.9 * unclosed
 
 
 def test_max_stable_dt_no_stable_step():
     g = Grid1D(-math.pi, math.pi, 11)
     always_two = lambda z: np.full_like(np.asarray(z, dtype=complex), 2.0)
     with pytest.raises(NoStableDt):
-        max_stable_dt(g, nu=1.0, tau0=1.0, kappa0=1.0, scheme=always_two)
+        max_stable_dt(g, UNIT, scheme=always_two)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +220,7 @@ def test_max_stable_dt_no_stable_step():
 def test_kronecker_spectrum_is_pairwise_sums():
     gx = Grid1D(0.0, 1.0, 7)
     gy = Grid1D(0.0, 2.0, 6)
-    p = FrozenParams(tau0=0.7, kappa0=0.4, nu=0.05, dt=1e-3)
+    p = FrozenParams(tau0=0.7, kappa0=0.4, nu=0.05)
     mismatch, spectrum, pair_sums = kronecker_spectrum_check(gx, gy, p)
     assert mismatch <= 1e-6
     assert len(spectrum) == (7 - 2) * (6 - 2)
@@ -213,7 +230,7 @@ def test_kronecker_spectrum_is_pairwise_sums():
 def test_kronecker_check_rejects_large_grids():
     gx = Grid1D(0.0, 1.0, 13)
     gy = Grid1D(0.0, 1.0, 13)
-    p = FrozenParams(tau0=1.0, kappa0=1.0, nu=0.05, dt=1e-3)
+    p = FrozenParams(tau0=1.0, kappa0=1.0, nu=0.05)
     with pytest.raises(DomainError):
         kronecker_spectrum_check(gx, gy, p)
 
@@ -224,8 +241,7 @@ def test_kronecker_check_rejects_large_grids():
 
 def test_stability_verdict_is_monotone_in_dt():
     g = Grid1D(-math.pi, math.pi, 11)
-    verdicts = [analyze(g, _params(dt)).all_inside
-                for dt in (1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0)]
+    verdicts = analyze(g, UNIT, (1e-6, 1e-4, 1e-2, 1e-1, 1.0, 10.0)).all_inside
     # once unstable, stays unstable
     flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
     assert flips <= 1
