@@ -5,13 +5,16 @@ a modified trigonometric cubic B-spline basis, integrates in time with a
 five-stage fourth-order strong-stability-preserving Runge-Kutta scheme, and
 ships the standard 1D/2D benchmark problems, error metrics, matrix stability
 analysis, and an experiment command-line front end (``burgers-dqm``).
+
+The names below are the documented API.  The building blocks behind them
+(spline tables, the Thomas solver, Dirichlet imposition, the scheme's
+coefficients and stability function, eigen-spectra) stay importable from
+their own modules.
 """
 
 from .burgers_rhs import (
     Problem1D,
     Problem2D,
-    apply_dirichlet_1d,
-    apply_dirichlet_2d,
     boundary_forcing_1d,
     boundary_forcing_2d,
     rhs_1d,
@@ -22,13 +25,8 @@ from .burgers_rhs import (
 from .dqm_weights import (
     Grid1D,
     Grid2D,
-    dump_weights_csv,
     first_order_weights,
-    second_order_collocation,
     second_order_weights,
-    thomas_factor,
-    thomas_solve,
-    thomas_solve_factored,
     weights_2d,
 )
 from .exceptions import (
@@ -44,8 +42,6 @@ from .exceptions import (
 from .problems import (
     ErrorReport,
     OrderEstimate,
-    P2_HORIZON,
-    P2_TIME_LIMIT,
     PROBLEM_BUILDERS,
     REFERENCE_TABLE_KEYS,
     convergence_order,
@@ -57,34 +53,18 @@ from .problems import (
     problem4,
 )
 from .solvers import Solution1D, Solution2D, solve_1d, solve_2d
-from .spline_basis import (
-    H_MAX,
-    SplineCoeffs,
-    basis_deriv1,
-    basis_deriv2,
-    basis_value,
-    make_coeffs,
-    modified_basis_deriv1,
-    modified_basis_deriv2,
-    modified_basis_value,
-    modified_tables,
-)
-from .ssprk54 import COEFFICIENTS, amplification, integrate, num_steps, step
+from .ssprk54 import step
 from .stability import (
     FrozenParams,
     StabilityReport,
     analyze,
-    eigen_spectrum,
-    interior_weight_matrix,
     kronecker_spectrum_check,
     max_stable_dt,
-    operator_matrices,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "COEFFICIENTS",
     "ConfigError",
     "ConvergenceFailure",
     "DegenerateError",
@@ -93,12 +73,9 @@ __all__ = [
     "FrozenParams",
     "Grid1D",
     "Grid2D",
-    "H_MAX",
     "NoStableDt",
     "NonFiniteState",
     "OrderEstimate",
-    "P2_HORIZON",
-    "P2_TIME_LIMIT",
     "PROBLEM_BUILDERS",
     "Problem1D",
     "Problem2D",
@@ -107,34 +84,16 @@ __all__ = [
     "SingularSystem",
     "Solution1D",
     "Solution2D",
-    "SplineCoeffs",
     "StabilityReport",
-    "amplification",
     "analyze",
-    "apply_dirichlet_1d",
-    "apply_dirichlet_2d",
-    "basis_deriv1",
-    "basis_deriv2",
-    "basis_value",
     "boundary_forcing_1d",
     "boundary_forcing_2d",
     "convergence_order",
-    "dump_weights_csv",
-    "eigen_spectrum",
     "error_norms",
     "first_order_weights",
-    "integrate",
-    "interior_weight_matrix",
     "kronecker_spectrum_check",
     "load_reference_table",
-    "make_coeffs",
     "max_stable_dt",
-    "modified_basis_deriv1",
-    "modified_basis_deriv2",
-    "modified_basis_value",
-    "modified_tables",
-    "num_steps",
-    "operator_matrices",
     "problem1",
     "problem2",
     "problem3",
@@ -143,13 +102,9 @@ __all__ = [
     "rhs_1d_split",
     "rhs_2d",
     "rhs_2d_split",
-    "second_order_collocation",
     "second_order_weights",
     "solve_1d",
     "solve_2d",
     "step",
-    "thomas_factor",
-    "thomas_solve",
-    "thomas_solve_factored",
     "weights_2d",
 ]

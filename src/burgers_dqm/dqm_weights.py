@@ -12,12 +12,10 @@ the centred 3- and 5-point polynomial weights instead (a deviation from the
 paper's pure construction; see second_order_weights).
 """
 
-import math
-
 import numpy as np
 
 from .exceptions import DomainError, ShapeMismatch, SingularSystem
-from .spline_basis import make_coeffs, modified_tables
+from .spline_basis import H_MAX, make_coeffs, modified_tables
 
 PIVOT_TOL = 1e-13
 
@@ -35,8 +33,7 @@ class Grid1D:
         self.n = int(n)
         self.h = (self.b - self.a) / (self.n - 1)
         self.x = np.linspace(self.a, self.b, self.n)
-        # admissibility of h is enforced where spline coefficients are built
-        if not (0.0 < self.h < 2.0 * math.pi / 3.0):
+        if not (0.0 < self.h < H_MAX):
             raise DomainError(f"grid spacing h={self.h} outside (0, 2*pi/3)")
 
     def __repr__(self):
@@ -106,16 +103,14 @@ def _bands(a):
     return sub, np.diag(a).copy(), sup
 
 
-def first_order_weights(grid, coeffs=None):
+def first_order_weights(grid):
     """First-derivative weight matrix on a 1D grid.
 
     For each node x_i the weights solve sum_l sigma_m(x_l) a[i, l] =
     sigma_m'(x_i) over all basis functions m.  The shared tridiagonal
     matrix is factored once and solved against all n right-hand sides.
     """
-    if coeffs is None:
-        coeffs = make_coeffs(grid.h)
-    val, d1, _ = modified_tables(grid.n, coeffs)
+    val, d1, _ = modified_tables(grid.n, make_coeffs(grid.h))
     factor = thomas_factor(*_bands(val))
     # column i of d1 is the rhs for node i; solutions stack as columns
     return thomas_solve_factored(factor, d1).T
@@ -165,26 +160,11 @@ def _close_boundary_rows(w2, h):
         w2[row, row - half:row + half + 1] = stencil / (h * h)
 
 
-def second_order_collocation(grid, coeffs=None):
-    """Second-derivative weights from the sigma'' collocation system.
-
-    Cross-check route only: solves the same tridiagonal systems with
-    second-derivative right-hand sides.  Not used by the solvers
-    (second_order_weights is the production path; this one degrades near
-    the boundary and can destabilize long integrations on fine grids).
-    """
-    if coeffs is None:
-        coeffs = make_coeffs(grid.h)
-    val, _, d2 = modified_tables(grid.n, coeffs)
-    factor = thomas_factor(*_bands(val))
-    return thomas_solve_factored(factor, d2).T
-
-
-def weights_2d(grid, cx=None, cy=None):
+def weights_2d(grid):
     """Per-axis weight matrices (Ax1, Ax2, By1, By2) for a tensor grid."""
-    ax1 = first_order_weights(grid.xgrid, cx)
+    ax1 = first_order_weights(grid.xgrid)
     ax2 = second_order_weights(ax1, grid.xgrid)
-    by1 = first_order_weights(grid.ygrid, cy)
+    by1 = first_order_weights(grid.ygrid)
     by2 = second_order_weights(by1, grid.ygrid)
     return ax1, ax2, by1, by2
 

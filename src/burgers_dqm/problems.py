@@ -69,16 +69,14 @@ def problem1():
     )
 
 
-def problem2(re=80.0, symmetric_domain=False):
+def problem2(re=80.0):
     """2D problem with rational exact solution, singular at t = 1/sqrt(2).
 
     u = (x + y - 2xt)/(1 - 2t^2), v = (x - y - 2yt)/(1 - 2t^2).
 
     The solve domain is [0, 0.5]^2, where the published boundary traces are
-    complete; ``symmetric_domain=True`` switches to [-0.5, 0.5]^2 (the exact
-    solution defines traces on any box).  Evaluating the exact solution at
-    t beyond the validity limit raises DomainError; the integration horizon
-    is capped at 0.6.
+    complete.  Evaluating the exact solution at t beyond the validity limit
+    raises DomainError; the integration horizon is capped at 0.6.
     """
     _check_re(re)
 
@@ -97,12 +95,11 @@ def problem2(re=80.0, symmetric_domain=False):
         _guard(t)
         return (x - y - 2.0 * y * t) / (1.0 - 2.0 * t * t)
 
-    lo = -0.5 if symmetric_domain else 0.0
     return Problem2D(
         nu=1.0 / re,
-        a=lo,
+        a=0.0,
         b=0.5,
-        c=lo,
+        c=0.0,
         d=0.5,
         phi=lambda x, y: x + y,
         psi=lambda x, y: x - y,

@@ -71,81 +71,27 @@ def make_coeffs(h):
     return SplineCoeffs(h, a1, a2, a3, a4, a5, a6, omega)
 
 
-def basis_value(m, j, c):
-    """T_m(x_j): a2 on the diagonal, a1 for |m-j| = 1, else 0."""
-    d = m - j
-    if d == 0:
-        return c.a2
-    if d == 1 or d == -1:
-        return c.a1
-    return 0.0
-
-
-def basis_deriv1(m, j, c):
-    """T_m'(x_j): a4 at the left neighbor, a3 at the right, 0 elsewhere."""
-    d = m - j
-    if d == 1:
-        return c.a4
-    if d == -1:
-        return c.a3
-    return 0.0
-
-
-def basis_deriv2(m, j, c):
-    """T_m''(x_j): a6 on the diagonal, a5 for |m-j| = 1, else 0."""
-    d = m - j
-    if d == 0:
-        return c.a6
-    if d == 1 or d == -1:
-        return c.a5
-    return 0.0
-
-
-def _modified(fn, m, j, n, c):
-    # sigma_m as a combination of T's, evaluated through the knot table
-    if not (1 <= m <= n and 1 <= j <= n):
-        raise IndexError(f"indices (m={m}, j={j}) outside 1..{n}")
-    if m == 1:
-        return fn(1, j, c) + 2.0 * fn(0, j, c)
-    if m == 2:
-        return fn(2, j, c) - fn(0, j, c)
-    if m == n - 1:
-        return fn(n - 1, j, c) - fn(n + 1, j, c)
-    if m == n:
-        return fn(n, j, c) + 2.0 * fn(n + 1, j, c)
-    return fn(m, j, c)
-
-
-def modified_basis_value(m, j, n, c):
-    """sigma_m(x_j) for the boundary-modified basis, 1-based indices."""
-    return _modified(basis_value, m, j, n, c)
-
-
-def modified_basis_deriv1(m, j, n, c):
-    """sigma_m'(x_j)."""
-    return _modified(basis_deriv1, m, j, n, c)
-
-
-def modified_basis_deriv2(m, j, n, c):
-    """sigma_m''(x_j)."""
-    return _modified(basis_deriv2, m, j, n, c)
-
-
 def modified_tables(n, c):
     """Assemble the N x N arrays [sigma_m(x_j)], [sigma_m'(x_j)], [sigma_m''(x_j)].
 
-    Row m-1 holds basis function sigma_m sampled at all nodes.  All three
-    arrays are banded (entries vanish for |m-j| >= 2), so only the
-    tridiagonal band is populated.
+    Row m-1 holds basis function sigma_m sampled at all nodes.  Each table
+    starts as the tridiagonal band of T_m's knot values; the end splines are
+    then folded in.  T_0 is nonzero at x_1 alone, where it takes the value
+    T_m has at its right neighbour, so sigma_1 = T_1 + 2 T_0 and
+    sigma_2 = T_2 - T_0 change one entry each in column 1; T_{N+1} mirrors
+    this in column N with the left-neighbour value.
     """
     if n < 4:
         raise DomainError(f"need at least 4 nodes, got {n}")
-    val = np.zeros((n, n))
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
-    for m in range(1, n + 1):
-        for j in range(max(1, m - 1), min(n, m + 1) + 1):
-            val[m - 1, j - 1] = modified_basis_value(m, j, n, c)
-            d1[m - 1, j - 1] = modified_basis_deriv1(m, j, n, c)
-            d2[m - 1, j - 1] = modified_basis_deriv2(m, j, n, c)
-    return val, d1, d2
+    tables = []
+    # (T_m(x_{m-1}), T_m(x_m), T_m(x_{m+1})) for the value and two derivatives
+    for left, centre, right in ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3),
+                                (c.a5, c.a6, c.a5)):
+        t = (np.diag(np.full(n - 1, left), -1) + np.diag(np.full(n, centre))
+             + np.diag(np.full(n - 1, right), 1))
+        t[0, 0] += 2.0 * right
+        t[1, 0] -= right
+        t[-2, -1] -= left
+        t[-1, -1] += 2.0 * left
+        tables.append(t)
+    return tuple(tables)

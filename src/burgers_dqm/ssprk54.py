@@ -32,8 +32,6 @@ D3 = 0.063692468666290
 C4 = 0.386708617503269
 D4 = 0.226007483236906
 
-COEFFICIENTS = (B10, A20, A21, B21, A30, A32, B32, A40, A43, B43, C2, C3, D3, C4, D4)
-
 # effective stage abscissae (fraction of dt at which each L argument lives),
 # derived from the combination weights; used when the caller asks for
 # stage-time right-hand-side evaluation
@@ -89,23 +87,6 @@ def num_steps(t0, t_end, dt):
     if abs(t0 + steps * dt - t_end) > 1e-9 * dt:
         raise ConfigError(f"dt={dt!r} does not divide [{t0!r}, {t_end!r}]")
     return steps
-
-
-def integrate(u0, t0, dt, t_end, rhs, observer=None, stage_times=False):
-    """Repeatedly step from t0 to t_end; returns the final state.
-
-    observer, if given, is called after every step with
-    (step index, time, read-only state view).
-    """
-    steps = num_steps(t0, t_end, dt)
-    u = np.array(u0, dtype=None, copy=True)
-    for m in range(steps):
-        u = step(u, t0 + m * dt, dt, rhs, stage_times=stage_times)
-        if observer is not None:
-            view = u.view()
-            view.flags.writeable = False
-            observer(m + 1, t0 + (m + 1) * dt, view)
-    return u
 
 
 def amplification(z):

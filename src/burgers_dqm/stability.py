@@ -83,7 +83,7 @@ def interior_weight_matrix(w):
     return w[1:-1, 1:-1].copy()
 
 
-def eigen_spectrum(m, verify=True):
+def eigen_spectrum(m):
     """Eigenvalues of a dense square matrix, with a residual spot-check.
 
     A sample of five eigenvalues is verified by a smallest-singular-value
@@ -104,21 +104,20 @@ def eigen_spectrum(m, verify=True):
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration failed: %s" % exc)
-    if verify:
-        scale = float(np.linalg.norm(m, 2))
-        if scale == 0.0:
-            scale = 1.0
-        n = len(lam)
-        sample = sorted(set(int(round(k * (n - 1) / 4.0)) for k in range(5)))
-        eye = np.eye(n)
-        for idx in sample:
-            shifted = m.astype(complex) - lam[idx] * eye
-            smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-            if smin > PROBE_TOL * scale:
-                raise ConvergenceFailure(
-                    "eigenvalue %r failed the residual probe: "
-                    "sigma_min=%.3e > %.3e" % (lam[idx], smin, PROBE_TOL * scale)
-                )
+    scale = float(np.linalg.norm(m, 2))
+    if scale == 0.0:
+        scale = 1.0
+    n = len(lam)
+    sample = sorted(set(int(round(k * (n - 1) / 4.0)) for k in range(5)))
+    eye = np.eye(n)
+    for idx in sample:
+        shifted = m.astype(complex) - lam[idx] * eye
+        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        if smin > PROBE_TOL * scale:
+            raise ConvergenceFailure(
+                "eigenvalue %r failed the residual probe: "
+                "sigma_min=%.3e > %.3e" % (lam[idx], smin, PROBE_TOL * scale)
+            )
     return lam
 
 
@@ -142,31 +141,26 @@ def _spectra(grid, params):
     return a1, a2, lam1, lam2, lam_b
 
 
-def _max_abs_r(r_of_z, lam_b, dt):
-    return float(np.abs(r_of_z(lam_b * dt)).max())
+def _max_abs_r(lam_b, dt):
+    return float(np.abs(amplification(lam_b * dt)).max())
 
 
-def analyze(grid, params, dts, scheme=None):
+def analyze(grid, params, dts):
     """Stability report for one grid, one set of frozen parameters and each
-    candidate step in ``dts`` (each finite and > 0).
-
-    ``scheme`` is the amplification factor R(z) as a callable; defaults to
-    the built-in five-stage scheme.
-    """
+    candidate step in ``dts`` (each finite and > 0)."""
     dts = tuple(dts)
     for dt in dts:
         if not math.isfinite(dt):
             raise DomainError("dt must be finite, got %r" % (dt,))
         if dt <= 0.0:
             raise DomainError("dt must be > 0, got %r" % (dt,))
-    r_of_z = amplification if scheme is None else scheme
     a1, a2, lam1, lam2, lam_b = _spectra(grid, params)
     speed = params.tau0 + params.kappa0
     assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
     im_max = float(np.abs(lam1.imag).max())
     re_max = float(np.abs(lam1.real).max())
     ratio = re_max / im_max if im_max > 0.0 else math.inf
-    max_abs_r = tuple(_max_abs_r(r_of_z, lam_b, dt) for dt in dts)
+    max_abs_r = tuple(_max_abs_r(lam_b, dt) for dt in dts)
     return StabilityReport(
         lambda1=lam1,
         lambda2=lam2,
@@ -178,18 +172,17 @@ def analyze(grid, params, dts, scheme=None):
     )
 
 
-def max_stable_dt(grid, params, scheme=None):
+def max_stable_dt(grid, params):
     """Largest dt in (0, 10] whose scaled spectrum stays inside the region.
 
     The spectra are computed once (z is linear in dt) and the boundary is
     located by bisection to relative width 1e-3.  Raises NoStableDt when
     even dt = 1e-9 falls outside.
     """
-    r_of_z = amplification if scheme is None else scheme
     lam_b = _spectra(grid, params)[-1]
 
     def inside(dt):
-        return _max_abs_r(r_of_z, lam_b, dt) <= 1.0 + MEMBERSHIP_TOL
+        return _max_abs_r(lam_b, dt) <= 1.0 + MEMBERSHIP_TOL
 
     lo = 1e-9
     if not inside(lo):

@@ -25,7 +25,6 @@ from burgers_dqm import (
     convergence_order,
     error_norms,
     first_order_weights,
-    operator_matrices,
     problem1,
     problem2,
     problem3,
@@ -35,7 +34,6 @@ from burgers_dqm import (
     solve_2d,
     ssprk54,
     step,
-    thomas_solve,
 )
 from burgers_dqm.burgers_rhs import (
     apply_dirichlet_1d,
@@ -45,8 +43,8 @@ from burgers_dqm.burgers_rhs import (
     rhs_2d,
     rhs_2d_split,
 )
-from burgers_dqm.dqm_weights import weights_2d
-from burgers_dqm.dqm_weights import Grid2D
+from burgers_dqm.dqm_weights import Grid2D, thomas_solve, weights_2d
+from burgers_dqm.stability import operator_matrices
 
 
 def _report(label, measured, bound, comparator="<="):

@@ -16,13 +16,12 @@ from burgers_dqm import (
     rhs_1d_split,
     rhs_2d,
     rhs_2d_split,
-    apply_dirichlet_1d,
-    apply_dirichlet_2d,
     problem1,
     problem2,
     problem3,
     problem4,
 )
+from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ShapeMismatch
 
 

@@ -8,18 +8,18 @@ import pytest
 from burgers_dqm import (
     Grid1D,
     Grid2D,
-    make_coeffs,
-    modified_tables,
+    first_order_weights,
+    second_order_weights,
+    weights_2d,
+)
+from burgers_dqm.dqm_weights import (
+    dump_weights_csv,
     thomas_factor,
     thomas_solve,
     thomas_solve_factored,
-    first_order_weights,
-    second_order_weights,
-    second_order_collocation,
-    weights_2d,
-    dump_weights_csv,
 )
 from burgers_dqm.exceptions import DomainError, SingularSystem
+from burgers_dqm.spline_basis import make_coeffs, modified_tables
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +256,6 @@ def _check_w2_against_naive_double_loop(n):
         for l, c in zip(range(i - 2, i + 3), (-1.0, 16.0, -30.0, 16.0, -1.0)):
             naive[i, l] = c / (12.0 * g.h ** 2)
     np.testing.assert_allclose(w2, naive, atol=1e-12)
-
-
-def test_second_order_collocation_approximates_second_derivative():
-    g = Grid1D(-math.pi, math.pi, 41)
-    w2c = second_order_collocation(g)
-    err = np.abs(w2c @ np.sin(g.x) + np.sin(g.x))[1:-1].max()
-    assert err <= 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from burgers_dqm import (
     problem3,
     problem4,
     PROBLEM_BUILDERS,
-    P2_TIME_LIMIT,
     error_norms,
     convergence_order,
     load_reference_table,
     ErrorReport,
 )
 from burgers_dqm.exceptions import DegenerateError, DomainError, ShapeMismatch
+from burgers_dqm.problems import P2_TIME_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +67,6 @@ def test_p2_domain_and_horizon():
     prob = problem2()
     assert (prob.a, prob.b) == (0.0, 0.5)
     assert prob.horizon == pytest.approx(0.6)
-    sym = problem2(symmetric_domain=True)
-    assert (sym.a, sym.b) == (-0.5, 0.5)
 
 
 def test_p2_time_limit_guard():

@@ -1,0 +1,37 @@
+"""The package's top-level surface: exactly the documented API, no more.
+
+``__all__`` must list every public name the package binds, each must
+resolve, and the names the benchmark workloads read from the top level must
+be among them, so trimming the surface cannot silently break a workload.
+"""
+
+import re
+import types
+from pathlib import Path
+
+import burgers_dqm
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def test_all_equals_the_public_names_bound():
+    bound = {name for name, value in vars(burgers_dqm).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert len(burgers_dqm.__all__) == len(set(burgers_dqm.__all__))
+    assert set(burgers_dqm.__all__) == bound
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from burgers_dqm import *", namespace)
+    for name in burgers_dqm.__all__:
+        assert namespace[name] is getattr(burgers_dqm, name)
+
+
+def test_benchmark_workload_names_are_exported():
+    used = set(re.findall(r"\bbd\.(\w+)", WORKLOADS.read_text()))
+    assert {"Grid1D", "Grid2D", "error_norms", "first_order_weights",
+            "problem1", "problem4", "second_order_weights", "solve_1d",
+            "solve_2d", "weights_2d"} <= used
+    assert used <= set(burgers_dqm.__all__)

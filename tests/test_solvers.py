@@ -10,8 +10,6 @@ from burgers_dqm import (
     Grid1D,
     Grid2D,
     Problem1D,
-    apply_dirichlet_1d,
-    apply_dirichlet_2d,
     first_order_weights,
     problem1,
     problem2,
@@ -25,6 +23,7 @@ from burgers_dqm import (
     step,
     weights_2d,
 )
+from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
 
 

@@ -12,18 +12,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from burgers_dqm import (
-    H_MAX,
-    make_coeffs,
-    basis_value,
-    basis_deriv1,
-    basis_deriv2,
-    modified_basis_value,
-    modified_basis_deriv1,
-    modified_basis_deriv2,
-    modified_tables,
-)
 from burgers_dqm.exceptions import DomainError
+from burgers_dqm.spline_basis import H_MAX, make_coeffs, modified_tables
 
 
 # ---------------------------------------------------------------------------
@@ -151,34 +141,37 @@ def test_make_coeffs_rejects_bad_spacing(h):
 
 
 # ---------------------------------------------------------------------------
-# table lookups
+# knot values in the interior rows of the tables (row m-1 is sigma_m = T_m)
 # ---------------------------------------------------------------------------
 
 def test_basis_value_table():
     c = make_coeffs(0.4)
-    assert basis_value(5, 5, c) == c.a2
-    assert basis_value(5, 6, c) == c.a1
-    assert basis_value(0, 1, c) == c.a1
-    assert basis_value(5, 7, c) == 0.0
-    assert basis_value(5, 3, c) == 0.0
+    val = modified_tables(11, c)[0]
+    assert val[4, 4] == c.a2
+    assert val[4, 5] == c.a1
+    assert val[4, 3] == c.a1
+    assert val[4, 6] == 0.0
+    assert val[4, 2] == 0.0
 
 
 def test_basis_deriv1_table():
     c = make_coeffs(0.4)
-    assert basis_deriv1(4, 3, c) == c.a4
-    assert basis_deriv1(4, 4, c) == 0.0
-    assert basis_deriv1(4, 5, c) == c.a3
-    assert basis_deriv1(4, 6, c) == 0.0
+    d1 = modified_tables(11, c)[1]
+    assert d1[3, 2] == c.a4
+    assert d1[3, 3] == 0.0
+    assert d1[3, 4] == c.a3
+    assert d1[3, 5] == 0.0
     # antisymmetry about the center
-    assert basis_deriv1(4, 5, c) == -basis_deriv1(4, 3, c)
+    assert d1[3, 4] == -d1[3, 2]
 
 
 def test_basis_deriv2_table():
     c = make_coeffs(0.4)
-    assert basis_deriv2(4, 4, c) == c.a6
-    assert basis_deriv2(4, 3, c) == c.a5
-    assert basis_deriv2(4, 5, c) == c.a5
-    assert basis_deriv2(4, 2, c) == 0.0
+    d2 = modified_tables(11, c)[2]
+    assert d2[3, 3] == c.a6
+    assert d2[3, 2] == c.a5
+    assert d2[3, 4] == c.a5
+    assert d2[3, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +179,39 @@ def test_basis_deriv2_table():
 # ---------------------------------------------------------------------------
 
 def test_modified_first_function_at_first_node():
-    n = 11
     c = make_coeffs(0.3)
-    assert modified_basis_value(1, 1, n, c) == pytest.approx(c.a2 + 2 * c.a1, abs=1e-15)
+    val = modified_tables(11, c)[0]
+    assert val[0, 0] == pytest.approx(c.a2 + 2 * c.a1, abs=1e-15)
 
 
 def test_modified_second_function_vanishes_at_first_node():
-    n = 11
     c = make_coeffs(0.3)
-    assert modified_basis_value(2, 1, n, c) == pytest.approx(0.0, abs=1e-15)
+    val = modified_tables(11, c)[0]
+    assert val[1, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_modified_interior_matches_plain_basis():
     n = 11
     c = make_coeffs(0.3)
-    for m in range(3, n - 1):
-        for j in range(1, n + 1):
-            assert modified_basis_value(m, j, n, c) == basis_value(m, j, c)
-            assert modified_basis_deriv1(m, j, n, c) == basis_deriv1(m, j, c)
-            assert modified_basis_deriv2(m, j, n, c) == basis_deriv2(m, j, c)
+    knots = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3), (c.a5, c.a6, c.a5))
+    for tab, (left, centre, right) in zip(modified_tables(n, c), knots):
+        for m in range(3, n - 1):
+            plain = np.zeros(n)
+            plain[m - 2:m + 1] = left, centre, right
+            np.testing.assert_array_equal(tab[m - 1], plain)
 
 
 def test_modified_last_functions_mirror_first():
     n = 11
     c = make_coeffs(0.3)
-    assert modified_basis_value(n, n, n, c) == pytest.approx(c.a2 + 2 * c.a1, abs=1e-15)
-    assert modified_basis_value(n - 1, n, n, c) == pytest.approx(0.0, abs=1e-15)
+    val, d1, d2 = modified_tables(n, c)
+    assert val[n - 1, n - 1] == pytest.approx(c.a2 + 2 * c.a1, abs=1e-15)
+    assert val[n - 2, n - 1] == pytest.approx(0.0, abs=1e-15)
+    # the value and second-derivative tables are symmetric under reversal of
+    # both indices; the first-derivative table is antisymmetric
+    np.testing.assert_array_equal(val[::-1, ::-1], val)
+    np.testing.assert_array_equal(d2[::-1, ::-1], d2)
+    np.testing.assert_array_equal(d1[::-1, ::-1], -d1)
 
 
 @pytest.mark.parametrize("n", [5, 11, 21])
@@ -229,12 +229,34 @@ def test_modified_tables_tridiagonal(n):
     assert d2[mid, mid - 1] == c.a5
 
 
-def test_modified_tables_match_pointwise_helpers():
-    n = 9
-    c = make_coeffs(0.2)
-    val, d1, d2 = modified_tables(n, c)
-    for m in range(1, n + 1):
-        for j in range(1, n + 1):
-            assert val[m - 1, j - 1] == modified_basis_value(m, j, n, c)
-            assert d1[m - 1, j - 1] == modified_basis_deriv1(m, j, n, c)
-            assert d2[m - 1, j - 1] == modified_basis_deriv2(m, j, n, c)
+def _folded_tables(n, knots):
+    """Reference tables, entry by entry: sample the plain splines T_0 ..
+    T_{N+1} at x_1 .. x_N from their (left, centre, right) knot values, then
+    fold the end splines in as the basis definition says."""
+    tables = []
+    for values in knots:
+        plain = np.zeros((n + 2, n))  # row m holds T_m at x_1 .. x_N
+        for m in range(n + 2):
+            for j in range(max(1, m - 1), min(n, m + 1) + 1):
+                plain[m, j - 1] = values[j - m + 1]
+        folded = plain[1:n + 1].copy()
+        folded[0] += 2.0 * plain[0]
+        folded[1] -= plain[0]
+        folded[n - 2] -= plain[n + 1]
+        folded[n - 1] += 2.0 * plain[n + 1]
+        tables.append(folded)
+    return tables
+
+
+def test_modified_tables_match_symbolic_oracle():
+    h = 0.2
+    c = make_coeffs(h)
+    oracle = [[left for left, _ in _oracle_at_knots(h, deriv)] for deriv in range(3)]
+    closed_form = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3), (c.a5, c.a6, c.a5))
+    for n in (4, 5, 9):
+        tables = modified_tables(n, c)
+        for tab, want in zip(tables, _folded_tables(n, oracle)):
+            np.testing.assert_allclose(tab, want, rtol=0.0, atol=1e-12)
+        # from the same constants the band construction is exact
+        for tab, want in zip(tables, _folded_tables(n, closed_form)):
+            np.testing.assert_array_equal(tab, want)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from burgers_dqm import ssprk54
-from burgers_dqm import step, integrate, num_steps, amplification
+from burgers_dqm import step
 from burgers_dqm.exceptions import ConfigError, NonFiniteState
+from burgers_dqm.ssprk54 import amplification, num_steps
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +140,25 @@ def test_amplification_contracts_on_negative_real_axis():
 
 
 # ---------------------------------------------------------------------------
-# integrate driver
+# repeated steps and step-count validation
 # ---------------------------------------------------------------------------
 
-def test_integrate_zero_steps_returns_initial_state():
-    u0 = np.array([2.0, 4.0])
-    out = integrate(u0, 0.0, 0.1, 0.0, lambda u, t: -u)
-    np.testing.assert_array_equal(out, u0)
+def _march(u, dt, steps, rhs):
+    for m in range(steps):
+        u = step(u, m * dt, dt, rhs)
+    return u
 
 
-def test_integrate_diagonal_system_componentwise():
+def test_step_diagonal_system_componentwise():
     rates = np.array([-1.0, -0.5, -2.0])
 
     def rhs(u, t):
         return rates * u
 
-    out = integrate(np.ones(3), 0.0, 0.01, 1.0, rhs)
+    out = _march(np.ones(3), 0.01, 100, rhs)
     for i, rate in enumerate(rates):
-        scalar = integrate(np.ones(1), 0.0, 0.01, 1.0, lambda u, t: rate * u)
+        scalar = _march(np.ones(1), 0.01, 100, lambda u, t: rate * u)
         assert abs(out[i] - scalar[0]) <= 1e-12
-
-
-def test_integrate_observer_called_every_step():
-    seen = []
-
-    def observer(k, t, u):
-        seen.append((k, t))
-        assert not u.flags.writeable
-
-    integrate(np.ones(2), 0.0, 0.25, 1.0, lambda u, t: -u, observer=observer)
-    assert len(seen) == 4
-    assert seen[0][0] == 1
-    assert seen[-1][1] == pytest.approx(1.0)
 
 
 def test_num_steps_validation():
@@ -192,6 +180,8 @@ def test_nonfinite_state_is_reported_with_time():
     def explode(u, t):
         return u * 1e308
 
+    # stage 1 stays finite (1 + B10 * 0.5e308); stage 2 overflows
     with pytest.raises(NonFiniteState) as exc:
-        integrate(np.ones(1), 0.0, 0.5, 2.0, explode)
-    assert exc.value.t is not None
+        step(np.ones(1), 0.5, 0.5, explode)
+    assert exc.value.t == 0.5
+    assert exc.value.stage == 2

@@ -9,15 +9,18 @@ from burgers_dqm import (
     Grid1D,
     first_order_weights,
     second_order_weights,
-    interior_weight_matrix,
-    operator_matrices,
-    eigen_spectrum,
     FrozenParams,
     analyze,
     max_stable_dt,
     kronecker_spectrum_check,
 )
+from burgers_dqm import stability
 from burgers_dqm.exceptions import ConvergenceFailure, DomainError, NoStableDt
+from burgers_dqm.stability import (
+    eigen_spectrum,
+    interior_weight_matrix,
+    operator_matrices,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +209,12 @@ def test_max_stable_dt_kept_by_boundary_closure():
         assert max_stable_dt(g, UNIT) >= 0.9 * unclosed
 
 
-def test_max_stable_dt_no_stable_step():
+def test_max_stable_dt_no_stable_step(monkeypatch):
     g = Grid1D(-math.pi, math.pi, 11)
     always_two = lambda z: np.full_like(np.asarray(z, dtype=complex), 2.0)
+    monkeypatch.setattr(stability, "amplification", always_two)
     with pytest.raises(NoStableDt):
-        max_stable_dt(g, UNIT, scheme=always_two)
+        max_stable_dt(g, UNIT)
 
 
 # ---------------------------------------------------------------------------
