@@ -2,10 +2,10 @@
 
 Runs the 1D decaying-wave problem over a doubling sequence of grids and the
 2D shifted-sigmoid problem over a short one, printing observed orders next
-to the published ones.  The observed orders land near 3 in 1D (published:
-2.9-3.7) and near 2.3 in 2D; the gap to the published 2D orders traces back
-to the low-order boundary rows of the second-derivative matrix -- see the
-README for the analysis.
+to the published ones.  The observed orders are 3.2-4.7 in 1D (published:
+2.9-3.7) and 2.0-2.1 in 2D.  The 2D orders are capped by the O(h) boundary
+rows of the first-derivative matrix, which come from the natural end
+condition of the modified basis -- see README "Testing" for the analysis.
 """
 
 import numpy as np

@@ -9,7 +9,8 @@
     v_t = nu (v_xx + v_yy) - u v_x - v v_y
 
 Spatial derivatives are weighted sums over all grid nodes.  The solvers use
-the full-sum route (``rhs_1d``/``rhs_2d``).  The paper writes each sum as
+the full-sum route (``rhs_1d``/``rhs_2d``), which returns both fields
+stacked in one ``(2, *shape)`` array.  The paper writes each sum as
 its interior part plus a boundary forcing term (F for u, G for v) that
 collects the first/last-column contributions with the convection
 coefficients frozen at the node value; ``rhs_*_split`` and
@@ -48,7 +49,13 @@ class Problem1D:
 
 @dataclass(frozen=True)
 class Problem2D:
-    """2D coupled Burgers' problem on [a, b] x [c, d] with viscosity nu."""
+    """2D coupled Burgers' problem on [a, b] x [c, d] with viscosity nu.
+
+    The boundary traces ``bc_u(x, y, t)`` and ``bc_v`` are called once per
+    imposition with two equal-length arrays, the coordinates of every
+    boundary-ring node, and must work elementwise on them; a scalar return
+    is allowed and broadcasts over the ring.
+    """
 
     nu: float
     a: float
@@ -87,30 +94,28 @@ def apply_dirichlet_1d(u, v, t, prob, grid):
 def apply_dirichlet_2d(U, V, t, prob, grid):
     """Overwrite the boundary ring from the traces at time t.
 
-    The y-edges are written first and the x-edges last, so corner values
-    come from the x-edge trace (the traces must agree there anyway).
+    One trace call per field covers the whole ring; each corner is evaluated
+    once, at its own coordinates.
     """
-    x = grid.xgrid.x
-    y = grid.ygrid.x
-    for A, f in ((U, prob.bc_u), (V, prob.bc_v)):
-        A[:, 0] = f(x, y[0], t)
-        A[:, -1] = f(x, y[-1], t)
-        A[0, :] = f(x[0], y, t)
-        A[-1, :] = f(x[-1], y, t)
+    U[grid.ring] = prob.bc_u(grid.ring_x, grid.ring_y, t)
+    V[grid.ring] = prob.bc_v(grid.ring_x, grid.ring_y, t)
     return U, V
 
 
 def rhs_1d(u, v, t, prob, w1, w2):
-    """Full-sum semi-discrete RHS; boundary rows of the result are zero."""
+    """Full-sum semi-discrete RHS as one stacked ``(2, n)`` array (du, dv).
+
+    Boundary entries of the result are zero.
+    """
     _check_1d(u, v, w1)
     ux = w1 @ u
     vx = w1 @ v
     cross = u * vx + v * ux
-    du = w2 @ u - prob.eta * u * ux - prob.alpha * cross
-    dv = w2 @ v - prob.xi * v * vx - prob.beta * cross
-    du[0] = du[-1] = 0.0
-    dv[0] = dv[-1] = 0.0
-    return du, dv
+    out = np.empty((2,) + u.shape)
+    np.subtract(w2 @ u - prob.eta * u * ux, prob.alpha * cross, out=out[0])
+    np.subtract(w2 @ v - prob.xi * v * vx, prob.beta * cross, out=out[1])
+    out[:, 0] = out[:, -1] = 0.0
+    return out
 
 
 def boundary_forcing_1d(u, v, prob, w1, w2):
@@ -155,23 +160,28 @@ def _check_2d(U, V, ax1, by1):
 
 
 def _zero_ring(*fields):
+    """Zero the boundary ring of the last two axes of each array."""
     for D in fields:
-        D[0, :] = D[-1, :] = 0.0
-        D[:, 0] = D[:, -1] = 0.0
+        D[..., 0, :] = D[..., -1, :] = 0.0
+        D[..., :, 0] = D[..., :, -1] = 0.0
 
 
 def rhs_2d(U, V, t, prob, ax1, ax2, by1, by2):
-    """Full-sum 2D RHS via line sweeps; boundary ring of the result is zero.
+    """Full-sum 2D RHS via line sweeps, as one stacked ``(2, nx, ny)`` array.
 
     x-derivatives apply the x-axis matrix down each column of constant y,
     y-derivatives apply the y-axis matrix along each row of constant x.
+    The boundary ring of the result is zero.
     """
     _check_2d(U, V, ax1, by1)
     nu = prob.nu
-    dU = nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
-    dV = nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
-    _zero_ring(dU, dV)
-    return dU, dV
+    out = np.empty((2,) + U.shape)
+    np.subtract(nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U), V * (U @ by1.T),
+                out=out[0])
+    np.subtract(nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V), V * (V @ by1.T),
+                out=out[1])
+    _zero_ring(out)
+    return out
 
 
 def boundary_forcing_2d(U, V, prob, ax1, ax2, by1, by2):

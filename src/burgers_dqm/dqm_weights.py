@@ -41,11 +41,21 @@ class Grid1D:
 
 
 class Grid2D:
-    """Tensor grid: xgrid on [a, b] crossed with ygrid on [c, d]."""
+    """Tensor grid: xgrid on [a, b] crossed with ygrid on [c, d].
+
+    ``ring`` is the boolean (nx, ny) mask of the boundary nodes, and
+    ``ring_x``/``ring_y`` are their coordinates in the row-major order that
+    ``A[ring]`` reads and writes; each corner appears once.
+    """
 
     def __init__(self, xgrid, ygrid):
         self.xgrid = xgrid
         self.ygrid = ygrid
+        self.ring = np.ones((xgrid.n, ygrid.n), dtype=bool)
+        self.ring[1:-1, 1:-1] = False
+        i, j = np.nonzero(self.ring)
+        self.ring_x = xgrid.x[i]
+        self.ring_y = ygrid.x[j]
 
     @classmethod
     def square(cls, a, b, n):

@@ -82,6 +82,11 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
     copy them to keep them past the call.
+
+    The step loop runs with numpy's overflow and invalid-value warnings
+    silenced (observer calls included): a blow-up ends in ``NonFiniteState``,
+    which carries the time and stage, and the warnings on the way there are
+    noise.
     """
     if boundary_policy not in BOUNDARY_POLICIES:
         raise ConfigError(
@@ -107,16 +112,17 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     else:
         stage_rhs = rhs
 
-    for m in range(steps):
-        w = step(w, t0 + m * dt, dt, stage_rhs, stage_times=stage_times)
-        t_new = t0 + (m + 1) * dt
-        impose(w, t_new)
-        if observer is not None:
-            ro = w.view()
-            ro.flags.writeable = False
-            observer(m + 1, t_new, ro[0], ro[1])
-        if m + 1 in snap_at:
-            collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(steps):
+            w = step(w, t0 + m * dt, dt, stage_rhs, stage_times=stage_times)
+            t_new = t0 + (m + 1) * dt
+            impose(w, t_new)
+            if observer is not None:
+                ro = w.view()
+                ro.flags.writeable = False
+                observer(m + 1, t_new, ro[0], ro[1])
+            if m + 1 in snap_at:
+                collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
 
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 
@@ -138,7 +144,7 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
         apply_dirichlet_1d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        return np.array(rhs_1d(w[0], w[1], t, prob, w1, w2))
+        return rhs_1d(w[0], w[1], t, prob, w1, w2)
 
     return Solution1D(grid, *_drive(
         prob.phi(grid.x), prob.psi(grid.x), (n,), impose, rhs, dt, t_end, t0,
@@ -165,7 +171,7 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
         apply_dirichlet_2d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        return np.array(rhs_2d(w[0], w[1], t, prob, ax1, ax2, by1, by2))
+        return rhs_2d(w[0], w[1], t, prob, ax1, ax2, by1, by2)
 
     xc = grid.xgrid.x[:, None]
     yc = grid.ygrid.x[None, :]

@@ -1,5 +1,6 @@
 """Tests for the semi-discrete right-hand sides of the coupled system."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,56 @@ def test_apply_dirichlet_2d_corners_consistent():
                 j = 0 if yc == prob.a else 6
                 assert u[i, j] == pytest.approx(prob.bc_u(xc, yc, t), abs=1e-10)
                 assert v[i, j] == pytest.approx(prob.bc_v(xc, yc, t), abs=1e-10)
+
+
+def _edge_by_edge_fill(U, V, t, prob, grid):
+    # the four-calls-per-field fill: y-edges first, x-edges (and corners) last
+    x, y = grid.xgrid.x, grid.ygrid.x
+    for A, f in ((U, prob.bc_u), (V, prob.bc_v)):
+        A[:, 0] = f(x, y[0], t)
+        A[:, -1] = f(x, y[-1], t)
+        A[0, :] = f(x[0], y, t)
+        A[-1, :] = f(x[-1], y, t)
+
+
+@pytest.mark.parametrize("build", [problem2, problem3, problem4])
+def test_apply_dirichlet_2d_ring_matches_edge_fill(build):
+    # One trace call over the whole ring writes the same bits as the
+    # edge-by-edge fill, and leaves the interior alone.
+    prob = build()
+    g = Grid2D(Grid1D(prob.a, prob.b, 9), Grid1D(prob.c, prob.d, 7))
+    for t in (0.0, 0.1, 0.35):
+        u, v = np.full((9, 7), np.nan), np.full((9, 7), np.nan)
+        apply_dirichlet_2d(u, v, t, prob, g)
+        ref_u, ref_v = np.full((9, 7), np.nan), np.full((9, 7), np.nan)
+        _edge_by_edge_fill(ref_u, ref_v, t, prob, g)
+        assert u.tobytes() == ref_u.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+        assert np.isnan(u[1:-1, 1:-1]).all() and np.isnan(v[1:-1, 1:-1]).all()
+        assert np.isfinite(u[g.ring]).all() and np.isfinite(v[g.ring]).all()
+
+
+def test_apply_dirichlet_2d_broadcasts_scalar_traces():
+    prob = dataclasses.replace(problem4(), bc_u=lambda x, y, t: 0.5,
+                               bc_v=lambda x, y, t: -1.0)
+    g = Grid2D(Grid1D(prob.a, prob.b, 9), Grid1D(prob.c, prob.d, 7))
+    u, v = np.zeros((9, 7)), np.zeros((9, 7))
+    apply_dirichlet_2d(u, v, 0.0, prob, g)
+    assert (u[g.ring] == 0.5).all() and (v[g.ring] == -1.0).all()
+    assert (u[~g.ring] == 0.0).all() and (v[~g.ring] == 0.0).all()
+
+
+def test_rhs_returns_stacked_fields():
+    prob = problem4()
+    g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
+    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
+    out = rhs_2d(prob.phi(x, y), prob.psi(x, y), 0.0, prob, ax1, ax2, by1, by2)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 9, 9)
+    prob1 = problem1()
+    g1 = Grid1D(prob1.a, prob1.b, 11)
+    w1, w2 = _weights_1d(g1)
+    out = rhs_1d(prob1.phi(g1.x), prob1.psi(g1.x), 0.0, prob1, w1, w2)
+    assert isinstance(out, np.ndarray) and out.shape == (2, 11)
 
 
 def test_rhs_2d_shape_mismatch():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,17 +127,19 @@ def test_observer_sees_every_step():
     np.testing.assert_allclose(u1[0, :], prob.bc_u(x[0], y, t), atol=1e-15)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_unstable_run_raises_nonfinite_with_time():
     # An oversized step on a genuinely nonlinear system overflows quickly.
     # (problem 1 itself cannot be used here: on its invariant manifold u = v
     # the convection terms cancel exactly and the dynamics stays linear.)
+    # The driver silences numpy's overflow warnings: the typed error is the
+    # only signal, even with warnings turned into errors.
     zero_t = lambda t: 0.0
     prob = Problem1D(eta=1.0, xi=1.0, alpha=1.0, beta=1.0,
                      a=-math.pi, b=math.pi, phi=np.sin, psi=np.cos,
                      g1=zero_t, g2=zero_t, g3=zero_t, g4=zero_t,
                      exact_u=None, exact_v=None, name="blowup")
-    with pytest.raises(NonFiniteState) as exc:
+    with warnings.catch_warnings(), pytest.raises(NonFiniteState) as exc:
+        warnings.simplefilter("error")
         solve_1d(prob, 41, 5.0, 150.0)
     assert exc.value.t is not None
     assert 0.0 <= exc.value.t <= 150.0
@@ -145,6 +148,31 @@ def test_unstable_run_raises_nonfinite_with_time():
 # ---------------------------------------------------------------------------
 # 2D
 # ---------------------------------------------------------------------------
+
+def test_solve_2d_calls_each_trace_once_per_step():
+    # Under "base" the ring is imposed once at t0 and once after each step,
+    # with one trace call per field each time.
+    prob = problem4()
+    calls = {"bc_u": 0, "bc_v": 0}
+
+    def counted(name):
+        f = getattr(prob, name)
+
+        def trace(x, y, t):
+            calls[name] += 1
+            return f(x, y, t)
+
+        return trace
+
+    counted_prob = dataclasses.replace(
+        prob, bc_u=counted("bc_u"), bc_v=counted("bc_v"))
+    steps = 6
+    sol = solve_2d(counted_prob, 9, 1e-3, steps * 1e-3, ny=7)
+    assert calls == {"bc_u": steps + 1, "bc_v": steps + 1}
+    ref = solve_2d(prob, 9, 1e-3, steps * 1e-3, ny=7)
+    np.testing.assert_array_equal(sol.u, ref.u)
+    np.testing.assert_array_equal(sol.v, ref.v)
+
 
 def test_2d_zero_horizon_matches_initial_data():
     prob = problem4()
