@@ -105,13 +105,14 @@ def apply_dirichlet_2d(U, V, t, prob, grid):
 def rhs_1d(u, v, t, prob, w1, w2):
     """Full-sum semi-discrete RHS as one stacked ``(2, n)`` array (du, dv).
 
-    Boundary entries of the result are zero.
+    Boundary entries of the result are zero; its dtype follows the state and
+    weight arrays (complex inputs give a complex result).
     """
     _check_1d(u, v, w1)
     ux = w1 @ u
     vx = w1 @ v
     cross = u * vx + v * ux
-    out = np.empty((2,) + u.shape)
+    out = np.empty((2,) + u.shape, np.result_type(u, v, w1, w2))
     np.subtract(w2 @ u - prob.eta * u * ux, prob.alpha * cross, out=out[0])
     np.subtract(w2 @ v - prob.xi * v * vx, prob.beta * cross, out=out[1])
     out[:, 0] = out[:, -1] = 0.0
@@ -171,11 +172,12 @@ def rhs_2d(U, V, t, prob, ax1, ax2, by1, by2):
 
     x-derivatives apply the x-axis matrix down each column of constant y,
     y-derivatives apply the y-axis matrix along each row of constant x.
-    The boundary ring of the result is zero.
+    The boundary ring of the result is zero; its dtype follows the state and
+    weight arrays (complex inputs give a complex result).
     """
     _check_2d(U, V, ax1, by1)
     nu = prob.nu
-    out = np.empty((2,) + U.shape)
+    out = np.empty((2,) + U.shape, np.result_type(U, V, ax1, ax2, by1, by2))
     np.subtract(nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U), V * (U @ by1.T),
                 out=out[0])
     np.subtract(nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V), V * (V @ by1.T),

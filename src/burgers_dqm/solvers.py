@@ -83,10 +83,11 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     Dirichlet data are reimposed, with read-only views of the solver state;
     copy them to keep them past the call.
 
-    The step loop runs with numpy's overflow and invalid-value warnings
-    silenced (observer calls included): a blow-up ends in ``NonFiniteState``,
-    which carries the time and stage, and the warnings on the way there are
-    noise.
+    Each step runs with numpy's overflow and invalid-value warnings
+    silenced: a blow-up ends in ``NonFiniteState``, which carries the time
+    and stage, and the warnings on the way there are noise.  ``impose``
+    after the step and the observer keep the caller's floating-point
+    settings.
     """
     if boundary_policy not in BOUNDARY_POLICIES:
         raise ConfigError(
@@ -112,17 +113,17 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     else:
         stage_rhs = rhs
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(steps):
+    for m in range(steps):
+        with np.errstate(over="ignore", invalid="ignore"):
             w = step(w, t0 + m * dt, dt, stage_rhs, stage_times=stage_times)
-            t_new = t0 + (m + 1) * dt
-            impose(w, t_new)
-            if observer is not None:
-                ro = w.view()
-                ro.flags.writeable = False
-                observer(m + 1, t_new, ro[0], ro[1])
-            if m + 1 in snap_at:
-                collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
+        t_new = t0 + (m + 1) * dt
+        impose(w, t_new)
+        if observer is not None:
+            ro = w.view()
+            ro.flags.writeable = False
+            observer(m + 1, t_new, ro[0], ro[1])
+        if m + 1 in snap_at:
+            collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
 
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 

@@ -50,26 +50,6 @@ def _check(u, t, stage):
         )
 
 
-def _stages(u, t, dt, rhs, stage_times, checked):
-    """The five stages of one step; with ``checked`` each stage is checked."""
-    ts = [t + c * dt for c in ABSCISSAE] if stage_times else [t] * 5
-
-    u1 = u + (B10 * dt) * rhs(u, ts[0])
-    if checked:
-        _check(u1, t, 1)
-    u2 = A20 * u + A21 * u1 + (B21 * dt) * rhs(u1, ts[1])
-    if checked:
-        _check(u2, t, 2)
-    u3 = A30 * u + A32 * u2 + (B32 * dt) * rhs(u2, ts[2])
-    if checked:
-        _check(u3, t, 3)
-    l3 = rhs(u3, ts[3])
-    u4 = A40 * u + A43 * u3 + (B43 * dt) * l3
-    if checked:
-        _check(u4, t, 4)
-    return C2 * u2 + C3 * u3 + (D3 * dt) * l3 + C4 * u4 + (D4 * dt) * rhs(u4, ts[4])
-
-
 def step(u, t, dt, rhs, stage_times=False):
     """Advance u from t to t + dt.
 
@@ -77,21 +57,23 @@ def step(u, t, dt, rhs, stage_times=False):
     evaluates rhs at the base time t; with stage_times=True the effective
     stage abscissae are used instead.
 
-    rhs must be a pure function of (u, t): the same arguments give the same
-    result, and no call changes what a later one returns.
-
     Only the result is checked for finiteness: every stage enters it with a
     nonzero weight, so a non-finite stage always reaches it.  When the
-    result is non-finite, the step is replayed with a check after each
-    stage, which relies on rhs being pure, and ``NonFiniteState`` names the
-    base time ``t`` and the first failing stage (5 if the replay's first
-    four stages stay finite).
+    result is non-finite, ``NonFiniteState`` names the base time ``t`` and
+    the first stage (1-5) whose state is non-finite.
     """
     u = np.asarray(u)
-    out = _stages(u, t, dt, rhs, stage_times, checked=False)
+    ts = [t + c * dt for c in ABSCISSAE] if stage_times else [t] * 5
+
+    u1 = u + (B10 * dt) * rhs(u, ts[0])
+    u2 = A20 * u + A21 * u1 + (B21 * dt) * rhs(u1, ts[1])
+    u3 = A30 * u + A32 * u2 + (B32 * dt) * rhs(u2, ts[2])
+    l3 = rhs(u3, ts[3])
+    u4 = A40 * u + A43 * u3 + (B43 * dt) * l3
+    out = C2 * u2 + C3 * u3 + (D3 * dt) * l3 + C4 * u4 + (D4 * dt) * rhs(u4, ts[4])
     if not np.isfinite(out).all():
-        _stages(u, t, dt, rhs, stage_times, checked=True)  # raises at 1-4
-        _check(out, t, 5)
+        for stage, uk in enumerate((u1, u2, u3, u4, out), start=1):
+            _check(uk, t, stage)
     return out
 
 

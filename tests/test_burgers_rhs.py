@@ -286,6 +286,29 @@ def test_rhs_returns_stacked_fields():
     assert isinstance(out, np.ndarray) and out.shape == (2, 11)
 
 
+
+def test_rhs_result_dtype_follows_complex_inputs():
+    # complex states (as in a complex-step Jacobian) give a complex result
+    # whose real part is the real RHS
+    prob = problem4()
+    g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
+    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
+    U, V = prob.phi(x, y), prob.psi(x, y)
+    real = rhs_2d(U, V, 0.0, prob, ax1, ax2, by1, by2)
+    cplx = rhs_2d(U + 0j, V + 0j, 0.0, prob, ax1, ax2, by1, by2)
+    assert cplx.dtype == complex
+    np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=1e-13)
+    assert not cplx.imag.any()
+    prob1 = problem1()
+    g1 = Grid1D(prob1.a, prob1.b, 11)
+    w1, w2 = _weights_1d(g1)
+    u, v = prob1.phi(g1.x), prob1.psi(g1.x)
+    real = rhs_1d(u, v, 0.0, prob1, w1, w2)
+    cplx = rhs_1d(u + 0j, v + 0j, 0.0, prob1, w1, w2)
+    assert cplx.dtype == complex
+    np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=1e-13)
+    assert not cplx.imag.any()
+
 def test_rhs_2d_shape_mismatch():
     prob = problem4()
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)

@@ -127,6 +127,18 @@ def test_observer_sees_every_step():
     np.testing.assert_allclose(u1[0, :], prob.bc_u(x[0], y, t), atol=1e-15)
 
 
+
+def test_observer_keeps_callers_floating_point_settings():
+    # only the step itself runs with overflow/invalid warnings silenced
+    seen = []
+
+    def observer(k, t, u, v):
+        seen.append(np.geterr())
+
+    with np.errstate(over="raise", invalid="raise"):
+        solve_1d(problem1(), 9, 0.05, 0.1, observer=observer)
+    assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "raise")] * 2
+
 def test_unstable_run_raises_nonfinite_with_time():
     # An oversized step on a genuinely nonlinear system overflows quickly.
     # (problem 1 itself cannot be used here: on its invariant manifold u = v
