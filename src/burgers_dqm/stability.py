@@ -84,16 +84,27 @@ def interior_weight_matrix(w):
 
 
 def eigen_spectrum(m):
-    """Eigenvalues of a dense square matrix, with a residual spot-check.
+    """Eigenvalues of a dense, real, non-empty square matrix, with a residual
+    spot-check.
 
-    A sample of five eigenvalues is verified by a smallest-singular-value
-    probe: sigma_min(M - lambda I) must not exceed 1e-7 * ||M||.  Raises
-    ConvergenceFailure if the QR iteration fails or the probe rejects a
-    value.
+    A sample of five eigenvalues is verified by the probe
+    sigma_min(M - lambda I) <= 1e-7 * ||M||_2.  Each sampled lambda first
+    gets one shifted solve (M - lambda I) x = b with a fixed b: since
+    ||b|| / ||x|| >= sigma_min(M - lambda I) for any x, and the largest
+    column 2-norm c of M is <= ||M||_2, ||b|| / ||x|| <= 1e-7 * c implies
+    the probe (an exactly singular shift, sigma_min = 0, passes too).  Only
+    when that certificate fails are sigma_min and ||M||_2 computed by SVD,
+    to confirm the rejection or overturn it.  Raises ConvergenceFailure if
+    the QR iteration fails or the probe rejects a value.
     """
+    if np.iscomplexobj(m):
+        raise DomainError("expected a real matrix, got complex entries")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("expected a square matrix, got shape %s" % (m.shape,))
+    if m.shape[0] == 0:
+        raise DomainError("expected a non-empty matrix, got shape %s"
+                          % (m.shape,))
     if m.shape[0] > MAX_EIGEN_SIZE:
         raise DomainError(
             "matrix size %d exceeds limit %d" % (m.shape[0], MAX_EIGEN_SIZE)
@@ -104,15 +115,24 @@ def eigen_spectrum(m):
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration failed: %s" % exc)
-    scale = float(np.linalg.norm(m, 2))
-    if scale == 0.0:
-        scale = 1.0
     n = len(lam)
     sample = sorted(set(int(round(k * (n - 1) / 4.0)) for k in range(5)))
-    eye = np.eye(n)
+    # not all ones: the odd modes of the derivative blocks are orthogonal
+    # to a constant vector
+    b = np.cos(2.0 * np.arange(n))
+    cert = PROBE_TOL * float(np.linalg.norm(m, axis=0).max())
+    shifted = m.astype(complex)
+    diag = np.diag(m)
     for idx in sample:
-        shifted = m.astype(complex) - lam[idx] * eye
+        np.fill_diagonal(shifted, diag - lam[idx])
+        try:
+            x = np.linalg.solve(shifted, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.linalg.norm(b) <= cert * np.linalg.norm(x):
+            continue
         smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        scale = float(np.linalg.norm(m, 2)) or 1.0
         if smin > PROBE_TOL * scale:
             raise ConvergenceFailure(
                 "eigenvalue %r failed the residual probe: "

@@ -14,7 +14,7 @@ from burgers_dqm import (
     max_stable_dt,
     kronecker_spectrum_check,
 )
-from burgers_dqm import stability
+from burgers_dqm import cli, stability
 from burgers_dqm.exceptions import ConvergenceFailure, DomainError, NoStableDt
 from burgers_dqm.stability import (
     eigen_spectrum,
@@ -78,6 +78,67 @@ def test_eigen_spectrum_validation():
         eigen_spectrum(np.zeros((3, 4)))
     with pytest.raises(DomainError):
         eigen_spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # a complex matrix would lose its imaginary part in the cast to float
+    with pytest.raises(DomainError):
+        eigen_spectrum(np.array([[1j, 0.0], [0.0, 2.0]]))
+    with pytest.raises(DomainError):
+        eigen_spectrum(np.zeros((0, 0)))
+
+
+def _count_svd(monkeypatch):
+    """List that records the shape of every np.linalg.svd call from now."""
+    true_svd = np.linalg.svd
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return true_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _perturb_eigvals(monkeypatch):
+    """Make the eigvals that stability calls move every eigenvalue off the
+    spectrum, by far more than the probe tolerance."""
+    true_eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda m: true_eigvals(m) + 0.1 * (1.0 + 1.0j))
+
+
+def test_eigen_spectrum_probe_rejects_a_wrong_eigenvalue(monkeypatch):
+    a1, _ = operator_matrices(Grid1D(-math.pi, math.pi, 11))
+    _perturb_eigvals(monkeypatch)
+    svd_calls = _count_svd(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="sigma_min"):
+        eigen_spectrum(a1)
+    # the failed certificate is confirmed by the exact smallest singular value
+    assert svd_calls
+
+
+def test_stability_cli_exits_4_on_a_rejected_eigenvalue(monkeypatch, tmp_path,
+                                                         capsys):
+    _perturb_eigvals(monkeypatch)
+    out = tmp_path / "stab"
+    rc = cli.main(["stability", "--nx", "11", "--dt-list", "1e-3",
+                   "--out", str(out)])
+    assert rc == 4
+    assert "sigma_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [11, 41, 121, 241])
+def test_eigen_spectrum_certifies_operator_blocks_without_svd(monkeypatch, n):
+    # the shifted-solve certificate accepts every sampled eigenvalue of the
+    # operator blocks, so no SVD runs, and the spectrum is eigvals' own, so
+    # spectra.csv and assembled_spectrum.csv cannot drift
+    a1, a2 = operator_matrices(Grid1D(-math.pi, math.pi, n))
+    blocks = [a1, a2] + [-(p.tau0 + p.kappa0) * a1 + 2.0 * p.nu * a2
+                         for p in (UNIT, FrozenParams(0.5, 0.5, 0.01))]
+    svd_calls = _count_svd(monkeypatch)
+    for m in blocks:
+        np.testing.assert_array_equal(eigen_spectrum(m), np.linalg.eigvals(m))
+    assert svd_calls == []
 
 
 # ---------------------------------------------------------------------------
