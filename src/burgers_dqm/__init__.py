@@ -52,7 +52,7 @@ from .problems import (
     problem3,
     problem4,
 )
-from .solvers import Solution1D, Solution2D, solve_1d, solve_2d
+from .solvers import Solution, solve_1d, solve_2d
 from .ssprk54 import step
 from .stability import (
     FrozenParams,
@@ -82,8 +82,7 @@ __all__ = [
     "REFERENCE_TABLE_KEYS",
     "ShapeMismatch",
     "SingularSystem",
-    "Solution1D",
-    "Solution2D",
+    "Solution",
     "StabilityReport",
     "analyze",
     "boundary_forcing_1d",

@@ -282,8 +282,8 @@ def run_solve(args):
         manifest.write_csv("solution_t%s.csv" % _time_token(snap_t),
                            *_solution_rows(coords, su, sv, exact))
         if exact is not None:
-            ru = error_norms(su, exact[0], measure, dt=dt, t=snap_t)
-            rv = error_norms(sv, exact[1], measure, dt=dt, t=snap_t)
+            ru = error_norms(su, exact[0], measure)
+            rv = error_norms(sv, exact[1], measure)
             error_rows.append([snap_t, args.nx, dt, ru.l2, ru.linf, rv.l2, rv.linf])
 
     if error_rows:
@@ -389,8 +389,7 @@ def _sweep(spec, refs=(), boundary_policy="base"):
             computed = u if spec.field == "u" else v
             exact = getattr(prob, "exact_" + spec.field)(*coords, t)
             # orders are taken on the grid labels (log 2 under doubling)
-            rep = replace(error_norms(computed, exact, measure,
-                                      dt=spec.dt, t=t), n=n)
+            rep = replace(error_norms(computed, exact, measure), n=n)
             values = {"n": n, "t": t, "l2": rep.l2, "linf": rep.linf,
                       "r_l2": None, "r_linf": None}
             if with_orders and t in previous:
@@ -486,19 +485,15 @@ def _print_comparison(title, header, rows, notes=()):
 def run_table(key, out=None, **overrides):
     """Recompute one published table and print computed vs published values.
 
-    ``overrides`` (n_values, nx, dt, t_end, times) shrink the parameter set
-    for quick runs; ``nx`` is a single grid and ``t_end`` a single output
-    time.  The defaults reproduce the published setup exactly.
+    ``overrides`` replace ``TableSpec`` fields (``n_values``, ``dt``,
+    ``times``) to shrink the parameter set for quick runs.  The defaults
+    reproduce the published setup exactly.
     """
     if key not in TABLES:
         raise ConfigError(
             "unknown table %r; available: %s"
             % (key, ", ".join(TABLES))
         )
-    if "nx" in overrides:
-        overrides["n_values"] = (overrides.pop("nx"),)
-    if "t_end" in overrides:
-        overrides["times"] = (overrides.pop("t_end"),)
     spec = replace(TABLES[key], **overrides)
     rows = _sweep(spec, load_reference_table(key)[1])
     header = [c.partition("=")[0] for c in spec.columns]

@@ -194,17 +194,13 @@ PROBLEM_BUILDERS = {
 class ErrorReport:
     """Discrete error norms of one computed field against the exact one.
 
-    ``l2`` carries the sqrt(h) weighting of the published norm; ``weight``
-    is the per-node measure used under the sum (spacing in 1D, cell area
-    in 2D); ``n`` is the node count per side, used for order estimates.
+    ``l2`` carries the sqrt(h) weighting of the published norm; ``n`` is
+    the node count per side, used for order estimates.
     """
 
     l2: float
     linf: float
     n: int
-    weight: float
-    dt: float = None
-    t: float = None
 
 
 @dataclass
@@ -215,7 +211,7 @@ class OrderEstimate:
     linf: float
 
 
-def error_norms(computed, exact, h, dt=None, t=None):
+def error_norms(computed, exact, h):
     """Discrete L2/Linf error norms of ``computed`` against ``exact``.
 
     ``h`` is the per-node measure under the L2 sum: the grid spacing for a
@@ -232,10 +228,7 @@ def error_norms(computed, exact, h, dt=None, t=None):
     diff = np.abs(computed - exact)
     l2 = math.sqrt(h * float((diff * diff).sum()))
     linf = float(diff.max()) if diff.size else 0.0
-    return ErrorReport(
-        l2=l2, linf=linf, n=int(computed.shape[0]), weight=float(h),
-        dt=dt, t=t,
-    )
+    return ErrorReport(l2=l2, linf=linf, n=int(computed.shape[0]))
 
 
 def convergence_order(coarse, fine):

@@ -10,9 +10,9 @@ traces exactly.
 
 During stages the boundary entries hold the traces at the step base time
 (``boundary_policy='base'``, the default): the right-hand side is zero on
-boundary nodes, so every stage keeps them to rounding.  Under ``'stage'``
-each stage evaluates the right-hand side on a copy with the traces imposed at
-that stage's time.
+boundary nodes, so every stage keeps them to rounding, and time-varying
+traces lag by O(dt).  Under ``'stage'`` each stage imposes the traces at its
+own abscissa on the stage state before evaluating the right-hand side.
 """
 
 import math
@@ -38,21 +38,14 @@ SNAP_TOL = 1e-9
 
 
 @dataclass
-class Solution1D:
-    grid: Grid1D
+class Solution:
+    """Final state of a run; 2D fields have shape (nx, ny), first axis x."""
+
+    grid: Grid1D | Grid2D
     t: float
     u: np.ndarray
     v: np.ndarray
     snapshots: list = field(default_factory=list)  # (t, u, v) triples
-
-
-@dataclass
-class Solution2D:
-    grid: Grid2D
-    t: float
-    u: np.ndarray  # shape (nx, ny)
-    v: np.ndarray
-    snapshots: list = field(default_factory=list)
 
 
 def _snapshot_steps(snapshots, t0, dt, steps):
@@ -104,10 +97,12 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
-    stage_times = boundary_policy == "stage"
-    if stage_times:
+    if boundary_policy == "stage":
+        # The traces are written into the stage state itself: stages 2-5
+        # are fresh arrays inside ``step``, stage 1's is ``w``, which already
+        # holds them at that time, and the RK combinations are elementwise,
+        # so interior entries and the reimposed result do not change.
         def stage_rhs(x, t):
-            x = x.copy()
             impose(x, t)
             return rhs(x, t)
     else:
@@ -115,7 +110,7 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
 
     for m in range(steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = step(w, t0 + m * dt, dt, stage_rhs, stage_times=stage_times)
+            w = step(w, t0 + m * dt, dt, stage_rhs)
         t_new = t0 + (m + 1) * dt
         impose(w, t_new)
         if observer is not None:
@@ -134,7 +129,7 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
 
     ``snapshots`` is an iterable of output times (each must be a step
     multiple); the state at those times is collected on the returned
-    ``Solution1D``.  ``observer(step_index, t, u, v)`` is called after every
+    ``Solution``.  ``observer(step_index, t, u, v)`` is called after every
     step with read-only views of the state, Dirichlet data already applied.
     """
     grid = Grid1D(prob.a, prob.b, n)
@@ -147,7 +142,7 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
     def rhs(w, t):
         return rhs_1d(w[0], w[1], t, prob, w1, w2)
 
-    return Solution1D(grid, *_drive(
+    return Solution(grid, *_drive(
         prob.phi(grid.x), prob.psi(grid.x), (n,), impose, rhs, dt, t_end, t0,
         boundary_policy, snapshots, observer))
 
@@ -176,6 +171,6 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
 
     xc = grid.xgrid.x[:, None]
     yc = grid.ygrid.x[None, :]
-    return Solution2D(grid, *_drive(
+    return Solution(grid, *_drive(
         prob.phi(xc, yc), prob.psi(xc, yc), (nx, ny), impose, rhs, dt, t_end,
         t0, boundary_policy, snapshots, observer))

@@ -34,14 +34,12 @@ H_MAX = 2.0 * math.pi / 3.0
 class SplineCoeffs:
     """Knot-value constants of the trigonometric cubic B-spline for spacing h."""
 
-    h: float
     a1: float
     a2: float
     a3: float
     a4: float
     a5: float
     a6: float
-    omega: float
 
 
 def make_coeffs(h):
@@ -67,8 +65,7 @@ def make_coeffs(h):
     a3 = -a4
     a5 = (3.0 + 9.0 * c1) / (16.0 * s_half * s_half * (2.0 * c_half + c32))
     a6 = -3.0 * c_half * c_half / (s_half * s_half * (2.0 + 4.0 * c1))
-    omega = s_half * s1 * s32
-    return SplineCoeffs(h, a1, a2, a3, a4, a5, a6, omega)
+    return SplineCoeffs(a1, a2, a3, a4, a5, a6)
 
 
 def modified_tables(n, c):

@@ -33,8 +33,7 @@ C4 = 0.386708617503269
 D4 = 0.226007483236906
 
 # effective stage abscissae (fraction of dt at which each L argument lives),
-# derived from the combination weights; used when the caller asks for
-# stage-time right-hand-side evaluation
+# derived from the combination weights
 _C1 = 0.0
 _C2 = B10
 _C3 = A21 * _C2 + B21
@@ -50,12 +49,12 @@ def _check(u, t, stage):
         )
 
 
-def step(u, t, dt, rhs, stage_times=False):
-    """Advance u from t to t + dt.
+def step(u, t, dt, rhs):
+    """Advance u from t to t + dt with one SSP-RK54 step.
 
-    rhs(u, t) returns du/dt.  With stage_times=False (default) every stage
-    evaluates rhs at the base time t; with stage_times=True the effective
-    stage abscissae are used instead.
+    rhs(u, t) returns du/dt.  Stage k evaluates rhs at its abscissa
+    ``t + ABSCISSAE[k-1] * dt``, so a time-dependent rhs is integrated to
+    fourth order.
 
     Only the result is checked for finiteness: every stage enters it with a
     nonzero weight, so a non-finite stage always reaches it.  When the
@@ -63,7 +62,7 @@ def step(u, t, dt, rhs, stage_times=False):
     the first stage (1-5) whose state is non-finite.
     """
     u = np.asarray(u)
-    ts = [t + c * dt for c in ABSCISSAE] if stage_times else [t] * 5
+    ts = [t + c * dt for c in ABSCISSAE]
 
     u1 = u + (B10 * dt) * rhs(u, ts[0])
     u2 = A20 * u + A21 * u1 + (B21 * dt) * rhs(u1, ts[1])

@@ -384,7 +384,7 @@ def test_run_table_quick_comparison(tmp_path, capsys):
 def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, capsys):
     # labels count intervals (5 and 9 nodes); the order divides by log 2
     rc = cli.run_table("4.1", out=str(tmp_path / "t"), n_values=[4, 8],
-                       dt=1e-3, t_end=0.1)
+                       dt=1e-3, times=(0.1,))
     assert rc == 0
     header, rows = _read_csv(tmp_path / "t" / "table_4_1_comparison.csv")
     col = {name: k for k, name in enumerate(header)}

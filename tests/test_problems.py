@@ -265,8 +265,8 @@ def test_error_norms_validation():
 
 
 def test_convergence_order_on_exact_halving():
-    coarse = ErrorReport(l2=1.0, linf=1.0, n=10, weight=0.1)
-    fine = ErrorReport(l2=0.5, linf=0.25, n=20, weight=0.05)
+    coarse = ErrorReport(l2=1.0, linf=1.0, n=10)
+    fine = ErrorReport(l2=0.5, linf=0.25, n=20)
     est = convergence_order(coarse, fine)
     assert est.l2 == pytest.approx(1.0, abs=1e-14)
     assert est.linf == pytest.approx(2.0, abs=1e-14)
@@ -277,18 +277,18 @@ def test_convergence_order_reproduces_published_rates():
     pairs = [(10, 20, 2.93), (20, 40, 3.08), (40, 80, 3.68)]
     for coarse_n, fine_n, want in pairs:
         coarse = ErrorReport(l2=table[coarse_n]["l2"], linf=table[coarse_n]["linf"],
-                             n=coarse_n, weight=1.0 / coarse_n)
+                             n=coarse_n)
         fine = ErrorReport(l2=table[fine_n]["l2"], linf=table[fine_n]["linf"],
-                           n=fine_n, weight=1.0 / fine_n)
+                           n=fine_n)
         assert convergence_order(coarse, fine).l2 == pytest.approx(want, abs=0.02)
 
 
 def test_convergence_order_degenerate_and_misordered():
-    good = ErrorReport(l2=1e-3, linf=1e-3, n=10, weight=0.1)
-    tiny = ErrorReport(l2=1e-16, linf=1e-16, n=20, weight=0.05)
+    good = ErrorReport(l2=1e-3, linf=1e-3, n=10)
+    tiny = ErrorReport(l2=1e-16, linf=1e-16, n=20)
     with pytest.raises(DegenerateError):
         convergence_order(good, tiny)
-    fine = ErrorReport(l2=1e-4, linf=1e-4, n=10, weight=0.1)
+    fine = ErrorReport(l2=1e-4, linf=1e-4, n=10)
     with pytest.raises(DomainError):
         convergence_order(good, fine)
 

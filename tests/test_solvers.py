@@ -14,6 +14,7 @@ from burgers_dqm import (
     first_order_weights,
     problem1,
     problem2,
+    problem3,
     problem4,
     rhs_1d_split,
     rhs_2d_split,
@@ -102,6 +103,29 @@ def test_stage_policy_runs_and_differs_from_base():
     exact = prob.exact_u(base.grid.x, 0.5)
     assert np.abs(base.u - exact).max() <= 1e-4
     assert np.abs(stage.u - exact).max() <= 1e-4
+
+    # p2's traces vary in time: "base" holds them at the step's base time
+    # through the stages, which costs first order in dt; "stage" does not
+    p2 = problem2(re=100.0)
+
+    def p2_error(dt, policy):
+        sol = solve_2d(p2, 9, dt, 0.1, boundary_policy=policy)
+        x = sol.grid.xgrid.x[:, None]
+        y = sol.grid.ygrid.x[None, :]
+        return np.abs(sol.u - p2.exact_u(x, y, sol.t)).max()
+
+    assert p2_error(1e-3, "stage") <= 1e-8
+    coarse, fine = p2_error(2e-3, "base"), p2_error(1e-3, "base")
+    assert 1.9 <= coarse / fine <= 2.1
+
+    # p3's traces are steady, so the policies agree to rounding; not bitwise,
+    # because under "base" a stage's boundary entries are RK combinations of
+    # the trace, which can round away from it in the last bit
+    p3 = problem3()
+    base = solve_2d(p3, 9, 1e-3, 0.1, ny=7, boundary_policy="base")
+    stage = solve_2d(p3, 9, 1e-3, 0.1, ny=7, boundary_policy="stage")
+    assert np.abs(base.u - stage.u).max() <= 1e-14
+    assert np.abs(base.v - stage.v).max() <= 1e-14
 
 
 def test_observer_sees_every_step():
@@ -228,15 +252,19 @@ def test_2d_snapshots():
 # driver oracle: the paper's F/G formulation stepped directly
 # ---------------------------------------------------------------------------
 
-def _reference_run(u, v, dt, steps, stage_times, dirichlet, split_rhs):
+def _reference_run(u, v, dt, steps, policy, dirichlet, split_rhs):
     """SSP-RK54 on a flat (u, v) state; every stage RHS imposes the traces on
-    a copy and evaluates the boundary-split RHS."""
+    a copy and evaluates the boundary-split RHS.  The traces are taken at the
+    stage's time under ``"stage"`` and at the step's base time under
+    ``"base"``."""
     shape, size = u.shape, u.size
 
     def unpack(w):
         return w[:size].reshape(shape), w[size:].reshape(shape)
 
     def rhs(w, t):
+        if policy == "base":
+            t = t_base
         uu, vv = (a.copy() for a in unpack(w))
         dirichlet(uu, vv, t)
         return np.concatenate([d.ravel() for d in split_rhs(uu, vv, t)])
@@ -244,7 +272,8 @@ def _reference_run(u, v, dt, steps, stage_times, dirichlet, split_rhs):
     w = np.concatenate([u.ravel(), v.ravel()]).astype(float)
     dirichlet(*unpack(w), 0.0)
     for m in range(steps):
-        w = step(w, m * dt, dt, rhs, stage_times=stage_times)
+        t_base = m * dt
+        w = step(w, t_base, dt, rhs)
         dirichlet(*unpack(w), (m + 1) * dt)
     return unpack(w)
 
@@ -268,7 +297,7 @@ def test_solve_1d_matches_split_reference(policy):
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
     want = _reference_run(
-        prob.phi(grid.x), prob.psi(grid.x), dt, steps, policy == "stage",
+        prob.phi(grid.x), prob.psi(grid.x), dt, steps, policy,
         lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid),
         lambda u, v, t: rhs_1d_split(u, v, t, prob, w1, w2))
     sol = solve_1d(prob, n, dt, steps * dt, boundary_policy=policy)
@@ -284,7 +313,7 @@ def test_solve_2d_matches_split_reference(policy):
     x = grid.xgrid.x[:, None]
     y = grid.ygrid.x[None, :]
     want = _reference_run(
-        prob.phi(x, y), prob.psi(x, y), dt, steps, policy == "stage",
+        prob.phi(x, y), prob.psi(x, y), dt, steps, policy,
         lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid),
         lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
     sol = solve_2d(prob, nx, dt, steps * dt, ny=ny, boundary_policy=policy)

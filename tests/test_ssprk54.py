@@ -86,15 +86,26 @@ def test_step_is_linear_for_linear_systems():
     np.testing.assert_allclose(lhs, rhs_combo, atol=1e-12)
 
 
-def test_stage_time_opt_in():
-    # By default every stage sees the base time, so u' = 2t starting at t=0
-    # integrates to zero; with stage_times=True the derived abscissae are fed
-    # through and the quadratic is captured to fourth-order accuracy.
-    rhs = lambda u, t: np.array([2.0 * t])
-    frozen = step(np.array([0.0]), 0.0, 0.5, rhs)
-    assert frozen[0] == 0.0
-    staged = step(np.array([0.0]), 0.0, 0.5, rhs, stage_times=True)
-    assert abs(staged[0] - 0.25) <= 2e-3
+def test_step_evaluates_stages_at_their_abscissae():
+    # each stage sees t + c_k dt, so a fourth-order step integrates the
+    # quadratic u = t^2 exactly; at the base time alone u' = 2t gives 0
+    out = step(np.array([0.0]), 0.0, 0.5, lambda u, t: np.array([2.0 * t]))
+    assert abs(out[0] - 0.25) <= 1e-15
+
+
+def test_time_dependent_rhs_converges_at_fourth_order():
+    # u' = cos t on [0, 1]: the error falls about 16x per halving of dt; a
+    # step that froze t at the base time would only halve it
+    def err(n):
+        dt = 1.0 / n
+        u = np.array([0.0])
+        for m in range(n):
+            u = step(u, m * dt, dt, lambda u, t: np.array([math.cos(t)]))
+        return abs(u[0] - math.sin(1.0))
+
+    errs = [err(n) for n in (10, 20, 40)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse / fine >= 12.0
 
 
 def test_stage_abscissae_derivation():
@@ -202,7 +213,7 @@ def test_nonfinite_step_names_the_failing_stage(stage):
 
     assert len(set(ssprk54.ABSCISSAE)) == 5
     with pytest.raises(NonFiniteState) as exc:
-        step(np.ones(3), t, dt, rhs, stage_times=True)
+        step(np.ones(3), t, dt, rhs)
     assert exc.value.t == t
     assert exc.value.stage == stage
     assert len(calls) == 5
