@@ -9,13 +9,14 @@
     v_t = nu (v_xx + v_yy) - u v_x - v v_y
 
 Spatial derivatives are weighted sums over all grid nodes.  The solvers use
-the full-sum route (``rhs_1d``/``rhs_2d``), which returns both fields
-stacked in one ``(2, *shape)`` array.  The paper writes each sum as
-its interior part plus a boundary forcing term (F for u, G for v) that
+the full-sum route (``rhs_1d``/``rhs_2d``), which takes both fields stacked
+in one ``(2, *shape)`` array, returns them stacked the same way, and applies
+each weight matrix to both fields in one product.  The paper writes each sum
+as its interior part plus a boundary forcing term (F for u, G for v) that
 collects the first/last-column contributions with the convection
 coefficients frozen at the node value; ``rhs_*_split`` and
-``boundary_forcing_*`` implement that formulation as a reference, and the
-two routes agree to rounding.
+``boundary_forcing_*`` implement that formulation as a reference on separate
+(u, v) fields, and the two routes agree to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +77,11 @@ class Problem2D:
         return 1.0 / self.nu
 
 
+def _check_state(w, shape):
+    if w.shape != shape:
+        raise ShapeMismatch(f"state shape {w.shape} does not match {shape}")
+
+
 def _check_1d(u, v, w1):
     n = w1.shape[0]
     if u.shape != (n,) or v.shape != (n,):
@@ -102,19 +108,25 @@ def apply_dirichlet_2d(U, V, t, prob, grid):
     return U, V
 
 
-def rhs_1d(u, v, t, prob, w1, w2):
-    """Full-sum semi-discrete RHS as one stacked ``(2, n)`` array (du, dv).
+def rhs_1d(w, t, prob, w1, w2):
+    """Full-sum semi-discrete RHS of the stacked ``(2, n)`` state (u, v).
 
-    Boundary entries of the result are zero; its dtype follows the state and
-    weight arrays (complex inputs give a complex result).
+    Returns (du, dv) stacked the same way.  Each weight matrix multiplies
+    both fields in one product.  Boundary entries of the result are zero;
+    its dtype follows the state and the weights, which share one dtype
+    (complex inputs give a complex result).
     """
-    _check_1d(u, v, w1)
-    ux = w1 @ u
-    vx = w1 @ v
+    _check_state(w, (2, w1.shape[0]))
+    u, v = w[0], w[1]
+    wx = w @ w1.T
+    ux, vx = wx[0], wx[1]
     cross = u * vx + v * ux
-    out = np.empty((2,) + u.shape, np.result_type(u, v, w1, w2))
-    np.subtract(w2 @ u - prob.eta * u * ux, prob.alpha * cross, out=out[0])
-    np.subtract(w2 @ v - prob.xi * v * vx, prob.beta * cross, out=out[1])
+    out = w @ w2.T
+    du, dv = out[0], out[1]
+    du -= prob.eta * u * ux
+    du -= prob.alpha * cross
+    dv -= prob.xi * v * vx
+    dv -= prob.beta * cross
     out[:, 0] = out[:, -1] = 0.0
     return out
 
@@ -167,21 +179,27 @@ def _zero_ring(*fields):
         D[..., :, 0] = D[..., :, -1] = 0.0
 
 
-def rhs_2d(U, V, t, prob, ax1, ax2, by1, by2):
-    """Full-sum 2D RHS via line sweeps, as one stacked ``(2, nx, ny)`` array.
+def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
+    """Full-sum 2D RHS of the stacked ``(2, nx, ny)`` state (U, V).
 
-    x-derivatives apply the x-axis matrix down each column of constant y,
-    y-derivatives apply the y-axis matrix along each row of constant x.
-    The boundary ring of the result is zero; its dtype follows the state and
-    weight arrays (complex inputs give a complex result).
+    Returns (dU, dV) stacked the same way.  x-derivatives apply the x-axis
+    matrix down each column of constant y, as one batched product over both
+    fields; y-derivatives apply the y-axis matrix along each row of constant
+    x, as one product on the ``(2 nx, ny)`` row view of the state.  The
+    boundary ring of the result is zero; its dtype follows the state and the
+    weights, which share one dtype (complex inputs give a complex result).
     """
-    _check_2d(U, V, ax1, by1)
-    nu = prob.nu
-    out = np.empty((2,) + U.shape, np.result_type(U, V, ax1, ax2, by1, by2))
-    np.subtract(nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U), V * (U @ by1.T),
-                out=out[0])
-    np.subtract(nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V), V * (V @ by1.T),
-                out=out[1])
+    _check_state(w, (2, ax1.shape[0], by1.shape[0]))
+    rows = w.reshape(-1, w.shape[-1])
+    out = ax2 @ w
+    out += (rows @ by2.T).reshape(w.shape)
+    out *= prob.nu
+    conv = ax1 @ w
+    conv *= w[0]
+    out -= conv
+    conv = (rows @ by1.T).reshape(w.shape)
+    conv *= w[1]
+    out -= conv
     _zero_ring(out)
     return out
 

@@ -140,7 +140,7 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
         apply_dirichlet_1d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        return rhs_1d(w[0], w[1], t, prob, w1, w2)
+        return rhs_1d(w, t, prob, w1, w2)
 
     return Solution(grid, *_drive(
         prob.phi(grid.x), prob.psi(grid.x), (n,), impose, rhs, dt, t_end, t0,
@@ -167,7 +167,7 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
         apply_dirichlet_2d(w[0], w[1], t, prob, grid)
 
     def rhs(w, t):
-        return rhs_2d(w[0], w[1], t, prob, ax1, ax2, by1, by2)
+        return rhs_2d(w, t, prob, ax1, ax2, by1, by2)
 
     xc = grid.xgrid.x[:, None]
     yc = grid.ygrid.x[None, :]

@@ -269,7 +269,7 @@ def test_c9_property_suite(p4_runs):
     u = rng.standard_normal(21)
     v = rng.standard_normal(21)
     apply_dirichlet_1d(u, v, 0.2, prob1, g1)
-    full = rhs_1d(u, v, 0.2, prob1, w1, w2)
+    full = rhs_1d(np.array((u, v)), 0.2, prob1, w1, w2)
     split = rhs_1d_split(u, v, 0.2, prob1, w1, w2)
     scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
     gap_1d = max(np.abs(split[0] - full[0]).max(),
@@ -284,7 +284,7 @@ def test_c9_property_suite(p4_runs):
     uu = rng.standard_normal((9, 9))
     vv = rng.standard_normal((9, 9))
     apply_dirichlet_2d(uu, vv, 0.2, prob4, g2)
-    full2 = rhs_2d(uu, vv, 0.2, prob4, ax1, ax2, by1, by2)
+    full2 = rhs_2d(np.array((uu, vv)), 0.2, prob4, ax1, ax2, by1, by2)
     split2 = rhs_2d_split(uu, vv, 0.2, prob4, ax1, ax2, by1, by2)
     scale2 = max(np.abs(full2[0]).max(), np.abs(full2[1]).max(), 1.0)
     gap_2d = max(np.abs(split2[0] - full2[0]).max(),

@@ -48,7 +48,7 @@ def test_zero_state_gives_zero_rhs():
     g = Grid1D(0.0, 1.0, 11)
     w1, w2 = _weights_1d(g)
     z = np.zeros(11)
-    du, dv = rhs_1d(z, z, 0.0, prob, w1, w2)
+    du, dv = rhs_1d(np.array((z, z)), 0.0, prob, w1, w2)
     np.testing.assert_array_equal(du, np.zeros(11))
     np.testing.assert_array_equal(dv, np.zeros(11))
 
@@ -61,7 +61,7 @@ def test_rhs_matches_exact_time_derivative():
     w1, w2 = _weights_1d(g)
     u = prob.exact_u(g.x, 0.0)
     v = prob.exact_v(g.x, 0.0)
-    du, dv = rhs_1d(u, v, 0.0, prob, w1, w2)
+    du, dv = rhs_1d(np.array((u, v)), 0.0, prob, w1, w2)
     want = -np.sin(g.x)
     assert np.abs(du - want)[1:-1].max() <= 5e-3
     assert np.abs(dv - want)[1:-1].max() <= 5e-3
@@ -75,7 +75,7 @@ def test_split_identity_1d():
     u = rng.standard_normal(21)
     v = rng.standard_normal(21)
     apply_dirichlet_1d(u, v, 0.3, prob, g)
-    full = rhs_1d(u, v, 0.3, prob, w1, w2)
+    full = rhs_1d(np.array((u, v)), 0.3, prob, w1, w2)
     split = rhs_1d_split(u, v, 0.3, prob, w1, w2)
     scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
     np.testing.assert_allclose(split[0], full[0], atol=1e-12 * scale)
@@ -95,7 +95,7 @@ def test_rhs_is_quadratic_in_amplitude():
     u[0] = u[-1] = v[0] = v[-1] = 0.0
 
     def f(lam):
-        du, dv = rhs_1d(lam * u, lam * v, 0.0, prob, w1, w2)
+        du, dv = rhs_1d(np.array((lam * u, lam * v)), 0.0, prob, w1, w2)
         return np.concatenate([du, dv])
 
     r1, r2, r3 = f(1.0), f(2.0), f(3.0)
@@ -110,8 +110,9 @@ def test_shape_mismatch_rejected():
     prob = _zero_problem()
     g = Grid1D(0.0, 1.0, 11)
     w1, w2 = _weights_1d(g)
-    with pytest.raises(ShapeMismatch):
-        rhs_1d(np.zeros(11), np.zeros(10), 0.0, prob, w1, w2)
+    for shape in ((11,), (2, 10), (3, 11)):
+        with pytest.raises(ShapeMismatch):
+            rhs_1d(np.zeros(shape), 0.0, prob, w1, w2)
 
 
 def test_apply_dirichlet_1d_sets_traces():
@@ -125,6 +126,26 @@ def test_apply_dirichlet_1d_sets_traces():
     assert v[0] == prob.g3(0.5)
     assert v[-1] == prob.g4(0.5)
     assert np.all(u[1:-1] == 99.0)
+
+
+def test_rhs_1d_matches_per_field_products():
+    # Two products over the stacked state give what four matrix-vector
+    # products, one per field and matrix, give, to rounding.
+    prob = problem1()
+    rng = np.random.default_rng(11)
+    for n in (9, 21, 121):
+        g = Grid1D(prob.a, prob.b, n)
+        w1, w2 = _weights_1d(g)
+        u, v = rng.standard_normal((2, n))
+        ux, vx = w1 @ u, w1 @ v
+        cross = u * vx + v * ux
+        du = w2 @ u - prob.eta * u * ux - prob.alpha * cross
+        dv = w2 @ v - prob.xi * v * vx - prob.beta * cross
+        du[0] = du[-1] = dv[0] = dv[-1] = 0.0
+        out = rhs_1d(np.array((u, v)), 0.0, prob, w1, w2)
+        scale = max(np.abs(du).max(), np.abs(dv).max(), 1.0)
+        np.testing.assert_allclose(out[0], du, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(out[1], dv, rtol=0, atol=1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +168,7 @@ def test_consistency_residual_shrinks_under_refinement():
         g = Grid1D(prob.a, prob.b, n)
         w1, w2 = _weights_1d(g)
         u = prob.exact_u(g.x, 0.0)
-        du, _ = rhs_1d(u, u, 0.0, prob, w1, w2)
+        du, _ = rhs_1d(np.array((u, u)), 0.0, prob, w1, w2)
         e = np.abs(du + np.sin(g.x))
         res[n] = e[1:-1].max()
         deep[n] = e[10:-10].max() / max(e[3], e[n - 4])
@@ -177,11 +198,36 @@ def test_split_identity_2d():
     u = rng.standard_normal((9, 9))
     v = rng.standard_normal((9, 9))
     apply_dirichlet_2d(u, v, 0.2, prob, g)
-    full = rhs_2d(u, v, 0.2, prob, ax1, ax2, by1, by2)
+    full = rhs_2d(np.array((u, v)), 0.2, prob, ax1, ax2, by1, by2)
     split = rhs_2d_split(u, v, 0.2, prob, ax1, ax2, by1, by2)
     scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
     np.testing.assert_allclose(split[0], full[0], atol=1e-12 * scale)
     np.testing.assert_allclose(split[1], full[1], atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("build", [problem2, problem3, problem4])
+@pytest.mark.parametrize("nx, ny", [(9, 7), (7, 9)])
+def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
+    # One product per matrix over both fields writes the same bits as eight
+    # products, one per field and matrix; on a non-square grid a swap of the
+    # x and y axes in the row view would show.
+    prob = build()
+    g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    ax1, ax2, by1, by2 = weights_2d(g)
+    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
+    rng = np.random.default_rng(nx * ny)
+    states = [(prob.phi(x, y), prob.psi(x, y)),
+              tuple(rng.standard_normal((2, nx, ny)))]
+    for U, V in states:
+        nu = prob.nu
+        dU = nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
+        dV = nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
+        for D in (dU, dV):
+            D[0, :] = D[-1, :] = D[:, 0] = D[:, -1] = 0.0
+        out = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
+        assert out.shape == (2, nx, ny)
+        assert out[0].tobytes() == dU.tobytes()
+        assert out[1].tobytes() == dV.tobytes()
 
 
 def test_rhs_2d_matches_analytic_time_derivative():
@@ -193,7 +239,7 @@ def test_rhs_2d_matches_analytic_time_derivative():
     y = g.ygrid.x[None, :]
     u = prob.exact_u(x, y, 0.0)
     v = prob.exact_v(x, y, 0.0)
-    du, dv = rhs_2d(u, v, 0.0, prob, ax1, ax2, by1, by2)
+    du, dv = rhs_2d(np.array((u, v)), 0.0, prob, ax1, ax2, by1, by2)
     kernel = np.exp((-4.0 * x + 4.0 * y) * (100.0 / 32.0))
     want = -(100.0 / 32.0) * kernel / (4.0 * (1.0 + kernel) ** 2)
     # boundary-adjacent rows carry the usual low-order defect; a few nodes in
@@ -212,7 +258,7 @@ def test_y_invariant_state_drops_y_convection():
     f = np.sin(g.xgrid.x)
     u = np.repeat(f[:, None], 11, axis=1)
     v = np.zeros((11, 11))
-    du, dv = rhs_2d(u, v, 0.0, prob, ax1, ax2, by1, by2)
+    du, dv = rhs_2d(np.array((u, v)), 0.0, prob, ax1, ax2, by1, by2)
     want = prob.nu * (ax2 @ u + u @ by2.T) - u * (ax1 @ u)
     np.testing.assert_allclose(du[1:-1, 1:-1], want[1:-1, 1:-1], atol=1e-15)
     np.testing.assert_array_equal(dv[1:-1, 1:-1], np.zeros((9, 9)))
@@ -277,12 +323,14 @@ def test_rhs_returns_stacked_fields():
     prob = problem4()
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
     x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
-    out = rhs_2d(prob.phi(x, y), prob.psi(x, y), 0.0, prob, ax1, ax2, by1, by2)
+    out = rhs_2d(np.array((prob.phi(x, y), prob.psi(x, y))), 0.0, prob,
+                 ax1, ax2, by1, by2)
     assert isinstance(out, np.ndarray) and out.shape == (2, 9, 9)
     prob1 = problem1()
     g1 = Grid1D(prob1.a, prob1.b, 11)
     w1, w2 = _weights_1d(g1)
-    out = rhs_1d(prob1.phi(g1.x), prob1.psi(g1.x), 0.0, prob1, w1, w2)
+    out = rhs_1d(np.array((prob1.phi(g1.x), prob1.psi(g1.x))), 0.0, prob1,
+                 w1, w2)
     assert isinstance(out, np.ndarray) and out.shape == (2, 11)
 
 
@@ -294,8 +342,8 @@ def test_rhs_result_dtype_follows_complex_inputs():
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
     x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
     U, V = prob.phi(x, y), prob.psi(x, y)
-    real = rhs_2d(U, V, 0.0, prob, ax1, ax2, by1, by2)
-    cplx = rhs_2d(U + 0j, V + 0j, 0.0, prob, ax1, ax2, by1, by2)
+    real = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
+    cplx = rhs_2d(np.array((U + 0j, V + 0j)), 0.0, prob, ax1, ax2, by1, by2)
     assert cplx.dtype == complex
     np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=1e-13)
     assert not cplx.imag.any()
@@ -303,8 +351,8 @@ def test_rhs_result_dtype_follows_complex_inputs():
     g1 = Grid1D(prob1.a, prob1.b, 11)
     w1, w2 = _weights_1d(g1)
     u, v = prob1.phi(g1.x), prob1.psi(g1.x)
-    real = rhs_1d(u, v, 0.0, prob1, w1, w2)
-    cplx = rhs_1d(u + 0j, v + 0j, 0.0, prob1, w1, w2)
+    real = rhs_1d(np.array((u, v)), 0.0, prob1, w1, w2)
+    cplx = rhs_1d(np.array((u + 0j, v + 0j)), 0.0, prob1, w1, w2)
     assert cplx.dtype == complex
     np.testing.assert_allclose(cplx.real, real, rtol=1e-13, atol=1e-13)
     assert not cplx.imag.any()
@@ -313,4 +361,10 @@ def test_rhs_2d_shape_mismatch():
     prob = problem4()
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
     with pytest.raises(ShapeMismatch):
-        rhs_2d(np.zeros((9, 9)), np.zeros((9, 8)), 0.0, prob, ax1, ax2, by1, by2)
+        rhs_2d(np.zeros((2, 9, 8)), 0.0, prob, ax1, ax2, by1, by2)
+    # a transposed state on a non-square grid
+    g = Grid2D(Grid1D(prob.a, prob.b, 9), Grid1D(prob.c, prob.d, 7))
+    ax1, ax2, by1, by2 = weights_2d(g)
+    for shape in ((2, 9, 6), (2, 7, 9), (9, 7), (3, 9, 7)):
+        with pytest.raises(ShapeMismatch):
+            rhs_2d(np.zeros(shape), 0.0, prob, ax1, ax2, by1, by2)

@@ -94,12 +94,11 @@ def test_non_finite_times_rejected(kwargs):
 
 
 def test_stage_policy_runs_and_differs_from_base():
+    # p1's traces are exp(-t) sin(+-pi), zero up to rounding, so the two
+    # policies may agree to the last bit there; both stay accurate
     prob = problem1()
     base = solve_1d(prob, 41, 1e-2, 0.5, boundary_policy="base")
     stage = solve_1d(prob, 41, 1e-2, 0.5, boundary_policy="stage")
-    diff = np.abs(base.u - stage.u).max()
-    assert diff > 0.0
-    # both policies stay accurate on this smooth problem
     exact = prob.exact_u(base.grid.x, 0.5)
     assert np.abs(base.u - exact).max() <= 1e-4
     assert np.abs(stage.u - exact).max() <= 1e-4
@@ -108,12 +107,17 @@ def test_stage_policy_runs_and_differs_from_base():
     # through the stages, which costs first order in dt; "stage" does not
     p2 = problem2(re=100.0)
 
+    def p2_solve(dt, policy):
+        return solve_2d(p2, 9, dt, 0.1, boundary_policy=policy)
+
     def p2_error(dt, policy):
-        sol = solve_2d(p2, 9, dt, 0.1, boundary_policy=policy)
+        sol = p2_solve(dt, policy)
         x = sol.grid.xgrid.x[:, None]
         y = sol.grid.ygrid.x[None, :]
         return np.abs(sol.u - p2.exact_u(x, y, sol.t)).max()
 
+    gap = np.abs(p2_solve(1e-3, "base").u - p2_solve(1e-3, "stage").u).max()
+    assert gap > 1e-5
     assert p2_error(1e-3, "stage") <= 1e-8
     coarse, fine = p2_error(2e-3, "base"), p2_error(1e-3, "base")
     assert 1.9 <= coarse / fine <= 2.1
