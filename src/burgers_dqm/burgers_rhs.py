@@ -29,7 +29,10 @@ from .exceptions import ShapeMismatch
 
 @dataclass(frozen=True)
 class Problem1D:
-    """1D coupled Burgers' problem: parameters, initial/boundary data, exact."""
+    """1D coupled Burgers' problem: parameters, initial/boundary data, exact.
+
+    Traces ``g1..g4(t)`` must broadcast over an array ``t`` (or be scalar).
+    """
 
     eta: float
     xi: float
@@ -52,10 +55,10 @@ class Problem1D:
 class Problem2D:
     """2D coupled Burgers' problem on [a, b] x [c, d] with viscosity nu.
 
-    The boundary traces ``bc_u(x, y, t)`` and ``bc_v`` are called once per
-    imposition with two equal-length arrays, the coordinates of every
-    boundary-ring node, and must work elementwise on them; a scalar return
-    is allowed and broadcasts over the ring.
+    The boundary traces ``bc_u(x, y, t)`` and ``bc_v`` are called with two
+    equal-length arrays, the coordinates of every boundary-ring node, and an
+    array ``t`` (a column of times), and must broadcast elementwise over
+    them; a scalar return is allowed and broadcasts over the ring.
     """
 
     nu: float
@@ -89,23 +92,26 @@ def _check_1d(u, v, w1):
 
 
 def apply_dirichlet_1d(u, v, t, prob, grid):
-    """Overwrite the boundary entries from the g1..g4 traces at time t."""
-    u[0] = prob.g1(t)
-    u[-1] = prob.g2(t)
-    v[0] = prob.g3(t)
-    v[-1] = prob.g4(t)
-    return u, v
+    """Overwrite the end entries of u and v with the g1..g4 traces at t.
+
+    For a (k, 1) column of times, u and v hold one row per time.
+    """
+    u[..., :1] = prob.g1(t)
+    u[..., -1:] = prob.g2(t)
+    v[..., :1] = prob.g3(t)
+    v[..., -1:] = prob.g4(t)
 
 
 def apply_dirichlet_2d(U, V, t, prob, grid):
-    """Overwrite the boundary ring from the traces at time t.
+    """Overwrite the boundary ring of U and V with the traces at time t.
 
     One trace call per field covers the whole ring; each corner is evaluated
-    once, at its own coordinates.
+    once, at its own coordinates.  For a (k, 1) column of times, U and V are
+    (k, m) arrays of the ring values in ``grid.ring`` order, one row per time.
     """
-    U[grid.ring] = prob.bc_u(grid.ring_x, grid.ring_y, t)
-    V[grid.ring] = prob.bc_v(grid.ring_x, grid.ring_y, t)
-    return U, V
+    ring = grid.ring if np.ndim(t) == 0 else ...
+    U[ring] = prob.bc_u(grid.ring_x, grid.ring_y, t)
+    V[ring] = prob.bc_v(grid.ring_x, grid.ring_y, t)
 
 
 def rhs_1d(w, t, prob, w1, w2):

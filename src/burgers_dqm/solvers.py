@@ -1,18 +1,15 @@
 """Time-stepping drivers for the 1D and 2D coupled Burgers' problems.
 
 ``solve_1d`` and ``solve_2d`` build the grid, the quadrature weights and the
-initial state, then hand one shared driver two closures: ``impose(w, t)``,
-which writes the Dirichlet traces at time ``t`` into a stacked ``(2, *shape)``
-state, and ``rhs(w, t)``, the full-sum semi-discrete right-hand side.  The
-driver advances the state with the five-stage Runge-Kutta step and reimposes
-Dirichlet data after every step, so boundary entries track the prescribed
-traces exactly.
-
-During stages the boundary entries hold the traces at the step base time
-(``boundary_policy='base'``, the default): the right-hand side is zero on
-boundary nodes, so every stage keeps them to rounding, and time-varying
-traces lag by O(dt).  Under ``'stage'`` each stage imposes the traces at its
-own abscissa on the stage state before evaluating the right-hand side.
+initial state, then hand one shared driver the boundary mask of a field,
+``impose(u, v, t)``, which writes the Dirichlet traces at a column of times
+into rows of boundary values, and ``rhs(w, t)``, the full-sum right-hand
+side of the stacked ``(2, *shape)`` state.  The driver advances the state
+with the five-stage Runge-Kutta step.  Every stage state carries the traces
+at its own time, so time-varying traces keep the scheme's fourth order.
+Each field's traces are evaluated once per step, over the column of the
+step's times: they receive an array ``t`` and must broadcast over it (a
+scalar return is allowed).
 """
 
 import math
@@ -29,9 +26,10 @@ from .dqm_weights import (
     weights_2d,
 )
 from .exceptions import ConfigError, DomainError
-from .ssprk54 import num_steps, step
+from .ssprk54 import ABSCISSAE, num_steps, step
 
-BOUNDARY_POLICIES = ("base", "stage")
+# Fractions of dt at which a step needs traces: stages 2-5, then the result.
+_TRACE_OFFSETS = np.array(ABSCISSAE[1:] + (1.0,))[:, None]
 
 # Relative slack when matching a requested snapshot time to a step multiple.
 SNAP_TOL = 1e-9
@@ -68,9 +66,12 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     return table
 
 
-def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
-           snapshots, observer):
+def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
+           observer):
     """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
+
+    ``boundary`` masks a field's Dirichlet nodes; ``impose(u, v, t)`` fills
+    two fields, or (k, b) rows of the masked values for a (k, 1) column t.
 
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
@@ -78,41 +79,41 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
 
     Each step runs with numpy's overflow and invalid-value warnings
     silenced: a blow-up ends in ``NonFiniteState``, which carries the time
-    and stage, and the warnings on the way there are noise.  ``impose``
-    after the step and the observer keep the caller's floating-point
-    settings.
+    and stage, and the warnings on the way there are noise.  The trace
+    evaluation and the observer keep the caller's floating-point settings.
     """
-    if boundary_policy not in BOUNDARY_POLICIES:
-        raise ConfigError(
-            "boundary_policy must be one of %s, got %r"
-            % (BOUNDARY_POLICIES, boundary_policy)
-        )
     steps = num_steps(t0, t_end, dt)
     snap_at = _snapshot_steps(snapshots, t0, dt, steps)
 
-    w = np.array([np.broadcast_to(u0, shape), np.broadcast_to(v0, shape)],
-                 dtype=float)
-    impose(w, t0)
+    # flat[i]: both fields' traces at the step's i-th time, in ``nodes`` order
+    nodes = np.flatnonzero(np.array((boundary, boundary)))
+    rows = np.empty((len(_TRACE_OFFSETS), 2, nodes.size // 2))
+    flat = rows.reshape(len(rows), -1)
+    offsets = dt * _TRACE_OFFSETS
+
+    w = np.array([np.broadcast_to(u0, boundary.shape),
+                  np.broadcast_to(v0, boundary.shape)], dtype=float)
+    impose(w[0], w[1], t0)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
-    if boundary_policy == "stage":
-        # The traces are written into the stage state itself: stages 2-5
-        # are fresh arrays inside ``step``, stage 1's is ``w``, which already
-        # holds them at that time, and the RK combinations are elementwise,
-        # so interior entries and the reimposed result do not change.
-        def stage_rhs(x, t):
-            impose(x, t)
-            return rhs(x, t)
-    else:
-        stage_rhs = rhs
-
     for m in range(steps):
+        t, t_new = t0 + m * dt, t0 + (m + 1) * dt
+        times = t + offsets
+        times[-1] = t_new  # exactly the time the next step starts from
+        impose(rows[:, 0], rows[:, 1], times)
+        pending = iter(flat)
+
+        def stage_rhs(x, s, start=w):
+            # stage 1 runs on ``start``, which holds the traces at t
+            if x is not start:
+                x.reshape(-1)[nodes] = next(pending)
+            return rhs(x, s)
+
         with np.errstate(over="ignore", invalid="ignore"):
-            w = step(w, t0 + m * dt, dt, stage_rhs)
-        t_new = t0 + (m + 1) * dt
-        impose(w, t_new)
+            w = step(w, t, dt, stage_rhs)
+        w.reshape(-1)[nodes] = flat[-1]
         if observer is not None:
             ro = w.view()
             ro.flags.writeable = False
@@ -123,8 +124,7 @@ def _drive(u0, v0, shape, impose, rhs, dt, t_end, t0, boundary_policy,
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 
 
-def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
-             snapshots=(), observer=None):
+def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     """Integrate a 1D problem to ``t_end`` on an ``n``-node uniform grid.
 
     ``snapshots`` is an iterable of output times (each must be a step
@@ -136,19 +136,17 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, boundary_policy="base",
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
 
-    def impose(w, t):
-        apply_dirichlet_1d(w[0], w[1], t, prob, grid)
-
     def rhs(w, t):
         return rhs_1d(w, t, prob, w1, w2)
 
     return Solution(grid, *_drive(
-        prob.phi(grid.x), prob.psi(grid.x), (n,), impose, rhs, dt, t_end, t0,
-        boundary_policy, snapshots, observer))
+        prob.phi(grid.x), prob.psi(grid.x), np.isin(np.arange(n), (0, n - 1)),
+        lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid), rhs, dt,
+        t_end, t0, snapshots, observer))
 
 
-def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
-             snapshots=(), observer=None):
+def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
+             observer=None):
     """Integrate a 2D problem to ``t_end`` on an nx-by-ny node grid.
 
     ``ny`` defaults to ``nx``.  Snapshot and observer semantics match
@@ -163,14 +161,12 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, boundary_policy="base",
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
 
-    def impose(w, t):
-        apply_dirichlet_2d(w[0], w[1], t, prob, grid)
-
     def rhs(w, t):
         return rhs_2d(w, t, prob, ax1, ax2, by1, by2)
 
     xc = grid.xgrid.x[:, None]
     yc = grid.ygrid.x[None, :]
     return Solution(grid, *_drive(
-        prob.phi(xc, yc), prob.psi(xc, yc), (nx, ny), impose, rhs, dt, t_end,
-        t0, boundary_policy, snapshots, observer))
+        prob.phi(xc, yc), prob.psi(xc, yc), grid.ring,
+        lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid), rhs, dt,
+        t_end, t0, snapshots, observer))

@@ -309,6 +309,38 @@ def test_apply_dirichlet_2d_ring_matches_edge_fill(build):
         assert np.isfinite(u[g.ring]).all() and np.isfinite(v[g.ring]).all()
 
 
+TIMES = np.array([[0.0], [0.013], [0.2], [0.35]])
+
+
+@pytest.mark.parametrize("build", [problem2, problem3, problem4])
+def test_apply_dirichlet_2d_column_of_times_fills_ring_rows(build):
+    # A (k, 1) column of times fills one row of ring values per time, each
+    # bitwise equal to the imposition at that time alone.
+    prob = build()
+    g = Grid2D(Grid1D(prob.a, prob.b, 9), Grid1D(prob.c, prob.d, 7))
+    ru, rv = np.full((2, len(TIMES), g.ring_x.size), np.nan)
+    apply_dirichlet_2d(ru, rv, TIMES, prob, g)
+    for k, t in enumerate(TIMES[:, 0]):
+        u, v = np.zeros((9, 7)), np.zeros((9, 7))
+        apply_dirichlet_2d(u, v, t, prob, g)
+        assert ru[k].tobytes() == u[g.ring].tobytes()
+        assert rv[k].tobytes() == v[g.ring].tobytes()
+
+
+def test_apply_dirichlet_1d_column_of_times_fills_end_rows():
+    prob = dataclasses.replace(
+        problem1(), g1=lambda t: np.exp(-t), g2=lambda t: 2.0 * t,
+        g3=lambda t: 1.0 + t * t, g4=lambda t: 0.5)
+    g = Grid1D(prob.a, prob.b, 9)
+    ru, rv = np.full((2, len(TIMES), 2), np.nan)
+    apply_dirichlet_1d(ru, rv, TIMES, prob, g)
+    for k, t in enumerate(TIMES[:, 0]):
+        u, v = np.zeros(9), np.zeros(9)
+        apply_dirichlet_1d(u, v, t, prob, g)
+        assert ru[k].tobytes() == u[[0, -1]].tobytes()
+        assert rv[k].tobytes() == v[[0, -1]].tobytes()
+
+
 def test_apply_dirichlet_2d_broadcasts_scalar_traces():
     prob = dataclasses.replace(problem4(), bc_u=lambda x, y, t: 0.5,
                                bc_v=lambda x, y, t: -1.0)

@@ -7,10 +7,11 @@ behind; nothing here shells out.
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from burgers_dqm import cli, problem1
+from burgers_dqm import cli, load_reference_table, problem1
 from burgers_dqm.cli import main
 
 
@@ -181,8 +182,7 @@ def test_config_file_round_trip(tmp_path):
     out = tmp_path / "run"
     settings = {"problem": "p4", "nx": "9", "ny": "7", "dt": "0.01",
                 "t_end": "0.02", "snapshots": "0.01,0.02", "re": "50",
-                "out": str(out), "boundary_policy": "stage",
-                "stability_check": "true"}
+                "out": str(out), "stability_check": "true"}
     conf = tmp_path / "run.conf"
     conf.write_text("# every solve key\n" + "".join(
         "%s = %s\n" % item for item in settings.items()))
@@ -394,6 +394,18 @@ def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, capsys):
         want = math.log2(float(coarse[col[norm]]) / float(fine[col[norm]]))
         assert float(fine[col["r_" + norm]]) == pytest.approx(want, rel=1e-12)
         assert coarse[col["r_" + norm]] == ""
+
+
+def test_table_2_3_l2_matches_published_on_cheap_grids():
+    # p2's traces move in time; with the traces at each stage's own time the
+    # computed l2 of v lands within a factor 10 of the published one
+    refs = load_reference_table("2.3")[1]
+    spec = replace(cli.TABLES["2.3"], n_values=(4, 8, 17))
+    rows = cli._sweep(spec, refs)
+    col = spec.columns.index("l2_ratio")
+    ratios = [row[col] for row in rows]
+    assert len(ratios) == 6
+    assert all(0.5 <= r <= 10.0 for r in ratios), ratios
 
 
 def test_table_cli_rejects_unknown_key(tmp_path):

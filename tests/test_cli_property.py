@@ -36,8 +36,6 @@ def _cli_runs(draw):
         opts["t_end"] = draw(_numbers("0.02", "0.03"))
         if draw(st.booleans()):
             opts["re"] = draw(_numbers("20", "100"))
-        if draw(st.booleans()):
-            opts["boundary_policy"] = draw(st.sampled_from(["base", "stage"]))
     if command == "solve":
         opts["nx"] = draw(nodes)
         if draw(st.booleans()):

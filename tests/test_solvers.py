@@ -14,7 +14,6 @@ from burgers_dqm import (
     first_order_weights,
     problem1,
     problem2,
-    problem3,
     problem4,
     rhs_1d_split,
     rhs_2d_split,
@@ -66,14 +65,6 @@ def test_misaligned_snapshot_rejected():
         solve_1d(prob, 21, 0.05, 0.2, snapshots=(0.3,))
 
 
-def test_invalid_policies_rejected():
-    prob = problem1()
-    with pytest.raises(ConfigError):
-        solve_1d(prob, 21, 1e-3, 0.01, boundary_policy="frozen")
-    with pytest.raises(ConfigError):
-        solve_2d(problem4(), 9, 1e-3, 0.01, boundary_policy="frozen")
-
-
 def test_dt_must_divide_interval():
     prob = problem1()
     with pytest.raises(ConfigError):
@@ -94,42 +85,33 @@ def test_non_finite_times_rejected(kwargs):
 
 
 def test_stage_policy_runs_and_differs_from_base():
-    # p1's traces are exp(-t) sin(+-pi), zero up to rounding, so the two
-    # policies may agree to the last bit there; both stay accurate
+    # Every stage state carries the traces at its own time, which keeps the
+    # run accurate where the traces vary in time (p2) as well as where they
+    # vanish to rounding (p1).
     prob = problem1()
-    base = solve_1d(prob, 41, 1e-2, 0.5, boundary_policy="base")
-    stage = solve_1d(prob, 41, 1e-2, 0.5, boundary_policy="stage")
-    exact = prob.exact_u(base.grid.x, 0.5)
-    assert np.abs(base.u - exact).max() <= 1e-4
-    assert np.abs(stage.u - exact).max() <= 1e-4
+    sol = solve_1d(prob, 41, 1e-2, 0.5)
+    assert np.abs(sol.u - prob.exact_u(sol.grid.x, 0.5)).max() <= 1e-4
 
-    # p2's traces vary in time: "base" holds them at the step's base time
-    # through the stages, which costs first order in dt; "stage" does not
     p2 = problem2(re=100.0)
+    sol = solve_2d(p2, 9, 1e-3, 0.1)
+    x = sol.grid.xgrid.x[:, None]
+    y = sol.grid.ygrid.x[None, :]
+    assert np.abs(sol.u - p2.exact_u(x, y, sol.t)).max() <= 1e-8
 
-    def p2_solve(dt, policy):
-        return solve_2d(p2, 9, dt, 0.1, boundary_policy=policy)
 
-    def p2_error(dt, policy):
-        sol = p2_solve(dt, policy)
+def test_p2_converges_at_fourth_order_in_time():
+    # p2's traces vary in time; with each stage's traces at the stage's own
+    # time the error falls about 16x per halving of dt (a stage that kept
+    # the step's starting traces would give about 2x).
+    p2 = problem2(re=100.0)
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        sol = solve_2d(p2, 17, dt, 0.5)
         x = sol.grid.xgrid.x[:, None]
         y = sol.grid.ygrid.x[None, :]
-        return np.abs(sol.u - p2.exact_u(x, y, sol.t)).max()
-
-    gap = np.abs(p2_solve(1e-3, "base").u - p2_solve(1e-3, "stage").u).max()
-    assert gap > 1e-5
-    assert p2_error(1e-3, "stage") <= 1e-8
-    coarse, fine = p2_error(2e-3, "base"), p2_error(1e-3, "base")
-    assert 1.9 <= coarse / fine <= 2.1
-
-    # p3's traces are steady, so the policies agree to rounding; not bitwise,
-    # because under "base" a stage's boundary entries are RK combinations of
-    # the trace, which can round away from it in the last bit
-    p3 = problem3()
-    base = solve_2d(p3, 9, 1e-3, 0.1, ny=7, boundary_policy="base")
-    stage = solve_2d(p3, 9, 1e-3, 0.1, ny=7, boundary_policy="stage")
-    assert np.abs(base.u - stage.u).max() <= 1e-14
-    assert np.abs(base.v - stage.v).max() <= 1e-14
+        errors.append(np.abs(sol.u - p2.exact_u(x, y, sol.t)).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0, errors
 
 
 def test_observer_sees_every_step():
@@ -190,8 +172,8 @@ def test_unstable_run_raises_nonfinite_with_time():
 # ---------------------------------------------------------------------------
 
 def test_solve_2d_calls_each_trace_once_per_step():
-    # Under "base" the ring is imposed once at t0 and once after each step,
-    # with one trace call per field each time.
+    # Each field's traces are evaluated once at t0 and then once per step,
+    # over the column of the times of stages 2-5 and of the step's result.
     prob = problem4()
     calls = {"bc_u": 0, "bc_v": 0}
 
@@ -256,21 +238,18 @@ def test_2d_snapshots():
 # driver oracle: the paper's F/G formulation stepped directly
 # ---------------------------------------------------------------------------
 
-def _reference_run(u, v, dt, steps, policy, dirichlet, split_rhs):
-    """SSP-RK54 on a flat (u, v) state; every stage RHS imposes the traces on
-    a copy and evaluates the boundary-split RHS.  The traces are taken at the
-    stage's time under ``"stage"`` and at the step's base time under
-    ``"base"``."""
+def _reference_run(u, v, dt, steps, trace_time, dirichlet, split_rhs):
+    """SSP-RK54 on a flat (u, v) state; every stage RHS imposes the traces at
+    ``trace_time(t_base, t_stage)`` on a copy and evaluates the boundary-split
+    RHS."""
     shape, size = u.shape, u.size
 
     def unpack(w):
         return w[:size].reshape(shape), w[size:].reshape(shape)
 
     def rhs(w, t):
-        if policy == "base":
-            t = t_base
         uu, vv = (a.copy() for a in unpack(w))
-        dirichlet(uu, vv, t)
+        dirichlet(uu, vv, trace_time(t_base, t))
         return np.concatenate([d.ravel() for d in split_rhs(uu, vv, t)])
 
     w = np.concatenate([u.ravel(), v.ravel()]).astype(float)
@@ -282,14 +261,20 @@ def _reference_run(u, v, dt, steps, policy, dirichlet, split_rhs):
     return unpack(w)
 
 
+# The solver imposes each stage's traces at the stage's own time; the
+# reference runs take them there too.
+STAGE_TIMING = pytest.mark.parametrize(
+    "trace_time", [pytest.param(lambda t_base, t: t, id="stage")])
+
+
 def _assert_rel_close(got, want, rtol=1e-12):
     scale = max(np.abs(want[0]).max(), np.abs(want[1]).max())
     assert np.abs(got[0] - want[0]).max() <= rtol * scale
     assert np.abs(got[1] - want[1]).max() <= rtol * scale
 
 
-@pytest.mark.parametrize("policy", ["base", "stage"])
-def test_solve_1d_matches_split_reference(policy):
+@STAGE_TIMING
+def test_solve_1d_matches_split_reference(trace_time):
     # problem 1 moved to [-1, 2], so the boundary traces vary in time
     prob = problem1()
     a, b = -1.0, 2.0
@@ -301,15 +286,15 @@ def test_solve_1d_matches_split_reference(policy):
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
     want = _reference_run(
-        prob.phi(grid.x), prob.psi(grid.x), dt, steps, policy,
+        prob.phi(grid.x), prob.psi(grid.x), dt, steps, trace_time,
         lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid),
         lambda u, v, t: rhs_1d_split(u, v, t, prob, w1, w2))
-    sol = solve_1d(prob, n, dt, steps * dt, boundary_policy=policy)
+    sol = solve_1d(prob, n, dt, steps * dt)
     _assert_rel_close((sol.u, sol.v), want)
 
 
-@pytest.mark.parametrize("policy", ["base", "stage"])
-def test_solve_2d_matches_split_reference(policy):
+@STAGE_TIMING
+def test_solve_2d_matches_split_reference(trace_time):
     prob = problem4()
     nx, ny, dt, steps = 9, 7, 1e-3, 50
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
@@ -317,8 +302,8 @@ def test_solve_2d_matches_split_reference(policy):
     x = grid.xgrid.x[:, None]
     y = grid.ygrid.x[None, :]
     want = _reference_run(
-        prob.phi(x, y), prob.psi(x, y), dt, steps, policy,
+        prob.phi(x, y), prob.psi(x, y), dt, steps, trace_time,
         lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid),
         lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
-    sol = solve_2d(prob, nx, dt, steps * dt, ny=ny, boundary_policy=policy)
+    sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
     _assert_rel_close((sol.u, sol.v), want)
