@@ -7,9 +7,8 @@ ships the standard 1D/2D benchmark problems, error metrics, matrix stability
 analysis, and an experiment command-line front end (``burgers-dqm``).
 
 The names below are the documented API.  The building blocks behind them
-(spline tables, the Thomas solver, Dirichlet imposition, the scheme's
-coefficients and stability function, eigen-spectra) stay importable from
-their own modules.
+(spline tables, Dirichlet imposition, the scheme's coefficients and
+stability function, eigen-spectra) stay importable from their own modules.
 """
 
 from .burgers_rhs import (
@@ -37,7 +36,6 @@ from .exceptions import (
     NoStableDt,
     NonFiniteState,
     ShapeMismatch,
-    SingularSystem,
 )
 from .problems import (
     ErrorReport,
@@ -81,7 +79,6 @@ __all__ = [
     "Problem2D",
     "REFERENCE_TABLE_KEYS",
     "ShapeMismatch",
-    "SingularSystem",
     "Solution",
     "StabilityReport",
     "analyze",

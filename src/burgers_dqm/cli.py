@@ -672,7 +672,7 @@ def main(argv=None):
     except NonFiniteState as exc:
         print("instability: %s" % exc, file=sys.stderr)
         return 3
-    # ArithmeticError covers SingularSystem, ConvergenceFailure and NoStableDt
+    # ArithmeticError covers ConvergenceFailure and NoStableDt
     except (DegenerateError, ShapeMismatch, np.linalg.LinAlgError,
             ArithmeticError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)

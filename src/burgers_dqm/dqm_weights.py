@@ -3,21 +3,19 @@
 The weights a[i, l] approximate derivatives at node x_i as weighted sums of
 function values at all nodes: f'(x_i) ~= sum_l a[i, l] f(x_l).  First-order
 weights come from requiring exactness on the modified spline basis, which
-yields one tridiagonal system per node, all sharing the same matrix; the
-system is factored once (Thomas algorithm) and back-substituted for every
-node.  Second-order weights follow from the first by Shu's recursion, except
-in rows 1, 2 and their mirrors: there the recursion, derived for polynomial
-bases, does not converge on the spline weights, and the rows are closed with
-the centred 3- and 5-point polynomial weights instead (a deviation from the
-paper's pure construction; see second_order_weights).
+yields one system per node, all sharing the same matrix; one dense solve
+takes every node's right-hand side at once.  Second-order weights follow
+from the first by Shu's recursion, except in rows 1, 2 and their mirrors:
+there the recursion, derived for polynomial bases, does not converge on the
+spline weights, and the rows are closed with the centred 3- and 5-point
+polynomial weights instead (a deviation from the paper's pure construction;
+see second_order_weights).
 """
 
 import numpy as np
 
-from .exceptions import DomainError, ShapeMismatch, SingularSystem
+from .exceptions import DomainError, ShapeMismatch
 from .spline_basis import H_MAX, make_coeffs, modified_tables
-
-PIVOT_TOL = 1e-13
 
 
 class Grid1D:
@@ -62,68 +60,17 @@ class Grid2D:
         return cls(Grid1D(a, b, n), Grid1D(a, b, n))
 
 
-def thomas_factor(sub, diag, sup):
-    """Forward-eliminate a tridiagonal matrix; returns reusable multipliers.
-
-    sub[0] and sup[-1] are ignored.  Raises SingularSystem if a pivot
-    magnitude drops below PIVOT_TOL.
-    """
-    n = len(diag)
-    if len(sub) != n or len(sup) != n:
-        raise ShapeMismatch("band arrays must share the diagonal's length")
-    low = np.zeros(n)
-    piv = np.array(diag, dtype=float, copy=True)
-    if abs(piv[0]) < PIVOT_TOL:
-        raise SingularSystem("zero pivot at row 0")
-    for i in range(1, n):
-        low[i] = sub[i] / piv[i - 1]
-        piv[i] = diag[i] - low[i] * sup[i - 1]
-        if abs(piv[i]) < PIVOT_TOL:
-            raise SingularSystem(f"zero pivot at row {i}")
-    return low, piv, np.array(sup, dtype=float, copy=True)
-
-
-def thomas_solve_factored(factor, rhs):
-    """Back-substitute a (possibly multi-column) right-hand side."""
-    low, piv, sup = factor
-    n = len(piv)
-    b = np.array(rhs, dtype=float, copy=True)
-    if b.shape[0] != n:
-        raise ShapeMismatch(f"rhs has {b.shape[0]} rows, system has {n}")
-    for i in range(1, n):
-        b[i] -= low[i] * b[i - 1]
-    b[n - 1] /= piv[n - 1]
-    for i in range(n - 2, -1, -1):
-        b[i] = (b[i] - sup[i] * b[i + 1]) / piv[i]
-    return b
-
-
-def thomas_solve(sub, diag, sup, rhs):
-    """Solve a tridiagonal system in one shot."""
-    return thomas_solve_factored(thomas_factor(sub, diag, sup), rhs)
-
-
-def _bands(a):
-    """Extract (sub, diag, sup) bands from a tridiagonal matrix."""
-    n = a.shape[0]
-    sub = np.zeros(n)
-    sup = np.zeros(n)
-    sub[1:] = np.diag(a, -1)
-    sup[:-1] = np.diag(a, 1)
-    return sub, np.diag(a).copy(), sup
-
-
 def first_order_weights(grid):
     """First-derivative weight matrix on a 1D grid.
 
     For each node x_i the weights solve sum_l sigma_m(x_l) a[i, l] =
-    sigma_m'(x_i) over all basis functions m.  The shared tridiagonal
-    matrix is factored once and solved against all n right-hand sides.
+    sigma_m'(x_i) over all basis functions m.  All n systems share the
+    value table as their matrix, so one dense solve against the columns of
+    the first-derivative table gives every row.
     """
-    val, d1, _ = modified_tables(grid.n, make_coeffs(grid.h))
-    factor = thomas_factor(*_bands(val))
+    val, d1 = modified_tables(grid.n, make_coeffs(grid.h))
     # column i of d1 is the rhs for node i; solutions stack as columns
-    return thomas_solve_factored(factor, d1).T
+    return np.linalg.solve(val, d1).T
 
 
 def second_order_weights(w1, grid):

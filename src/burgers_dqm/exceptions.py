@@ -13,10 +13,6 @@ class ShapeMismatch(ValueError):
     """Array arguments with incompatible shapes."""
 
 
-class SingularSystem(ArithmeticError):
-    """A pivot underflowed during tridiagonal elimination."""
-
-
 class NonFiniteState(ArithmeticError):
     """A time step produced NaN/Inf entries (instability)."""
 

@@ -223,8 +223,10 @@ def error_norms(computed, exact, h):
         raise ShapeMismatch(
             "computed %s vs exact %s" % (computed.shape, exact.shape)
         )
-    if h <= 0.0:
-        raise DomainError("node measure h must be positive, got %r" % (h,))
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(
+            "node measure h must be positive and finite, got %r" % (h,)
+        )
     diff = np.abs(computed - exact)
     l2 = math.sqrt(h * float((diff * diff).sum()))
     linf = float(diff.max()) if diff.size else 0.0

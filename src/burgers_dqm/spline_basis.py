@@ -2,14 +2,14 @@
 
 On a uniform grid x_1 < ... < x_N with spacing h, the trigonometric cubic
 B-spline T_m centered at x_m is supported on [x_{m-2}, x_{m+2}].  Only its
-values (and first two derivatives) at the knots themselves enter the
-differential quadrature systems, and those are given by six closed-form
-constants a1..a6 depending on h alone:
+values and first derivatives at the knots themselves enter the differential
+quadrature systems, and those are given by four closed-form constants
+a1..a4 depending on h alone:
 
-            value        first derivative    second derivative
-  j = m      a2                0                    a6
-  |j-m| = 1  a1           -+ a4 (sign below)        a5
-  else        0                0                     0
+            value        first derivative
+  j = m      a2                0
+  |j-m| = 1  a1           -+ a4 (sign below)
+  else        0                0
 
 T_m'(x_{m-1}) = a4 and T_m'(x_{m+1}) = a3 = -a4.
 
@@ -38,15 +38,13 @@ class SplineCoeffs:
     a2: float
     a3: float
     a4: float
-    a5: float
-    a6: float
 
 
 def make_coeffs(h):
-    """Evaluate the six knot-value constants for grid spacing h.
+    """Evaluate the four knot-value constants for grid spacing h.
 
     Raises DomainError outside 0 < h < 2*pi/3, where one of the
-    denominators sin(h), sin(3h/2), 1 + 2cos(h), 2 + 4cos(h) degenerates.
+    denominators sin(h), sin(3h/2), 1 + 2cos(h) degenerates.
     """
     if not (0.0 < h < H_MAX):
         raise DomainError(f"spacing h={h!r} outside admissible range (0, 2*pi/3)")
@@ -54,22 +52,18 @@ def make_coeffs(h):
     s1 = math.sin(h)
     s32 = math.sin(1.5 * h)
     c1 = math.cos(h)
-    c_half = math.cos(h / 2.0)
-    c32 = math.cos(1.5 * h)
-    for d in (s1, s32, 1.0 + 2.0 * c1, 2.0 + 4.0 * c1, 2.0 * c_half + c32):
+    for d in (s1, s32, 1.0 + 2.0 * c1):
         if abs(d) < 1e-14:
             raise DomainError(f"degenerate denominator at h={h!r}")
     a1 = s_half * s_half / (s1 * s32)
     a2 = 2.0 / (1.0 + 2.0 * c1)
     a4 = 3.0 / (4.0 * s32)
     a3 = -a4
-    a5 = (3.0 + 9.0 * c1) / (16.0 * s_half * s_half * (2.0 * c_half + c32))
-    a6 = -3.0 * c_half * c_half / (s_half * s_half * (2.0 + 4.0 * c1))
-    return SplineCoeffs(a1, a2, a3, a4, a5, a6)
+    return SplineCoeffs(a1, a2, a3, a4)
 
 
 def modified_tables(n, c):
-    """Assemble the N x N arrays [sigma_m(x_j)], [sigma_m'(x_j)], [sigma_m''(x_j)].
+    """Assemble the N x N arrays [sigma_m(x_j)] and [sigma_m'(x_j)].
 
     Row m-1 holds basis function sigma_m sampled at all nodes.  Each table
     starts as the tridiagonal band of T_m's knot values; the end splines are
@@ -81,9 +75,8 @@ def modified_tables(n, c):
     if n < 4:
         raise DomainError(f"need at least 4 nodes, got {n}")
     tables = []
-    # (T_m(x_{m-1}), T_m(x_m), T_m(x_{m+1})) for the value and two derivatives
-    for left, centre, right in ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3),
-                                (c.a5, c.a6, c.a5)):
+    # (T_m(x_{m-1}), T_m(x_m), T_m(x_{m+1})) for the value and first derivative
+    for left, centre, right in ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3)):
         t = (np.diag(np.full(n - 1, left), -1) + np.diag(np.full(n, centre))
              + np.diag(np.full(n - 1, right), 1))
         t[0, 0] += 2.0 * right

@@ -43,7 +43,8 @@ from burgers_dqm.burgers_rhs import (
     rhs_2d,
     rhs_2d_split,
 )
-from burgers_dqm.dqm_weights import Grid2D, thomas_solve, weights_2d
+from burgers_dqm.dqm_weights import Grid2D, weights_2d
+from burgers_dqm.spline_basis import make_coeffs, modified_tables
 from burgers_dqm.stability import operator_matrices
 
 
@@ -292,16 +293,13 @@ def test_c9_property_suite(p4_runs):
     _report("C9 split identity 2D", gap_2d, 1e-12 * scale2)
     assert gap_2d <= 1e-12 * scale2
 
-    # tridiagonal solver residual
-    n = 40
-    diag = rng.uniform(2.0, 3.0, n)
-    sub = rng.uniform(0.0, 1.0, n)
-    sup = rng.uniform(0.0, 1.0, n)
-    rhs_vec = rng.standard_normal(n)
-    x = thomas_solve(sub, diag, sup, rhs_vec)
-    dense = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    residual = np.abs(dense @ x - rhs_vec).max()
-    _report("C9 Thomas residual", residual, 1e-10)
+    # residual of the production weight system: row i of w1 solves the
+    # collocation system whose right-hand side is column i of d1
+    g40 = Grid1D(prob1.a, prob1.b, 40)
+    val, d1 = modified_tables(g40.n, make_coeffs(g40.h))
+    residual = (np.abs(val @ first_order_weights(g40).T - d1).max()
+                / np.abs(d1).max())
+    _report("C9 weight-system residual", residual, 1e-10)
     assert residual <= 1e-10
 
     # convex-combination identities of the scheme coefficients

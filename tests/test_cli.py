@@ -408,6 +408,32 @@ def test_table_2_3_l2_matches_published_on_cheap_grids():
     assert all(0.5 <= r <= 10.0 for r in ratios), ratios
 
 
+# Computed/published ratio bands of the cheap tables on their full published
+# parameter sets: (ratios with a published value, lower, upper).  Each band is
+# the measured range widened by a factor 1.25 for the norm tables (1.1, 1.3)
+# and by 5e-4 for the pointwise tables (2.1, 3.1), rounded outward.  Measured
+# ranges: 1.1 L2 0.1864-1.0688, Linf 0.2666-1.3680; 1.3 Linf 3.373-6.450,
+# L2 7.285-9.039 (two rows published); 2.1 u 0.99967-1.00020; 3.1 u
+# 0.99890-1.00011, v 0.99685-1.00153.  A band is not widened to fit a result.
+TABLE_BANDS = {
+    "1.1": {"l2_ratio": (5, 0.14, 1.34), "linf_ratio": (5, 0.21, 1.71)},
+    "1.3": {"linf_ratio": (4, 2.69, 8.07), "l2_ratio": (2, 5.82, 11.3)},
+    "2.1": {"ratio=u_ratio": (30, 0.9991, 1.0007)},
+    "3.1": {"u_ratio": (8, 0.9984, 1.0007), "v_ratio": (8, 0.9963, 1.0021)},
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_BANDS))
+def test_table_ratios_stay_in_band(key):
+    spec = cli.TABLES[key]
+    rows = cli._sweep(spec, load_reference_table(key)[1])
+    for column, (count, lo, hi) in TABLE_BANDS[key].items():
+        col = spec.columns.index(column)
+        ratios = [row[col] for row in rows if row[col] is not None]
+        assert len(ratios) == count, (column, ratios)
+        assert all(lo <= r <= hi for r in ratios), (column, ratios)
+
+
 def test_table_cli_rejects_unknown_key(tmp_path):
     rc = main(["table", "9.9", "--out", str(tmp_path / "x")])
     assert rc == 2

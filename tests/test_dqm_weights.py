@@ -1,4 +1,4 @@
-"""Tests for grids, the tridiagonal solver, and quadrature weight matrices."""
+"""Tests for grids and quadrature weight matrices."""
 
 import math
 
@@ -12,13 +12,8 @@ from burgers_dqm import (
     second_order_weights,
     weights_2d,
 )
-from burgers_dqm.dqm_weights import (
-    dump_weights_csv,
-    thomas_factor,
-    thomas_solve,
-    thomas_solve_factored,
-)
-from burgers_dqm.exceptions import DomainError, SingularSystem
+from burgers_dqm.dqm_weights import dump_weights_csv
+from burgers_dqm.exceptions import DomainError
 from burgers_dqm.spline_basis import make_coeffs, modified_tables
 
 
@@ -52,64 +47,6 @@ def test_grid2d_square():
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal solver
-# ---------------------------------------------------------------------------
-
-# band arrays are full length: sub[0] and sup[-1] are ignored padding
-
-def _dense(sub, diag, sup):
-    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-
-
-def test_thomas_identity_system():
-    n = 7
-    rhs = np.arange(1.0, n + 1)
-    x = thomas_solve(np.zeros(n), np.ones(n), np.zeros(n), rhs)
-    np.testing.assert_array_equal(x, rhs)
-
-
-def test_thomas_small_system_vs_dense_solver():
-    diag = np.array([2.0, 2.0, 2.0])
-    sub = np.array([0.0, 1.0, 1.0])
-    sup = np.array([1.0, 1.0, 0.0])
-    rhs = np.array([4.0, 8.0, 8.0])
-    want = np.linalg.solve(_dense(sub, diag, sup), rhs)
-    got = thomas_solve(sub, diag, sup, rhs)
-    np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_thomas_random_system_residual():
-    rng = np.random.default_rng(0)
-    n = 50
-    diag = rng.uniform(2.0, 3.0, n)
-    sub = rng.uniform(0.0, 1.0, n)
-    sup = rng.uniform(0.0, 1.0, n)
-    rhs = rng.standard_normal(n)
-    x = thomas_solve(sub, diag, sup, rhs)
-    res = np.abs(_dense(sub, diag, sup) @ x - rhs).max()
-    assert res <= 1e-10 * max(1.0, np.abs(rhs).max())
-
-
-def test_thomas_factored_reuse():
-    rng = np.random.default_rng(1)
-    n = 12
-    diag = rng.uniform(2.0, 3.0, n)
-    sub = rng.uniform(0.0, 1.0, n)
-    sup = rng.uniform(0.0, 1.0, n)
-    fac = thomas_factor(sub, diag, sup)
-    for _ in range(3):
-        rhs = rng.standard_normal(n)
-        x = thomas_solve_factored(fac, rhs)
-        np.testing.assert_allclose(x, thomas_solve(sub, diag, sup, rhs), atol=1e-13)
-
-
-def test_thomas_singular_pivot():
-    with pytest.raises(SingularSystem):
-        thomas_solve(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                     np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-
-
-# ---------------------------------------------------------------------------
 # first-order weights
 # ---------------------------------------------------------------------------
 
@@ -139,18 +76,17 @@ def test_w1_centro_antisymmetry(n):
     np.testing.assert_allclose(w1, flipped, atol=1e-10)
 
 
-def test_w1_rows_satisfy_collocation_systems():
-    # each row of weights solves the tridiagonal system assembled from the
-    # modified basis: sum_l a[i,l] * sigma_m(x_l) = sigma_m'(x_i) for all m
-    n = 17
+@pytest.mark.parametrize("n", [4, 8, 17, 65, 121])
+def test_w1_rows_satisfy_collocation_systems(n):
+    # each row of weights solves the system assembled from the modified
+    # basis: sum_l a[i,l] * sigma_m(x_l) = sigma_m'(x_i) for all m
     g = Grid1D(0.0, 2.0, n)
     c = make_coeffs(g.h)
-    val, d1, _ = modified_tables(n, c)
+    val, d1 = modified_tables(n, c)
     w1 = first_order_weights(g)
-    scale = np.abs(d1).max()
-    for i in range(n):
-        res = np.abs(val @ w1[i, :] - d1[:, i]).max()
-        assert res <= 1e-10 * scale
+    # column i of the residual is row i's system
+    res = np.abs(val @ w1.T - d1).max()
+    assert res <= 1e-10 * np.abs(d1).max()
 
 
 def test_w1_interior_error_shrinks_at_second_order_or_better():

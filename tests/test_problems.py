@@ -262,6 +262,9 @@ def test_error_norms_validation():
         error_norms(np.zeros(5), np.zeros(6), 0.1)
     with pytest.raises(DomainError):
         error_norms(np.zeros(5), np.zeros(5), 0.0)
+    for h in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            error_norms(np.ones(3), np.zeros(3), h)
 
 
 def test_convergence_order_on_exact_halving():

@@ -3,6 +3,7 @@
 ``__all__`` must list every public name the package binds, each must
 resolve, and the names the benchmark workloads read from the top level must
 be among them, so trimming the surface cannot silently break a workload.
+The README's count of those names must match too.
 """
 
 import re
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import burgers_dqm
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
+README = ROOT / "README.md"
 
 
 def test_all_equals_the_public_names_bound():
@@ -35,3 +38,9 @@ def test_benchmark_workload_names_are_exported():
             "problem1", "problem4", "second_order_weights", "solve_1d",
             "solve_2d", "weights_2d"} <= used
     assert used <= set(burgers_dqm.__all__)
+
+
+def test_readme_states_the_export_count():
+    counts = re.findall(r"\(`burgers_dqm\.__all__`, (\d+) names\)",
+                        README.read_text())
+    assert counts == [str(len(burgers_dqm.__all__))]

@@ -2,7 +2,7 @@
 
 The knot-value tables are cross-checked against an independent symbolic
 evaluation of the piecewise basis function (built with sympy, differentiated
-analytically), so the closed-form constants a1..a6 are never compared against
+analytically), so the closed-form constants a1..a4 are never compared against
 themselves.
 """
 
@@ -73,7 +73,7 @@ ORACLE_H = [0.1, 0.5, 1.0]
 @pytest.mark.parametrize("h", ORACLE_H)
 def test_knot_values_match_symbolic_oracle(h):
     c = make_coeffs(h)
-    expected = {0: [c.a1, c.a2, c.a1], 1: [c.a4, 0.0, c.a3], 2: [c.a5, c.a6, c.a5]}
+    expected = {0: [c.a1, c.a2, c.a1], 1: [c.a4, 0.0, c.a3]}
     for deriv, want in expected.items():
         got = _oracle_at_knots(h, deriv)
         for (left, right), w in zip(got, want):
@@ -129,7 +129,7 @@ def test_first_derivative_constants_negate():
 def test_coeffs_finite_on_admissible_range():
     for h in np.linspace(1e-3, H_MAX - 1e-3, 25):
         c = make_coeffs(float(h))
-        for val in (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6):
+        for val in (c.a1, c.a2, c.a3, c.a4):
             assert math.isfinite(val)
 
 
@@ -164,15 +164,6 @@ def test_basis_deriv1_table():
     assert d1[3, 4] == -d1[3, 2]
 
 
-def test_basis_deriv2_table():
-    c = make_coeffs(0.4)
-    d2 = modified_tables(11, c)[2]
-    assert d2[3, 3] == c.a6
-    assert d2[3, 2] == c.a5
-    assert d2[3, 4] == c.a5
-    assert d2[3, 1] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # boundary-modified basis
 # ---------------------------------------------------------------------------
@@ -192,7 +183,7 @@ def test_modified_second_function_vanishes_at_first_node():
 def test_modified_interior_matches_plain_basis():
     n = 11
     c = make_coeffs(0.3)
-    knots = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3), (c.a5, c.a6, c.a5))
+    knots = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3))
     for tab, (left, centre, right) in zip(modified_tables(n, c), knots):
         for m in range(3, n - 1):
             plain = np.zeros(n)
@@ -203,29 +194,27 @@ def test_modified_interior_matches_plain_basis():
 def test_modified_last_functions_mirror_first():
     n = 11
     c = make_coeffs(0.3)
-    val, d1, d2 = modified_tables(n, c)
+    val, d1 = modified_tables(n, c)
     assert val[n - 1, n - 1] == pytest.approx(c.a2 + 2 * c.a1, abs=1e-15)
     assert val[n - 2, n - 1] == pytest.approx(0.0, abs=1e-15)
-    # the value and second-derivative tables are symmetric under reversal of
-    # both indices; the first-derivative table is antisymmetric
+    # the value table is symmetric under reversal of both indices; the
+    # first-derivative table is antisymmetric
     np.testing.assert_array_equal(val[::-1, ::-1], val)
-    np.testing.assert_array_equal(d2[::-1, ::-1], d2)
     np.testing.assert_array_equal(d1[::-1, ::-1], -d1)
 
 
 @pytest.mark.parametrize("n", [5, 11, 21])
 def test_modified_tables_tridiagonal(n):
     c = make_coeffs(0.25)
-    val, d1, d2 = modified_tables(n, c)
+    val, d1 = modified_tables(n, c)
     assert val.shape == (n, n)
-    for tab in (val, d1, d2):
+    for tab in (val, d1):
         mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
         assert np.all(tab[mask] == 0.0)
     # diagonals carry the expected constants in the untouched interior
     mid = n // 2
     assert val[mid, mid] == c.a2
     assert d1[mid, mid + 1] == c.a3
-    assert d2[mid, mid - 1] == c.a5
 
 
 def _folded_tables(n, knots):
@@ -250,8 +239,8 @@ def _folded_tables(n, knots):
 def test_modified_tables_match_symbolic_oracle():
     h = 0.2
     c = make_coeffs(h)
-    oracle = [[left for left, _ in _oracle_at_knots(h, deriv)] for deriv in range(3)]
-    closed_form = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3), (c.a5, c.a6, c.a5))
+    oracle = [[left for left, _ in _oracle_at_knots(h, deriv)] for deriv in range(2)]
+    closed_form = ((c.a1, c.a2, c.a1), (c.a4, 0.0, c.a3))
     for n in (4, 5, 9):
         tables = modified_tables(n, c)
         for tab, want in zip(tables, _folded_tables(n, oracle)):
