@@ -31,7 +31,9 @@ from .exceptions import ShapeMismatch
 class Problem1D:
     """1D coupled Burgers' problem: parameters, initial/boundary data, exact.
 
-    Traces ``g1..g4(t)`` must broadcast over an array ``t`` (or be scalar).
+    Traces ``g1..g4(t)`` must broadcast over an array ``t`` of times with a
+    trailing axis of 1, such as the ``(steps, 5, 1)`` array of a block of
+    solver steps (a scalar return is allowed).
     """
 
     eta: float
@@ -57,8 +59,10 @@ class Problem2D:
 
     The boundary traces ``bc_u(x, y, t)`` and ``bc_v`` are called with two
     equal-length arrays, the coordinates of every boundary-ring node, and an
-    array ``t`` (a column of times), and must broadcast elementwise over
-    them; a scalar return is allowed and broadcasts over the ring.
+    array ``t`` of times with a trailing axis of 1 (the solvers pass the
+    ``(steps, 5, 1)`` stage and result times of a block of steps), and must
+    broadcast elementwise over them; a scalar return is allowed and
+    broadcasts over the ring.
     """
 
     nu: float
@@ -94,7 +98,8 @@ def _check_1d(u, v, w1):
 def apply_dirichlet_1d(u, v, t, prob, grid):
     """Overwrite the end entries of u and v with the g1..g4 traces at t.
 
-    For a (k, 1) column of times, u and v hold one row per time.
+    For an array of times with a trailing axis of 1, shape (..., 1), u and
+    v have shape (..., n): one row per time.
     """
     u[..., :1] = prob.g1(t)
     u[..., -1:] = prob.g2(t)
@@ -106,8 +111,9 @@ def apply_dirichlet_2d(U, V, t, prob, grid):
     """Overwrite the boundary ring of U and V with the traces at time t.
 
     One trace call per field covers the whole ring; each corner is evaluated
-    once, at its own coordinates.  For a (k, 1) column of times, U and V are
-    (k, m) arrays of the ring values in ``grid.ring`` order, one row per time.
+    once, at its own coordinates.  For an array of times with a trailing
+    axis of 1, shape (..., 1), U and V are (..., m) arrays of the ring values
+    in ``grid.ring`` order, one row per time.
     """
     ring = grid.ring if np.ndim(t) == 0 else ...
     U[ring] = prob.bc_u(grid.ring_x, grid.ring_y, t)
@@ -133,7 +139,7 @@ def rhs_1d(w, t, prob, w1, w2):
     du -= prob.alpha * cross
     dv -= prob.xi * v * vx
     dv -= prob.beta * cross
-    out[:, 0] = out[:, -1] = 0.0
+    out[:, ::out.shape[-1] - 1] = 0.0  # both ends in one strided write
     return out
 
 
@@ -179,10 +185,14 @@ def _check_2d(U, V, ax1, by1):
 
 
 def _zero_ring(*fields):
-    """Zero the boundary ring of the last two axes of each array."""
+    """Zero the boundary ring of the last two axes of each array.
+
+    Each write strides across a whole axis, so it hits only the first and
+    last entries; a grid axis has at least 4 nodes, so the stride is never 0.
+    """
     for D in fields:
-        D[..., 0, :] = D[..., -1, :] = 0.0
-        D[..., :, 0] = D[..., :, -1] = 0.0
+        D[..., ::D.shape[-2] - 1, :] = 0.0
+        D[..., ::D.shape[-1] - 1] = 0.0
 
 
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):

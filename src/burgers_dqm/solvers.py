@@ -7,9 +7,10 @@ into rows of boundary values, and ``rhs(w, t)``, the full-sum right-hand
 side of the stacked ``(2, *shape)`` state.  The driver advances the state
 with the five-stage Runge-Kutta step.  Every stage state carries the traces
 at its own time, so time-varying traces keep the scheme's fourth order.
-Each field's traces are evaluated once per step, over the column of the
-step's times: they receive an array ``t`` and must broadcast over it (a
-scalar return is allowed).
+Every time a run needs traces at is known before its first step, so each
+field's traces are evaluated once per block of steps, over a
+``(steps, 5, 1)`` array of the block's stage and result times: they receive
+an array ``t`` and must broadcast over it (a scalar return is allowed).
 """
 
 import math
@@ -30,6 +31,11 @@ from .ssprk54 import ABSCISSAE, num_steps, step
 
 # Fractions of dt at which a step needs traces: stages 2-5, then the result.
 _TRACE_OFFSETS = np.array(ABSCISSAE[1:] + (1.0,))[:, None]
+
+# Trace values evaluated per ``impose`` call; a block holds as many steps as
+# fit, so small grids share one call among many steps while large grids
+# keep the call's temporaries in cache.
+TRACE_BUDGET = 8192
 
 # Relative slack when matching a requested snapshot time to a step multiple.
 SNAP_TOL = 1e-9
@@ -71,7 +77,14 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
 
     ``boundary`` masks a field's Dirichlet nodes; ``impose(u, v, t)`` fills
-    two fields, or (k, b) rows of the masked values for a (k, 1) column t.
+    two fields, or (..., b) rows of the masked values for an array t of
+    times with a trailing axis of 1.
+
+    The traces are evaluated one block of steps ahead: one ``impose`` call
+    covers the stage and result times of up to ``TRACE_BUDGET // (5 *
+    boundary nodes)`` steps, and the last block stops at t_end.  A trace
+    that raises therefore raises before the observer sees the earlier steps
+    of its block.
 
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
@@ -85,10 +98,11 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     steps = num_steps(t0, t_end, dt)
     snap_at = _snapshot_steps(snapshots, t0, dt, steps)
 
-    # flat[i]: both fields' traces at the step's i-th time, in ``nodes`` order
+    # flat[j, i]: both fields' traces at step j's i-th time, in ``nodes`` order
     nodes = np.flatnonzero(np.array((boundary, boundary)))
-    rows = np.empty((len(_TRACE_OFFSETS), 2, nodes.size // 2))
-    flat = rows.reshape(len(rows), -1)
+    block = max(1, TRACE_BUDGET // (len(_TRACE_OFFSETS) * nodes.size))
+    rows = np.empty((block, len(_TRACE_OFFSETS), 2, nodes.size // 2))
+    flat = rows.reshape(block, len(_TRACE_OFFSETS), -1)
     offsets = dt * _TRACE_OFFSETS
 
     w = np.array([np.broadcast_to(u0, boundary.shape),
@@ -98,28 +112,33 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
-    for m in range(steps):
-        t, t_new = t0 + m * dt, t0 + (m + 1) * dt
-        times = t + offsets
-        times[-1] = t_new  # exactly the time the next step starts from
-        impose(rows[:, 0], rows[:, 1], times)
-        pending = iter(flat)
+    for first in range(0, steps, block):
+        size = min(block, steps - first)
+        base = t0 + np.arange(first, first + size + 1) * dt
+        times = base[:-1, None, None] + offsets
+        times[:, -1, 0] = base[1:]  # exactly the time the next step starts from
+        impose(rows[:size, :, 0], rows[:size, :, 1], times)
 
-        def stage_rhs(x, s, start=w):
-            # stage 1 runs on ``start``, which holds the traces at t
-            if x is not start:
-                x.reshape(-1)[nodes] = next(pending)
-            return rhs(x, s)
+        for j in range(size):
+            k = first + j + 1
+            t, t_new = base[j].item(), base[j + 1].item()
+            pending = iter(flat[j])
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = step(w, t, dt, stage_rhs)
-        w.reshape(-1)[nodes] = flat[-1]
-        if observer is not None:
-            ro = w.view()
-            ro.flags.writeable = False
-            observer(m + 1, t_new, ro[0], ro[1])
-        if m + 1 in snap_at:
-            collected.append((snap_at[m + 1], w[0].copy(), w[1].copy()))
+            def stage_rhs(x, s, start=w):
+                # stage 1 runs on ``start``, which holds the traces at t
+                if x is not start:
+                    x.reshape(-1)[nodes] = next(pending)
+                return rhs(x, s)
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = step(w, t, dt, stage_rhs)
+            w.reshape(-1)[nodes] = flat[j, -1]
+            if observer is not None:
+                ro = w.view()
+                ro.flags.writeable = False
+                observer(k, t_new, ro[0], ro[1])
+            if k in snap_at:
+                collected.append((snap_at[k], w[0].copy(), w[1].copy()))
 
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 
@@ -160,6 +179,8 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         )
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
+    # F order makes ``by.T`` C-contiguous for the row products in rhs_2d
+    by1, by2 = np.asfortranarray(by1), np.asfortranarray(by2)
 
     def rhs(w, t):
         return rhs_2d(w, t, prob, ax1, ax2, by1, by2)

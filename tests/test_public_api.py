@@ -3,12 +3,15 @@
 ``__all__`` must list every public name the package binds, each must
 resolve, and the names the benchmark workloads read from the top level must
 be among them, so trimming the surface cannot silently break a workload.
-The README's count of those names must match too.
+The README's count of those names must match too, and library calls must
+write nothing to stdout.
 """
 
 import re
 import types
 from pathlib import Path
+
+import numpy as np
 
 import burgers_dqm
 
@@ -44,3 +47,15 @@ def test_readme_states_the_export_count():
     counts = re.findall(r"\(`burgers_dqm\.__all__`, (\d+) names\)",
                         README.read_text())
     assert counts == [str(len(burgers_dqm.__all__))]
+
+
+def test_library_calls_print_nothing(capsys):
+    # The benchmark reads its result from the last stdout line, and a
+    # library that prints would corrupt any caller's output the same way.
+    grid = burgers_dqm.Grid1D(0.0, 1.0, 9)
+    burgers_dqm.solve_1d(burgers_dqm.problem1(), 9, 1e-3, 5e-3)
+    burgers_dqm.solve_2d(burgers_dqm.problem4(), 9, 1e-3, 5e-3, ny=7)
+    burgers_dqm.weights_2d(burgers_dqm.Grid2D(grid, grid))
+    burgers_dqm.analyze(grid, burgers_dqm.FrozenParams(1.0, 1.0, 1.0), [1e-3])
+    burgers_dqm.error_norms(np.ones(3), np.zeros(3), 0.5)
+    assert capsys.readouterr().out == ""

@@ -24,6 +24,7 @@ from burgers_dqm import (
     step,
     weights_2d,
 )
+from burgers_dqm import solvers
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
 
@@ -171,31 +172,6 @@ def test_unstable_run_raises_nonfinite_with_time():
 # 2D
 # ---------------------------------------------------------------------------
 
-def test_solve_2d_calls_each_trace_once_per_step():
-    # Each field's traces are evaluated once at t0 and then once per step,
-    # over the column of the times of stages 2-5 and of the step's result.
-    prob = problem4()
-    calls = {"bc_u": 0, "bc_v": 0}
-
-    def counted(name):
-        f = getattr(prob, name)
-
-        def trace(x, y, t):
-            calls[name] += 1
-            return f(x, y, t)
-
-        return trace
-
-    counted_prob = dataclasses.replace(
-        prob, bc_u=counted("bc_u"), bc_v=counted("bc_v"))
-    steps = 6
-    sol = solve_2d(counted_prob, 9, 1e-3, steps * 1e-3, ny=7)
-    assert calls == {"bc_u": steps + 1, "bc_v": steps + 1}
-    ref = solve_2d(prob, 9, 1e-3, steps * 1e-3, ny=7)
-    np.testing.assert_array_equal(sol.u, ref.u)
-    np.testing.assert_array_equal(sol.v, ref.v)
-
-
 def test_2d_zero_horizon_matches_initial_data():
     prob = problem4()
     sol = solve_2d(prob, 9, 1e-3, 0.0)
@@ -232,6 +208,112 @@ def test_2d_snapshots():
     sol = solve_2d(prob, 9, 0.01, 0.04, snapshots=(0.02, 0.04))
     assert len(sol.snapshots) == 2
     np.testing.assert_array_equal(sol.snapshots[-1][1], sol.u)
+
+
+# ---------------------------------------------------------------------------
+# trace schedule: one evaluation per block of steps
+# ---------------------------------------------------------------------------
+
+def _block(boundary_nodes):
+    """Steps per trace block for a grid with this many Dirichlet nodes over
+    both fields."""
+    return max(1, solvers.TRACE_BUDGET // (5 * boundary_nodes))
+
+
+def _moved_problem1():
+    # problem 1 moved to [-1, 2], so the boundary traces vary in time
+    prob = problem1()
+    a, b = -1.0, 2.0
+    ga = lambda t: prob.exact_u(a, t)
+    gb = lambda t: prob.exact_u(b, t)
+    return dataclasses.replace(prob, a=a, b=b, g1=ga, g2=gb, g3=ga, g4=gb)
+
+
+def _counted(prob, calls):
+    """``prob`` with each trace named in ``calls`` counting its calls there."""
+    def wrap(name):
+        f = getattr(prob, name)
+
+        def trace(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return trace
+
+    return dataclasses.replace(prob, **{name: wrap(name) for name in calls})
+
+
+def test_solve_1d_calls_each_trace_once_per_block():
+    # Each trace is evaluated once at t0, then once per block of steps over
+    # the stage and result times of every step in the block.
+    block = _block(4)
+    steps = 2 * block + 5  # three blocks, the last one partial
+    calls = dict.fromkeys(("g1", "g2", "g3", "g4"), 0)
+    prob = _counted(problem1(), calls)
+    sol = solve_1d(prob, 9, 1e-3, steps * 1e-3)
+    assert calls == dict.fromkeys(calls, 1 + math.ceil(steps / block))
+    ref = solve_1d(problem1(), 9, 1e-3, steps * 1e-3)
+    np.testing.assert_array_equal(sol.u, ref.u)
+    np.testing.assert_array_equal(sol.v, ref.v)
+
+
+def test_solve_2d_calls_each_trace_once_per_block():
+    block = _block(2 * (2 * 9 + 2 * 5))  # the 9x7 ring, both fields
+    steps = 2 * block + 5
+    calls = {"bc_u": 0, "bc_v": 0}
+    prob = _counted(problem4(), calls)
+    sol = solve_2d(prob, 9, 1e-3, steps * 1e-3, ny=7)
+    assert calls == dict.fromkeys(calls, 1 + math.ceil(steps / block))
+    ref = solve_2d(problem4(), 9, 1e-3, steps * 1e-3, ny=7)
+    np.testing.assert_array_equal(sol.u, ref.u)
+    np.testing.assert_array_equal(sol.v, ref.v)
+
+
+@pytest.mark.parametrize("case", ["p1-moved", "p2", "p4"])
+def test_block_schedule_is_bitwise_the_per_step_schedule(case, monkeypatch):
+    # Evaluating the traces a block of steps ahead gives the same floats as
+    # evaluating them one step at a time (a budget too small for two steps).
+    if case == "p1-moved":
+        prob, block = _moved_problem1(), _block(4)
+        run = lambda **kw: solve_1d(prob, 9, 1e-3, steps * 1e-3, **kw)
+    else:
+        prob = problem2(re=100.0) if case == "p2" else problem4()
+        block = _block(2 * (2 * 9 + 2 * 5))
+        run = lambda **kw: solve_2d(prob, 9, 1e-3, steps * 1e-3, ny=7, **kw)
+    steps = 2 * block + 7
+    marks = (0, block - 1, block, block + 1, 2 * block, steps)
+    snaps = [k * 1e-3 for k in marks]
+    first_steps = range(1, steps + 1, block)
+    seen = {}
+
+    def observer(k, t, u, v):
+        if k in first_steps:
+            seen[k] = (t, u.copy(), v.copy())
+
+    got = run(snapshots=snaps, observer=observer)
+    assert sorted(seen) == list(first_steps)
+    for t, u, v in seen.values():
+        if u.ndim == 1:
+            bu, bv = u[[0, -1]], v[[0, -1]]
+            want_u, want_v = (prob.g1(t), prob.g2(t)), (prob.g3(t), prob.g4(t))
+        else:
+            grid = got.grid
+            bu, bv = u[grid.ring], v[grid.ring]
+            want_u = prob.bc_u(grid.ring_x, grid.ring_y, t)
+            want_v = prob.bc_v(grid.ring_x, grid.ring_y, t)
+        np.testing.assert_array_equal(bu, want_u)
+        np.testing.assert_array_equal(bv, want_v)
+
+    monkeypatch.setattr(solvers, "TRACE_BUDGET", 1)
+    want = run(snapshots=snaps)
+    assert got.t == want.t
+    np.testing.assert_array_equal(got.u, want.u)
+    np.testing.assert_array_equal(got.v, want.v)
+    assert len(got.snapshots) == len(marks)
+    for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
+        assert tg == tw
+        np.testing.assert_array_equal(ug, uw)
+        np.testing.assert_array_equal(vg, vw)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +355,10 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got[1] - want[1]).max() <= rtol * scale
 
 
-@STAGE_TIMING
-def test_solve_1d_matches_split_reference(trace_time):
-    # problem 1 moved to [-1, 2], so the boundary traces vary in time
-    prob = problem1()
-    a, b = -1.0, 2.0
-    ga = lambda t: prob.exact_u(a, t)
-    gb = lambda t: prob.exact_u(b, t)
-    prob = dataclasses.replace(prob, a=a, b=b, g1=ga, g2=gb, g3=ga, g4=gb)
-    n, dt, steps = 21, 1e-2, 50
-    grid = Grid1D(a, b, n)
+def _check_1d_against_reference(trace_time, dt, steps):
+    prob = _moved_problem1()
+    n = 21
+    grid = Grid1D(prob.a, prob.b, n)
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
     want = _reference_run(
@@ -294,9 +370,21 @@ def test_solve_1d_matches_split_reference(trace_time):
 
 
 @STAGE_TIMING
+def test_solve_1d_matches_split_reference(trace_time):
+    _check_1d_against_reference(trace_time, 1e-2, 50)  # inside one block
+
+
+@STAGE_TIMING
+def test_solve_1d_matches_split_reference_across_blocks(trace_time):
+    # three trace blocks, the last one partial
+    _check_1d_against_reference(trace_time, 2e-3, 2 * _block(4) + 82)
+
+
+@STAGE_TIMING
 def test_solve_2d_matches_split_reference(trace_time):
     prob = problem4()
     nx, ny, dt, steps = 9, 7, 1e-3, 50
+    assert steps > _block(2 * (2 * nx + 2 * ny - 4))  # crosses a trace block
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
     x = grid.xgrid.x[:, None]
