@@ -17,9 +17,7 @@ from .burgers_rhs import (
     boundary_forcing_1d,
     boundary_forcing_2d,
     rhs_1d,
-    rhs_1d_split,
     rhs_2d,
-    rhs_2d_split,
 )
 from .dqm_weights import (
     Grid1D,
@@ -95,9 +93,7 @@ __all__ = [
     "problem3",
     "problem4",
     "rhs_1d",
-    "rhs_1d_split",
     "rhs_2d",
-    "rhs_2d_split",
     "second_order_weights",
     "solve_1d",
     "solve_2d",

@@ -14,9 +14,10 @@ in one ``(2, *shape)`` array, returns them stacked the same way, and applies
 each weight matrix to both fields in one product.  The paper writes each sum
 as its interior part plus a boundary forcing term (F for u, G for v) that
 collects the first/last-column contributions with the convection
-coefficients frozen at the node value; ``rhs_*_split`` and
-``boundary_forcing_*`` implement that formulation as a reference on separate
-(u, v) fields, and the two routes agree to rounding.
+coefficients frozen at the node value; ``boundary_forcing_*`` compute those
+terms on separate (u, v) fields.  The interior-plus-forcing RHS built on
+them is a test oracle (``tests/oracles.py``) that agrees with the full-sum
+route to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -161,38 +162,20 @@ def boundary_forcing_1d(u, v, prob, w1, w2):
     return f, g
 
 
-def rhs_1d_split(u, v, t, prob, w1, w2):
-    """Interior-sum RHS plus boundary forcing; equals rhs_1d to rounding."""
-    _check_1d(u, v, w1)
-    w1i = w1[:, 1:-1]
-    w2i = w2[:, 1:-1]
-    ui = u[1:-1]
-    vi = v[1:-1]
-    ux = w1i @ ui
-    vx = w1i @ vi
-    f, g = boundary_forcing_1d(u, v, prob, w1, w2)
-    du = w2i @ ui - prob.eta * u * ux - prob.alpha * (u * vx + v * ux) + f
-    dv = w2i @ vi - prob.xi * v * vx - prob.beta * (u * vx + v * ux) + g
-    du[0] = du[-1] = 0.0
-    dv[0] = dv[-1] = 0.0
-    return du, dv
-
-
 def _check_2d(U, V, ax1, by1):
     shape = (ax1.shape[0], by1.shape[0])
     if U.shape != shape or V.shape != shape:
         raise ShapeMismatch(f"state shapes {U.shape}, {V.shape} do not match {shape}")
 
 
-def _zero_ring(*fields):
-    """Zero the boundary ring of the last two axes of each array.
+def _zero_ring(D):
+    """Zero the boundary ring of the last two axes of D.
 
     Each write strides across a whole axis, so it hits only the first and
     last entries; a grid axis has at least 4 nodes, so the stride is never 0.
     """
-    for D in fields:
-        D[..., ::D.shape[-2] - 1, :] = 0.0
-        D[..., ::D.shape[-1] - 1] = 0.0
+    D[..., ::D.shape[-2] - 1, :] = 0.0
+    D[..., ::D.shape[-1] - 1] = 0.0
 
 
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
@@ -236,18 +219,3 @@ def boundary_forcing_2d(U, V, prob, ax1, ax2, by1, by2):
     f = forcing(U, U, V)
     g = forcing(V, U, V)
     return f, g
-
-
-def rhs_2d_split(U, V, t, prob, ax1, ax2, by1, by2):
-    """Interior-sum 2D RHS plus boundary forcing; equals rhs_2d to rounding."""
-    _check_2d(U, V, ax1, by1)
-    nu = prob.nu
-    ax1i, ax2i = ax1[:, 1:-1], ax2[:, 1:-1]
-    by1i, by2i = by1[:, 1:-1], by2[:, 1:-1]
-    Ui, Vi = U[1:-1, :], V[1:-1, :]
-    Uj, Vj = U[:, 1:-1], V[:, 1:-1]
-    f, g = boundary_forcing_2d(U, V, prob, ax1, ax2, by1, by2)
-    dU = nu * (ax2i @ Ui + Uj @ by2i.T) - U * (ax1i @ Ui) - V * (Uj @ by1i.T) + f
-    dV = nu * (ax2i @ Vi + Vj @ by2i.T) - U * (ax1i @ Vi) - V * (Vj @ by1i.T) + g
-    _zero_ring(dU, dV)
-    return dU, dV

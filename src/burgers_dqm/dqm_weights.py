@@ -22,6 +22,8 @@ class Grid1D:
     """Uniform grid of n nodes on [a, b], spacing h = (b - a)/(n - 1)."""
 
     def __init__(self, a, b, n):
+        if not float(n).is_integer():
+            raise DomainError(f"node count must be a whole number, got n={n!r}")
         if n < 4:
             raise DomainError(f"need at least 4 nodes, got n={n}")
         if not b > a:

@@ -223,6 +223,8 @@ def error_norms(computed, exact, h):
         raise ShapeMismatch(
             "computed %s vs exact %s" % (computed.shape, exact.shape)
         )
+    if computed.ndim == 0:
+        raise ShapeMismatch("computed and exact need at least one axis")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(
             "node measure h must be positive and finite, got %r" % (h,)

@@ -39,13 +39,12 @@ from burgers_dqm.burgers_rhs import (
     apply_dirichlet_1d,
     apply_dirichlet_2d,
     rhs_1d,
-    rhs_1d_split,
     rhs_2d,
-    rhs_2d_split,
 )
 from burgers_dqm.dqm_weights import Grid2D, weights_2d
 from burgers_dqm.spline_basis import make_coeffs, modified_tables
 from burgers_dqm.stability import operator_matrices
+from oracles import rhs_1d_split, rhs_2d_split
 
 
 def _report(label, measured, bound, comparator="<="):

@@ -14,9 +14,7 @@ from burgers_dqm import (
     second_order_weights,
     weights_2d,
     rhs_1d,
-    rhs_1d_split,
     rhs_2d,
-    rhs_2d_split,
     problem1,
     problem2,
     problem3,
@@ -24,6 +22,7 @@ from burgers_dqm import (
 )
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ShapeMismatch
+from oracles import rhs_1d_split, rhs_2d_split
 
 
 def _weights_1d(grid):

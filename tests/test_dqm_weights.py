@@ -38,6 +38,11 @@ def test_grid_rejects_bad_input():
     # spacing must stay below the admissible limit for the spline constants
     with pytest.raises(DomainError):
         Grid1D(0.0, 100.0, 5)
+    # a node count must be whole; an integral float is still accepted
+    for n in (10.7, 10.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            Grid1D(0.0, 1.0, n)
+    assert Grid1D(0.0, 1.0, 10.0).n == 10
 
 
 def test_grid2d_square():

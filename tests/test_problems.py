@@ -265,6 +265,8 @@ def test_error_norms_validation():
     for h in (math.nan, math.inf):
         with pytest.raises(DomainError):
             error_norms(np.ones(3), np.zeros(3), h)
+    with pytest.raises(ShapeMismatch):
+        error_norms(1.0, 0.5, 0.1)
 
 
 def test_convergence_order_on_exact_halving():

@@ -3,10 +3,13 @@
 ``__all__`` must list every public name the package binds, each must
 resolve, and the names the benchmark workloads read from the top level must
 be among them, so trimming the surface cannot silently break a workload.
-The README's count of those names must match too, and library calls must
-write nothing to stdout.
+Every per-layer metric of the traced benchmark run must keep a package
+function to be computed from, or the run's result line reads NaN.  The
+README's count of those names must match too, and library calls must write
+nothing to stdout.
 """
 
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -17,6 +20,7 @@ import burgers_dqm
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "bench" / "workloads.py"
+TRACING = ROOT / "bench" / "tracing.py"
 README = ROOT / "README.md"
 
 
@@ -41,6 +45,18 @@ def test_benchmark_workload_names_are_exported():
             "problem1", "problem4", "second_order_weights", "solve_1d",
             "solve_2d", "weights_2d"} <= used
     assert used <= set(burgers_dqm.__all__)
+
+
+def test_every_traced_metric_keeps_a_function():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing_metrics() == set()
+    finally:
+        tracer.uninstall()
 
 
 def test_readme_states_the_export_count():

@@ -18,9 +18,9 @@ from burgers_dqm import (  # noqa: E402
     problem3,
     problem4,
     rhs_2d,
-    rhs_2d_split,
     weights_2d,
 )
+from oracles import rhs_2d_split  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,8 +15,6 @@ from burgers_dqm import (
     problem1,
     problem2,
     problem4,
-    rhs_1d_split,
-    rhs_2d_split,
     second_order_weights,
     solve_1d,
     solve_2d,
@@ -27,6 +25,7 @@ from burgers_dqm import (
 from burgers_dqm import solvers
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
+from oracles import rhs_1d_split, rhs_2d_split
 
 
 def test_zero_horizon_returns_initial_condition():
@@ -201,6 +200,15 @@ def test_2d_horizon_guard():
     prob = problem2()
     with pytest.raises(DomainError):
         solve_2d(prob, 9, 1e-3, 0.7)
+
+
+def test_fractional_node_count_rejected():
+    with pytest.raises(DomainError):
+        solve_1d(problem1(), 10.5, 1e-3, 1e-2)
+    with pytest.raises(DomainError):
+        solve_2d(problem4(), 9.5, 1e-3, 1e-2)
+    with pytest.raises(DomainError):
+        solve_2d(problem4(), 9, 1e-3, 1e-2, ny=7.5)
 
 
 def test_2d_snapshots():

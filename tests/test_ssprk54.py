@@ -124,6 +124,15 @@ def test_amplification_at_zero_is_one():
     assert abs(amplification(0.0) - 1.0) <= 1e-12
 
 
+def test_amplification_on_arrays_matches_scalar_calls():
+    assert type(amplification(0.0)) is complex
+    zs = np.array([-2.5, -1.0 + 0.5j, 0.3j, 0.25 - 1.5j, 0.0])
+    r = amplification(zs)
+    assert r.shape == zs.shape and r.dtype == complex
+    scalars = np.array([amplification(z) for z in zs])
+    assert np.array_equal(r, scalars)
+
+
 def test_amplification_taylor_coefficients():
     # recover the polynomial coefficients exactly from six samples on a circle
     r = 0.5
