@@ -181,22 +181,21 @@ def _zero_ring(D):
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     """Full-sum 2D RHS of the stacked ``(2, nx, ny)`` state (U, V).
 
-    Returns (dU, dV) stacked the same way.  x-derivatives apply the x-axis
-    matrix down each column of constant y, as one batched product over both
-    fields; y-derivatives apply the y-axis matrix along each row of constant
-    x, as one product on the ``(2 nx, ny)`` row view of the state.  The
+    Returns (dU, dV) stacked the same way.  Each derivative is one batched
+    product over both fields, which computes the per-field products: the
+    x-axis matrix applies down each column of constant y (``ax @ w``), the
+    y-axis matrix along each row of constant x (``w @ by.T``).  The
     boundary ring of the result is zero; its dtype follows the state and the
     weights, which share one dtype (complex inputs give a complex result).
     """
     _check_state(w, (2, ax1.shape[0], by1.shape[0]))
-    rows = w.reshape(-1, w.shape[-1])
     out = ax2 @ w
-    out += (rows @ by2.T).reshape(w.shape)
+    out += w @ by2.T
     out *= prob.nu
     conv = ax1 @ w
     conv *= w[0]
     out -= conv
-    conv = (rows @ by1.T).reshape(w.shape)
+    conv = w @ by1.T
     conv *= w[1]
     out -= conv
     _zero_ring(out)

@@ -90,10 +90,12 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     Dirichlet data are reimposed, with read-only views of the solver state;
     copy them to keep them past the call.
 
-    Each step runs with numpy's overflow and invalid-value warnings
-    silenced: a blow-up ends in ``NonFiniteState``, which carries the time
-    and stage, and the warnings on the way there are noise.  The trace
-    evaluation and the observer keep the caller's floating-point settings.
+    The steps of a block run in one region with numpy's overflow and
+    invalid-value warnings silenced: a blow-up ends in ``NonFiniteState``,
+    which carries the time and stage, and the warnings on the way there are
+    noise.  The block's trace evaluation runs before that region, and each
+    observer call runs under the floating-point settings in force when
+    ``_drive`` was entered, so both keep the caller's settings.
     """
     steps = num_steps(t0, t_end, dt)
     snap_at = _snapshot_steps(snapshots, t0, dt, steps)
@@ -112,33 +114,35 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
+    caller = np.geterr()
     for first in range(0, steps, block):
         size = min(block, steps - first)
         base = t0 + np.arange(first, first + size + 1) * dt
         times = base[:-1, None, None] + offsets
         times[:, -1, 0] = base[1:]  # exactly the time the next step starts from
         impose(rows[:size, :, 0], rows[:size, :, 1], times)
+        base = base.tolist()
 
-        for j in range(size):
-            k = first + j + 1
-            t, t_new = base[j].item(), base[j + 1].item()
-            pending = iter(flat[j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(size):
+                k = first + j + 1
+                pending = iter(flat[j])
 
-            def stage_rhs(x, s, start=w):
-                # stage 1 runs on ``start``, which holds the traces at t
-                if x is not start:
-                    x.reshape(-1)[nodes] = next(pending)
-                return rhs(x, s)
+                def stage_rhs(x, s, start=w):
+                    # stage 1 runs on ``start``, which holds the traces at t
+                    if x is not start:
+                        x.reshape(-1)[nodes] = next(pending)
+                    return rhs(x, s)
 
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = step(w, t, dt, stage_rhs)
-            w.reshape(-1)[nodes] = flat[j, -1]
-            if observer is not None:
-                ro = w.view()
-                ro.flags.writeable = False
-                observer(k, t_new, ro[0], ro[1])
-            if k in snap_at:
-                collected.append((snap_at[k], w[0].copy(), w[1].copy()))
+                w = step(w, base[j], dt, stage_rhs)
+                w.reshape(-1)[nodes] = flat[j, -1]
+                if observer is not None:
+                    ro = w.view()
+                    ro.flags.writeable = False
+                    with np.errstate(**caller):
+                        observer(k, base[j + 1], ro[0], ro[1])
+                if k in snap_at:
+                    collected.append((snap_at[k], w[0].copy(), w[1].copy()))
 
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 
@@ -179,7 +183,7 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         )
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
-    # F order makes ``by.T`` C-contiguous for the row products in rhs_2d
+    # F order makes ``by.T`` C-contiguous for the per-field products in rhs_2d
     by1, by2 = np.asfortranarray(by1), np.asfortranarray(by2)
 
     def rhs(w, t):

@@ -1,4 +1,4 @@
-"""The paper's split formulation of the RHS, kept as a test oracle.
+"""Reference forms kept as test oracles: the split RHS and the RK54 step.
 
 The paper writes each derivative sum as its interior part plus a boundary
 forcing term (F for u, G for v) that collects the first/last-column
@@ -7,9 +7,20 @@ contributions with the convection coefficients frozen at the node value.
 (u, v) fields, from the package's ``boundary_forcing_1d``/``_2d`` (which
 also check the state shapes).  The solvers use the full-sum route instead;
 the tests hold the two routes equal to rounding.
+
+``step_reference`` is the SSP-RK54 step written as one expression per
+stage, in the Shu-Osher form of Spiteri & Ruuth; ``ssprk54.step`` evaluates
+the same terms in the same order into buffers of its own, and the tests hold
+the two byte-equal.
 """
 
+import numpy as np
+
 from burgers_dqm import boundary_forcing_1d, boundary_forcing_2d
+from burgers_dqm.ssprk54 import (
+    A20, A21, A30, A32, A40, A43, ABSCISSAE, B10, B21, B32, B43, C2, C3, C4,
+    D3, D4, _check,
+)
 
 
 def rhs_1d_split(u, v, t, prob, w1, w2):
@@ -42,3 +53,20 @@ def rhs_2d_split(U, V, t, prob, ax1, ax2, by1, by2):
         D[[0, -1], :] = 0.0
         D[:, [0, -1]] = 0.0
     return dU, dV
+
+
+def step_reference(u, t, dt, rhs):
+    """One SSP-RK54 step, one expression per stage; ``step`` matches it bitwise."""
+    u = np.asarray(u)
+    ts = [t + c * dt for c in ABSCISSAE]
+
+    u1 = u + (B10 * dt) * rhs(u, ts[0])
+    u2 = A20 * u + A21 * u1 + (B21 * dt) * rhs(u1, ts[1])
+    u3 = A30 * u + A32 * u2 + (B32 * dt) * rhs(u2, ts[2])
+    l3 = rhs(u3, ts[3])
+    u4 = A40 * u + A43 * u3 + (B43 * dt) * l3
+    out = C2 * u2 + C3 * u3 + (D3 * dt) * l3 + C4 * u4 + (D4 * dt) * rhs(u4, ts[4])
+    if not np.isfinite(out).all():
+        for stage, uk in enumerate((u1, u2, u3, u4, out), start=1):
+            _check(uk, t, stage)
+    return out

@@ -229,6 +229,28 @@ def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
         assert out[1].tobytes() == dV.tobytes()
 
 
+@pytest.mark.parametrize("nx, ny", [(17, 17), (65, 65), (17, 9)])
+def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
+    # solve_2d passes F-ordered copies of the y-matrices; the batched
+    # products still write the bits of one product per field and matrix, for
+    # the DQM weights and for random matrices in the same layout
+    prob = problem4()
+    g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    rng = np.random.default_rng(nx * ny + 1)
+    random = (*rng.standard_normal((2, nx, nx)), *rng.standard_normal((2, ny, ny)))
+    for ax1, ax2, by1, by2 in (weights_2d(g), random):
+        by1, by2 = np.asfortranarray(by1), np.asfortranarray(by2)
+        U, V = rng.standard_normal((2, nx, ny))
+        nu = prob.nu
+        dU = nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
+        dV = nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
+        for D in (dU, dV):
+            D[0, :] = D[-1, :] = D[:, 0] = D[:, -1] = 0.0
+        out = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
+        assert out[0].tobytes() == dU.tobytes()
+        assert out[1].tobytes() == dV.tobytes()
+
+
 def test_rhs_2d_matches_analytic_time_derivative():
     # The shifted-sigmoid solution has du/dt = -(Re/32) E / (4 (1+E)^2) with
     # E the exponential kernel; compare on the interior at t=0.

@@ -25,7 +25,7 @@ from burgers_dqm import (
 from burgers_dqm import solvers
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
-from oracles import rhs_1d_split, rhs_2d_split
+from oracles import rhs_1d_split, rhs_2d_split, step_reference
 
 
 def test_zero_horizon_returns_initial_condition():
@@ -139,7 +139,7 @@ def test_observer_sees_every_step():
 
 
 def test_observer_keeps_callers_floating_point_settings():
-    # only the step itself runs with overflow/invalid warnings silenced
+    # only the steps run with overflow/invalid warnings silenced
     seen = []
 
     def observer(k, t, u, v):
@@ -148,6 +148,26 @@ def test_observer_keeps_callers_floating_point_settings():
     with np.errstate(over="raise", invalid="raise"):
         solve_1d(problem1(), 9, 0.05, 0.1, observer=observer)
     assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "raise")] * 2
+
+
+def test_traces_keep_callers_floating_point_settings():
+    # the steps of a block share one silenced region; each block's trace
+    # evaluation runs outside it
+    seen = []
+    base = problem4()
+
+    def bc_u(x, y, t):
+        seen.append(np.geterr())
+        return base.bc_u(x, y, t)
+
+    prob = dataclasses.replace(base, bc_u=bc_u)
+    block = _block(2 * (2 * 9 + 2 * 5))
+    steps = 2 * block + 5
+    with np.errstate(over="raise", invalid="raise"):
+        solve_2d(prob, 9, 1e-3, steps * 1e-3, ny=7)
+    assert len(seen) == 1 + math.ceil(steps / block)
+    assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "raise")] * len(seen)
+
 
 def test_unstable_run_raises_nonfinite_with_time():
     # An oversized step on a genuinely nonlinear system overflows quickly.
@@ -322,6 +342,25 @@ def test_block_schedule_is_bitwise_the_per_step_schedule(case, monkeypatch):
         assert tg == tw
         np.testing.assert_array_equal(ug, uw)
         np.testing.assert_array_equal(vg, vw)
+
+
+@pytest.mark.parametrize("case", ["p4-17", "p1-121"])
+def test_solvers_step_bitwise_as_with_the_step_oracle(case, monkeypatch):
+    # the buffered step drives a solve to the bits of the expression form
+    if case == "p4-17":
+        run = lambda: solve_2d(problem4(), 17, 1e-4, 0.004, snapshots=(0.002,))
+    else:
+        run = lambda: solve_1d(problem1(), 121, 1e-3, 0.04, snapshots=(0.02,))
+    got = run()
+    monkeypatch.setattr(solvers, "step", step_reference)
+    want = run()
+    assert got.t == want.t
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+    assert len(got.snapshots) == len(want.snapshots) == 1
+    for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
+        assert tg == tw
+        assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
 
 
 # ---------------------------------------------------------------------------

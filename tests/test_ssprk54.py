@@ -10,6 +10,7 @@ from burgers_dqm import ssprk54
 from burgers_dqm import step
 from burgers_dqm.exceptions import ConfigError, NonFiniteState
 from burgers_dqm.ssprk54 import amplification, num_steps
+from oracles import step_reference
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,84 @@ def test_stage_abscissae_derivation():
     assert c[1] == ssprk54.B10
     assert c[2] == ssprk54.A21 * c[1] + ssprk54.B21
     assert all(0.0 <= ci <= 1.5 for ci in c)
+
+
+# ---------------------------------------------------------------------------
+# the buffered step against its expression form
+# ---------------------------------------------------------------------------
+
+def _nonlinear_rhs(u, t):
+    # nonlinear and time-dependent; complex states stay complex
+    return np.cos(3.0 * t) * u * u - (1.0 + t) * u + np.sin(t)
+
+
+def _writing_rhs(start):
+    """``_nonlinear_rhs`` that first overwrites an entry of every stage state
+    it is handed except ``start``, as the solvers write each stage's traces."""
+    def rhs(u, t):
+        if u is not start:
+            u.reshape(-1)[0] = math.cos(t)
+        return _nonlinear_rhs(u, t)
+    return rhs
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 121), (2, 17, 17), (2, 65, 65)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_step_is_bitwise_the_expression_form(shape, dtype):
+    rng = np.random.default_rng(sum(shape) + 7)
+    u = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    if dtype is complex:
+        u += 1j * rng.uniform(-1.0, 1.0, shape)
+    for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
+        got = step(u, t, dt, _nonlinear_rhs)
+        want = step_reference(u, t, dt, _nonlinear_rhs)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.shape(got) == shape
+        assert got.tobytes() == want.tobytes()
+        if shape:
+            ug, uw = u.copy(), u.copy()
+            got = step(ug, t, dt, _writing_rhs(ug))
+            want = step_reference(uw, t, dt, _writing_rhs(uw))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_keeps_the_expression_forms_types():
+    zero = lambda u, t: np.zeros_like(u)
+    # integer input gives a float result
+    for u in (np.array([1, 2, 3]), 2, np.int64(4)):
+        got = step(u, 0.0, 0.1, zero)
+        want = step_reference(u, 0.0, 0.1, zero)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    # a scalar state gives a numpy scalar, not a 0-d array
+    for u in (1.0, np.float64(1.0), np.array(1.0)):
+        got = step(u, 0.0, 0.1, lambda u, t: -u)
+        assert type(got) is np.float64
+        assert got == step_reference(u, 0.0, 0.1, lambda u, t: -u)
+    assert type(step(1.0 + 2.0j, 0.0, 0.1, lambda u, t: -1j * u)) is np.complex128
+
+
+def test_step_writes_neither_its_input_nor_the_rhs_results():
+    # read-only arrays make any write raise
+    u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    u.flags.writeable = False
+    cached = np.full_like(u, 0.25)
+    cached.flags.writeable = False
+    calls = []
+
+    def rhs(x, t):
+        # a cached array at stages 1 and 4, fresh read-only arrays between
+        calls.append(t)
+        if len(calls) in (1, 4):
+            return cached
+        r = -x
+        r.flags.writeable = False
+        return r
+
+    got = step(u, 0.0, 0.1, rhs)
+    assert len(calls) == 5 and got.flags.writeable
+    np.testing.assert_array_equal(u, np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+    assert (cached == 0.25).all()
 
 
 # ---------------------------------------------------------------------------
