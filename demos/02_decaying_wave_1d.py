@@ -25,7 +25,8 @@ def main():
     print("problem 1 on a 121-node grid, dt = 1e-3")
     print(f"  {'t':>4}  {'Linf(u)':>12}  {'L2(u)':>12}  {'max|u-v|':>10}")
     for t, u, v in sol.snapshots:
-        rep = error_norms(u, prob.exact_u(sol.grid.x, t), sol.grid.h)
+        rep = error_norms(u, prob.exact_u(*sol.grid.coords, t),
+                          sol.grid.measure)
         print(f"  {t:>4.1f}  {rep.linf:>12.3e}  {rep.l2:>12.3e}  "
               f"{np.abs(u - v).max():>10.1e}")
 
@@ -39,8 +40,7 @@ def main():
     previous = None
     for dt in (1e-2, 5e-3, 2.5e-3):
         sol = solve_2d(p2, 17, dt, 0.5)
-        x, y = sol.grid.xgrid.x[:, None], sol.grid.ygrid.x[None, :]
-        err = np.abs(sol.u - p2.exact_u(x, y, sol.t)).max()
+        err = np.abs(sol.u - p2.exact_u(*sol.grid.coords, sol.t)).max()
         ratio = "-" if previous is None else f"{previous / err:.1f}"
         print(f"  {dt:>7.1e}  {err:>10.2e}  {ratio:>6}")
         previous = err

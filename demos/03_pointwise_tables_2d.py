@@ -14,7 +14,7 @@ from burgers_dqm import load_reference_table, problem2, solve_2d
 def main():
     prob = problem2(re=80.0)
     sol = solve_2d(prob, 21, 1e-4, 0.1)
-    x = sol.grid.xgrid.x
+    x, y = sol.grid.coords
 
     _, rows = load_reference_table("2.1")
     print("rational-solution benchmark at t = 0.1 (21x21 grid, dt = 1e-4)")
@@ -23,7 +23,7 @@ def main():
         if row["t"] != 0.1:
             continue
         xi = int(np.argmin(np.abs(x - row["x"])))
-        yi = int(np.argmin(np.abs(x - row["y"])))
+        yi = int(np.argmin(np.abs(y - row["y"])))
         got = sol.u[xi, yi]
         exact = prob.exact_u(row["x"], row["y"], 0.1)
         print(f"  ({row['x']:.1f}, {row['y']:.1f})"

@@ -29,7 +29,8 @@ def main():
     print(f"  {'N':>4}  {'Linf':>10}  {'order':>6}  {'published':>9}")
     for n in (10, 20, 40, 80):
         sol = solve_1d(problem1(), n, 1e-3, 1.0)
-        rep = error_norms(sol.u, problem1().exact_u(sol.grid.x, sol.t), sol.grid.h)
+        rep = error_norms(sol.u, problem1().exact_u(*sol.grid.coords, sol.t),
+                          sol.grid.measure)
         order = convergence_order(prev, rep).linf if prev else float("nan")
         pub = pub_by_n[n].get("r_linf")
         print(f"  {n:>4}  {rep.linf:>10.2e}  {order:>6.2f}  "
@@ -42,10 +43,8 @@ def main():
     print(f"  {'N':>4}  {'Linf':>10}  {'order':>6}")
     for n in (8, 16, 32):
         sol = solve_2d(prob, n, 1e-3, 0.5)
-        x = sol.grid.xgrid.x[:, None]
-        y = sol.grid.ygrid.x[None, :]
-        cell = sol.grid.xgrid.h * sol.grid.ygrid.h
-        rep = error_norms(sol.u, prob.exact_u(x, y, sol.t), cell)
+        rep = error_norms(sol.u, prob.exact_u(*sol.grid.coords, sol.t),
+                          sol.grid.measure)
         order = convergence_order(prev, rep).linf if prev else float("nan")
         print(f"  {n:>4}  {rep.linf:>10.2e}  {order:>6.2f}")
         prev = rep

@@ -33,7 +33,6 @@ from . import __version__
 from .burgers_rhs import Problem2D
 from .dqm_weights import (
     Grid1D,
-    Grid2D,
     dump_weights_csv,
     first_order_weights,
     second_order_weights,
@@ -226,20 +225,6 @@ def _solve(prob, n, dt, t_end, ny=None, **kwargs):
     return solve_1d(prob, n, dt, t_end, **kwargs)
 
 
-def _nodes(sol):
-    """A solution's node coordinates and the measure of one cell.
-
-    The coordinates are one array per axis, shaped to broadcast against the
-    solution fields; the measure is the spacing in 1D and the cell area in
-    2D, the weight of the discrete L2 norm.
-    """
-    grid = sol.grid
-    if isinstance(grid, Grid2D):
-        return ((grid.xgrid.x[:, None], grid.ygrid.x[None, :]),
-                grid.xgrid.h * grid.ygrid.h)
-    return (grid.x,), grid.h
-
-
 # ---------------------------------------------------------------------------
 # solve
 
@@ -270,7 +255,7 @@ def run_solve(args):
     manifest = Manifest(_config_echo(args), args.out)
     manifest.start("integrate")
     sol = _solve(prob, args.nx, dt, t_end, ny=args.ny, snapshots=snapshots)
-    coords, measure = _nodes(sol)
+    coords = sol.grid.coords
     manifest.start("output")
 
     error_rows = []
@@ -281,8 +266,8 @@ def run_solve(args):
         manifest.write_csv("solution_t%s.csv" % _time_token(snap_t),
                            *_solution_rows(coords, su, sv, exact))
         if exact is not None:
-            ru = error_norms(su, exact[0], measure)
-            rv = error_norms(sv, exact[1], measure)
+            ru = error_norms(su, exact[0], sol.grid.measure)
+            rv = error_norms(sv, exact[1], sol.grid.measure)
             error_rows.append([snap_t, args.nx, dt, ru.l2, ru.linf, rv.l2, rv.linf])
 
     if error_rows:
@@ -372,7 +357,7 @@ def _sweep(spec, refs=()):
     for n in spec.n_values:
         sol = _solve(prob, n + 1 if spec.intervals else n, spec.dt,
                      max(spec.times), snapshots=spec.times)
-        coords, measure = _nodes(sol)
+        coords = sol.grid.coords
         for t, u, v in sol.snapshots:
             if spec.field is None:
                 for ref in refs:
@@ -387,7 +372,7 @@ def _sweep(spec, refs=()):
             computed = u if spec.field == "u" else v
             exact = getattr(prob, "exact_" + spec.field)(*coords, t)
             # orders are taken on the grid labels (log 2 under doubling)
-            rep = replace(error_norms(computed, exact, measure), n=n)
+            rep = replace(error_norms(computed, exact, sol.grid.measure), n=n)
             values = {"n": n, "t": t, "l2": rep.l2, "linf": rep.linf,
                       "r_l2": None, "r_linf": None}
             if with_orders and t in previous:

@@ -19,7 +19,11 @@ from .spline_basis import H_MAX, make_coeffs, modified_tables
 
 
 class Grid1D:
-    """Uniform grid of n nodes on [a, b], spacing h = (b - a)/(n - 1)."""
+    """Uniform grid of n nodes on [a, b], spacing h = (b - a)/(n - 1).
+
+    ``coords``, ``measure`` and ``ring`` are as on ``Grid2D``; here they are
+    ``(x,)``, ``h`` and the mask of the two ends.
+    """
 
     def __init__(self, a, b, n):
         if not float(n).is_integer():
@@ -35,6 +39,10 @@ class Grid1D:
         self.x = np.linspace(self.a, self.b, self.n)
         if not (0.0 < self.h < H_MAX):
             raise DomainError(f"grid spacing h={self.h} outside (0, 2*pi/3)")
+        self.coords = (self.x,)
+        self.measure = self.h
+        self.ring = np.zeros(self.n, dtype=bool)
+        self.ring[[0, -1]] = True
 
     def __repr__(self):
         return f"Grid1D(a={self.a}, b={self.b}, n={self.n})"
@@ -43,7 +51,9 @@ class Grid1D:
 class Grid2D:
     """Tensor grid: xgrid on [a, b] crossed with ygrid on [c, d].
 
-    ``ring`` is the boolean (nx, ny) mask of the boundary nodes, and
+    ``coords`` holds one node array per axis, shaped to broadcast against a
+    field; ``measure``, the cell area, weights the discrete L2 norm.
+    ``ring`` is the boolean (nx, ny) mask of the Dirichlet nodes, and
     ``ring_x``/``ring_y`` are their coordinates in the row-major order that
     ``A[ring]`` reads and writes; each corner appears once.
     """
@@ -51,6 +61,8 @@ class Grid2D:
     def __init__(self, xgrid, ygrid):
         self.xgrid = xgrid
         self.ygrid = ygrid
+        self.coords = (xgrid.x[:, None], ygrid.x[None, :])
+        self.measure = xgrid.h * ygrid.h
         self.ring = np.ones((xgrid.n, ygrid.n), dtype=bool)
         self.ring[1:-1, 1:-1] = False
         i, j = np.nonzero(self.ring)

@@ -1,16 +1,17 @@
 """Time-stepping drivers for the 1D and 2D coupled Burgers' problems.
 
-``solve_1d`` and ``solve_2d`` build the grid, the quadrature weights and the
-initial state, then hand one shared driver the boundary mask of a field,
-``impose(u, v, t)``, which writes the Dirichlet traces at a column of times
-into rows of boundary values, and ``rhs(w, t)``, the full-sum right-hand
-side of the stacked ``(2, *shape)`` state.  The driver advances the state
-with the five-stage Runge-Kutta step.  Every stage state carries the traces
-at its own time, so time-varying traces keep the scheme's fourth order.
-Every time a run needs traces at is known before its first step, so each
-field's traces are evaluated once per block of steps, over a
-``(steps, 5, 1)`` array of the block's stage and result times: they receive
-an array ``t`` and must broadcast over it (a scalar return is allowed).
+``solve_1d`` and ``solve_2d`` build the grid and the quadrature weights,
+then hand one shared driver the problem, the grid, ``apply_dirichlet_1d``
+or ``_2d``, which write the Dirichlet traces at a column of times into
+rows of boundary values, and ``rhs(w, t)``, the full-sum right-hand side
+of the stacked ``(2, *shape)`` state.  The driver starts from the initial
+fields on the grid's ``coords`` and advances the state with the five-stage
+Runge-Kutta step.  Every stage state carries the traces at its own time, so
+time-varying traces keep the scheme's fourth order.  Every time a run needs
+traces at is known before its first step, so each field's traces are
+evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
+block's stage and result times: they receive an array ``t`` and must
+broadcast over it (a scalar return is allowed).
 """
 
 import math
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d, rhs_1d, rhs_2d
+from .burgers_rhs import (Problem1D, Problem2D, apply_dirichlet_1d,
+                          apply_dirichlet_2d, rhs_1d, rhs_2d)
 from .dqm_weights import (
     Grid1D,
     Grid2D,
@@ -72,13 +74,13 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     return table
 
 
-def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
-           observer):
+def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
 
-    ``boundary`` masks a field's Dirichlet nodes; ``impose(u, v, t)`` fills
-    two fields, or (..., b) rows of the masked values for an array t of
-    times with a trailing axis of 1.
+    The state starts as ``prob.phi``/``prob.psi`` on ``grid.coords``, and
+    ``grid.ring`` masks a field's Dirichlet nodes.  ``impose(u, v, t, prob,
+    grid)`` fills two fields, or (..., b) rows of the masked values for an
+    array t of times with a trailing axis of 1.
 
     The traces are evaluated one block of steps ahead: one ``impose`` call
     covers the stage and result times of up to ``TRACE_BUDGET // (5 *
@@ -101,15 +103,16 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
     snap_at = _snapshot_steps(snapshots, t0, dt, steps)
 
     # flat[j, i]: both fields' traces at step j's i-th time, in ``nodes`` order
-    nodes = np.flatnonzero(np.array((boundary, boundary)))
+    nodes = np.flatnonzero(np.array((grid.ring, grid.ring)))
     block = max(1, TRACE_BUDGET // (len(_TRACE_OFFSETS) * nodes.size))
     rows = np.empty((block, len(_TRACE_OFFSETS), 2, nodes.size // 2))
     flat = rows.reshape(block, len(_TRACE_OFFSETS), -1)
     offsets = dt * _TRACE_OFFSETS
 
-    w = np.array([np.broadcast_to(u0, boundary.shape),
-                  np.broadcast_to(v0, boundary.shape)], dtype=float)
-    impose(w[0], w[1], t0)
+    w = np.array([np.broadcast_to(prob.phi(*grid.coords), grid.ring.shape),
+                  np.broadcast_to(prob.psi(*grid.coords), grid.ring.shape)],
+                 dtype=float)
+    impose(w[0], w[1], t0, prob, grid)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
@@ -120,7 +123,7 @@ def _drive(u0, v0, boundary, impose, rhs, dt, t_end, t0, snapshots,
         base = t0 + np.arange(first, first + size + 1) * dt
         times = base[:-1, None, None] + offsets
         times[:, -1, 0] = base[1:]  # exactly the time the next step starts from
-        impose(rows[:size, :, 0], rows[:size, :, 1], times)
+        impose(rows[:size, :, 0], rows[:size, :, 1], times, prob, grid)
         base = base.tolist()
 
         with np.errstate(over="ignore", invalid="ignore"):
@@ -155,6 +158,8 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     ``Solution``.  ``observer(step_index, t, u, v)`` is called after every
     step with read-only views of the state, Dirichlet data already applied.
     """
+    if isinstance(prob, Problem2D):
+        raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
     grid = Grid1D(prob.a, prob.b, n)
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
@@ -162,10 +167,8 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     def rhs(w, t):
         return rhs_1d(w, t, prob, w1, w2)
 
-    return Solution(grid, *_drive(
-        prob.phi(grid.x), prob.psi(grid.x), np.isin(np.arange(n), (0, n - 1)),
-        lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid), rhs, dt,
-        t_end, t0, snapshots, observer))
+    return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
+                                  t_end, t0, snapshots, observer))
 
 
 def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
@@ -175,6 +178,8 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
     ``ny`` defaults to ``nx``.  Snapshot and observer semantics match
     ``solve_1d``; fields are returned with shape (nx, ny), first axis x.
     """
+    if isinstance(prob, Problem1D):
+        raise ConfigError("solve_2d takes a 2D problem; use solve_1d")
     if ny is None:
         ny = nx
     if prob.horizon is not None and t_end > prob.horizon + 1e-12:
@@ -189,9 +194,5 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
     def rhs(w, t):
         return rhs_2d(w, t, prob, ax1, ax2, by1, by2)
 
-    xc = grid.xgrid.x[:, None]
-    yc = grid.ygrid.x[None, :]
-    return Solution(grid, *_drive(
-        prob.phi(xc, yc), prob.psi(xc, yc), grid.ring,
-        lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid), rhs, dt,
-        t_end, t0, snapshots, observer))
+    return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
+                                  t_end, t0, snapshots, observer))

@@ -52,11 +52,8 @@ def _report(label, measured, bound, comparator="<="):
 
 
 def _p4_error_report(prob, sol):
-    x = sol.grid.xgrid.x[:, None]
-    y = sol.grid.ygrid.x[None, :]
-    exact = prob.exact_u(x, y, sol.t)
-    cell = sol.grid.xgrid.h * sol.grid.ygrid.h
-    return error_norms(sol.u, exact, cell)
+    exact = prob.exact_u(*sol.grid.coords, sol.t)
+    return error_norms(sol.u, exact, sol.grid.measure)
 
 
 @pytest.fixture(scope="module")

@@ -213,9 +213,8 @@ def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
     prob = build()
     g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(g)
-    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
     rng = np.random.default_rng(nx * ny)
-    states = [(prob.phi(x, y), prob.psi(x, y)),
+    states = [(prob.phi(*g.coords), prob.psi(*g.coords)),
               tuple(rng.standard_normal((2, nx, ny)))]
     for U, V in states:
         nu = prob.nu
@@ -256,8 +255,7 @@ def test_rhs_2d_matches_analytic_time_derivative():
     # E the exponential kernel; compare on the interior at t=0.
     prob = problem4(re=100.0)
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 21)
-    x = g.xgrid.x[:, None]
-    y = g.ygrid.x[None, :]
+    x, y = g.coords
     u = prob.exact_u(x, y, 0.0)
     v = prob.exact_v(x, y, 0.0)
     du, dv = rhs_2d(np.array((u, v)), 0.0, prob, ax1, ax2, by1, by2)
@@ -375,9 +373,8 @@ def test_apply_dirichlet_2d_broadcasts_scalar_traces():
 def test_rhs_returns_stacked_fields():
     prob = problem4()
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
-    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
-    out = rhs_2d(np.array((prob.phi(x, y), prob.psi(x, y))), 0.0, prob,
-                 ax1, ax2, by1, by2)
+    out = rhs_2d(np.array((prob.phi(*g.coords), prob.psi(*g.coords))), 0.0,
+                 prob, ax1, ax2, by1, by2)
     assert isinstance(out, np.ndarray) and out.shape == (2, 9, 9)
     prob1 = problem1()
     g1 = Grid1D(prob1.a, prob1.b, 11)
@@ -393,8 +390,7 @@ def test_rhs_result_dtype_follows_complex_inputs():
     # whose real part is the real RHS
     prob = problem4()
     g, (ax1, ax2, by1, by2) = _grid_and_weights(prob, 9)
-    x, y = g.xgrid.x[:, None], g.ygrid.x[None, :]
-    U, V = prob.phi(x, y), prob.psi(x, y)
+    U, V = prob.phi(*g.coords), prob.psi(*g.coords)
     real = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
     cplx = rhs_2d(np.array((U + 0j, V + 0j)), 0.0, prob, ax1, ax2, by1, by2)
     assert cplx.dtype == complex

@@ -51,6 +51,27 @@ def test_grid2d_square():
     assert g.xgrid.h == g.ygrid.h
 
 
+@pytest.mark.parametrize("grid", [
+    Grid1D(-1.0, 2.0, 11),
+    Grid2D(Grid1D(0.0, 2.0, 17), Grid1D(-1.0, 0.5, 9)),
+], ids=["1d-11", "2d-17x9"])
+def test_grid_coords_measure_and_ring(grid):
+    # coords broadcast to the field shape, x first; measure is the L2 weight
+    # of one cell; ring marks exactly the nodes on an end of some axis
+    axes = [grid] if isinstance(grid, Grid1D) else [grid.xgrid, grid.ygrid]
+    shape = tuple(axis.n for axis in axes)
+    assert np.broadcast_shapes(*(c.shape for c in grid.coords)) == shape
+    mesh = np.meshgrid(*(axis.x for axis in axes), indexing="ij")
+    for got, want in zip(np.broadcast_arrays(*grid.coords), mesh):
+        np.testing.assert_array_equal(got, want)
+    assert grid.measure == (grid.h if len(axes) == 1
+                            else grid.xgrid.h * grid.ygrid.h)
+    want_ring = np.zeros(shape, dtype=bool)
+    for index, n in zip(np.indices(shape), shape):
+        want_ring |= (index == 0) | (index == n - 1)
+    np.testing.assert_array_equal(grid.ring, want_ring)
+
+
 # ---------------------------------------------------------------------------
 # first-order weights
 # ---------------------------------------------------------------------------
@@ -213,8 +234,7 @@ def test_weights_2d_square_grid_shares_matrices():
 def test_weights_2d_differentiates_plane():
     g = Grid2D.square(0.0, 1.0, 21)
     ax1, ax2, by1, by2 = weights_2d(g)
-    x = g.xgrid.x[:, None]
-    y = g.ygrid.x[None, :]
+    x, y = g.coords
     f = x + y
     np.testing.assert_allclose((ax1 @ f)[1:-1, :], 1.0, atol=5e-3)
     np.testing.assert_allclose((f @ by1.T)[:, 1:-1], 1.0, atol=5e-3)

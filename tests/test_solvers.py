@@ -84,6 +84,17 @@ def test_non_finite_times_rejected(kwargs):
         solve_2d(problem4(), 5, **args)
 
 
+@pytest.mark.parametrize("solve, build", [(solve_1d, problem4),
+                                          (solve_2d, problem1)],
+                         ids=["1d-solver-2d-problem", "2d-solver-1d-problem"])
+def test_solvers_reject_the_other_dimensions_problem(solve, build):
+    with pytest.raises(ConfigError, match="problem; use solve_"):
+        solve(build(), 9, 1e-3, 0.01)
+    # the check comes first: 3 nodes would otherwise fail as a DomainError
+    with pytest.raises(ConfigError):
+        solve(build(), 3, 1e-3, 0.01)
+
+
 def test_stage_policy_runs_and_differs_from_base():
     # Every stage state carries the traces at its own time, which keeps the
     # run accurate where the traces vary in time (p2) as well as where they
@@ -94,9 +105,7 @@ def test_stage_policy_runs_and_differs_from_base():
 
     p2 = problem2(re=100.0)
     sol = solve_2d(p2, 9, 1e-3, 0.1)
-    x = sol.grid.xgrid.x[:, None]
-    y = sol.grid.ygrid.x[None, :]
-    assert np.abs(sol.u - p2.exact_u(x, y, sol.t)).max() <= 1e-8
+    assert np.abs(sol.u - p2.exact_u(*sol.grid.coords, sol.t)).max() <= 1e-8
 
 
 def test_p2_converges_at_fourth_order_in_time():
@@ -107,9 +116,7 @@ def test_p2_converges_at_fourth_order_in_time():
     errors = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         sol = solve_2d(p2, 17, dt, 0.5)
-        x = sol.grid.xgrid.x[:, None]
-        y = sol.grid.ygrid.x[None, :]
-        errors.append(np.abs(sol.u - p2.exact_u(x, y, sol.t)).max())
+        errors.append(np.abs(sol.u - p2.exact_u(*sol.grid.coords, sol.t)).max())
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 12.0, errors
 
@@ -194,18 +201,14 @@ def test_unstable_run_raises_nonfinite_with_time():
 def test_2d_zero_horizon_matches_initial_data():
     prob = problem4()
     sol = solve_2d(prob, 9, 1e-3, 0.0)
-    x = sol.grid.xgrid.x[:, None]
-    y = sol.grid.ygrid.x[None, :]
-    np.testing.assert_allclose(sol.u, prob.phi(x, y), atol=1e-15)
-    np.testing.assert_allclose(sol.v, prob.psi(x, y), atol=1e-15)
+    np.testing.assert_allclose(sol.u, prob.phi(*sol.grid.coords), atol=1e-15)
+    np.testing.assert_allclose(sol.v, prob.psi(*sol.grid.coords), atol=1e-15)
 
 
 def test_2d_short_run_tracks_exact_solution():
     prob = problem4()
     sol = solve_2d(prob, 11, 1e-3, 0.1)
-    x = sol.grid.xgrid.x[:, None]
-    y = sol.grid.ygrid.x[None, :]
-    err = np.abs(sol.u - prob.exact_u(x, y, sol.t)).max()
+    err = np.abs(sol.u - prob.exact_u(*sol.grid.coords, sol.t)).max()
     assert err <= 5e-3
 
 
@@ -434,10 +437,8 @@ def test_solve_2d_matches_split_reference(trace_time):
     assert steps > _block(2 * (2 * nx + 2 * ny - 4))  # crosses a trace block
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
-    x = grid.xgrid.x[:, None]
-    y = grid.ygrid.x[None, :]
     want = _reference_run(
-        prob.phi(x, y), prob.psi(x, y), dt, steps, trace_time,
+        prob.phi(*grid.coords), prob.psi(*grid.coords), dt, steps, trace_time,
         lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid),
         lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
     sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
