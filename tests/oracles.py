@@ -1,4 +1,9 @@
-"""Reference forms kept as test oracles: the split RHS and the RK54 step.
+"""Reference forms kept as test oracles: the 1D RHS, the split RHS and the
+RK54 step.
+
+``rhs_1d_reference`` is the full-sum 1D RHS written per field, one
+expression per convection term; ``rhs_1d`` sums the same terms through one
+coupling product, and the tests hold the two equal to rounding.
 
 The paper writes each derivative sum as its interior part plus a boundary
 forcing term (F for u, G for v) that collects the first/last-column
@@ -14,13 +19,42 @@ the same terms in the same order into buffers of its own, and the tests hold
 the two byte-equal.
 """
 
+import dataclasses
+
 import numpy as np
 
-from burgers_dqm import boundary_forcing_1d, boundary_forcing_2d
+from burgers_dqm import boundary_forcing_1d, boundary_forcing_2d, problem1
+from burgers_dqm.burgers_rhs import _check_state
 from burgers_dqm.ssprk54 import (
     A20, A21, A30, A32, A40, A43, ABSCISSAE, B10, B21, B32, B43, C2, C3, C4,
     D3, D4, _check,
 )
+
+
+def problem1_asymmetric():
+    """Problem 1 with four distinct coupling coefficients, so that swapping
+    eta with xi or alpha with beta changes the RHS (problem 1 itself has
+    eta = xi and alpha = beta).  Its exact-solution fields no longer hold."""
+    return dataclasses.replace(problem1(), eta=0.3, xi=-1.7, alpha=0.55,
+                               beta=2.1, exact_u=None, exact_v=None,
+                               name="p1-asymmetric")
+
+
+def rhs_1d_reference(w, t, prob, w1, w2):
+    """Full-sum 1D RHS, one expression per field; equals rhs_1d to rounding."""
+    _check_state(w, (2, w1.shape[0]))
+    u, v = w[0], w[1]
+    wx = w @ w1.T
+    ux, vx = wx[0], wx[1]
+    cross = u * vx + v * ux
+    out = w @ w2.T
+    du, dv = out[0], out[1]
+    du -= prob.eta * u * ux
+    du -= prob.alpha * cross
+    dv -= prob.xi * v * vx
+    dv -= prob.beta * cross
+    out[:, ::out.shape[-1] - 1] = 0.0  # both ends in one strided write
+    return out
 
 
 def rhs_1d_split(u, v, t, prob, w1, w2):

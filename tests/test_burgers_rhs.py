@@ -1,6 +1,7 @@
 """Tests for the semi-discrete right-hand sides of the coupled system."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from burgers_dqm import (
 )
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ShapeMismatch
-from oracles import rhs_1d_split, rhs_2d_split
+from oracles import problem1_asymmetric, rhs_1d_split, rhs_2d_split
 
 
 def _weights_1d(grid):
@@ -67,18 +68,18 @@ def test_rhs_matches_exact_time_derivative():
 
 
 def test_split_identity_1d():
-    prob = problem1()
-    g = Grid1D(prob.a, prob.b, 21)
-    w1, w2 = _weights_1d(g)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(21)
-    v = rng.standard_normal(21)
-    apply_dirichlet_1d(u, v, 0.3, prob, g)
-    full = rhs_1d(np.array((u, v)), 0.3, prob, w1, w2)
-    split = rhs_1d_split(u, v, 0.3, prob, w1, w2)
-    scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
-    np.testing.assert_allclose(split[0], full[0], atol=1e-12 * scale)
-    np.testing.assert_allclose(split[1], full[1], atol=1e-12 * scale)
+    for prob in (problem1(), problem1_asymmetric()):
+        g = Grid1D(prob.a, prob.b, 21)
+        w1, w2 = _weights_1d(g)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(21)
+        v = rng.standard_normal(21)
+        apply_dirichlet_1d(u, v, 0.3, prob, g)
+        full = rhs_1d(np.array((u, v)), 0.3, prob, w1, w2)
+        split = rhs_1d_split(u, v, 0.3, prob, w1, w2)
+        scale = max(np.abs(full[0]).max(), np.abs(full[1]).max(), 1.0)
+        np.testing.assert_allclose(split[0], full[0], atol=1e-12 * scale)
+        np.testing.assert_allclose(split[1], full[1], atol=1e-12 * scale)
 
 
 def test_rhs_is_quadratic_in_amplitude():
@@ -130,9 +131,9 @@ def test_apply_dirichlet_1d_sets_traces():
 def test_rhs_1d_matches_per_field_products():
     # Two products over the stacked state give what four matrix-vector
     # products, one per field and matrix, give, to rounding.
-    prob = problem1()
     rng = np.random.default_rng(11)
-    for n in (9, 21, 121):
+    for prob, n in itertools.product((problem1(), problem1_asymmetric()),
+                                     (9, 21, 121)):
         g = Grid1D(prob.a, prob.b, n)
         w1, w2 = _weights_1d(g)
         u, v = rng.standard_normal((2, n))

@@ -25,7 +25,8 @@ from burgers_dqm import (
 from burgers_dqm import solvers
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
-from oracles import rhs_1d_split, rhs_2d_split, step_reference
+from oracles import (problem1_asymmetric, rhs_1d_reference, rhs_1d_split,
+                     rhs_2d_split, step_reference)
 
 
 def test_zero_horizon_returns_initial_condition():
@@ -364,6 +365,20 @@ def test_solvers_step_bitwise_as_with_the_step_oracle(case, monkeypatch):
     for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
         assert tg == tw
         assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
+
+
+@pytest.mark.parametrize("build, n", [(problem1, 41), (problem1, 121),
+                                      (problem1_asymmetric, 41)],
+                         ids=["p1-41", "p1-121", "p1-asymmetric-41"])
+def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
+    # the coupling product sums the convection terms in another order than
+    # the per-field expressions, so a whole run may move by rounding only
+    got = solve_1d(build(), n, 1e-3, 1.0)
+    monkeypatch.setattr(solvers, "rhs_1d", rhs_1d_reference)
+    want = solve_1d(build(), n, 1e-3, 1.0)
+    assert got.t == want.t
+    for g, w in ((got.u, want.u), (got.v, want.v)):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
 
 
 # ---------------------------------------------------------------------------
