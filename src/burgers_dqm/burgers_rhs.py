@@ -11,7 +11,9 @@
 Spatial derivatives are weighted sums over all grid nodes.  The solvers use
 the full-sum route (``rhs_1d``/``rhs_2d``), which takes both fields stacked
 in one ``(2, *shape)`` array, returns them stacked the same way, and applies
-each weight matrix to both fields in one product.  The paper writes each sum
+each weight matrix to both fields in one product.  In 1D the four quadratic
+convection terms also enter through one product, with the (2, 4) matrix
+``Problem1D.coupling`` of the coefficients.  The paper writes each sum
 as its interior part plus a boundary forcing term (F for u, G for v) that
 collects the first/last-column contributions with the convection
 coefficients frozen at the node value; ``boundary_forcing_*`` compute those
@@ -35,6 +37,11 @@ class Problem1D:
     Traces ``g1..g4(t)`` must broadcast over an array ``t`` of times with a
     trailing axis of 1, such as the ``(steps, 5, 1)`` array of a block of
     solver steps (a scalar return is allowed).
+
+    ``coupling`` is built from the coefficients, not passed: the read-only
+    (2, 4) matrix ``[[eta, alpha, alpha, 0], [0, beta, beta, xi]]`` that
+    takes the products (u u_x, u v_x, v u_x, v v_x) to the convection terms
+    of u and v.  ``dataclasses.replace`` rebuilds it.
     """
 
     eta: float
@@ -52,6 +59,13 @@ class Problem1D:
     exact_u: Optional[Callable] = None  # (x, t)
     exact_v: Optional[Callable] = None
     name: str = "custom-1d"
+    coupling: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = np.array([[self.eta, self.alpha, self.alpha, 0.0],
+                      [0.0, self.beta, self.beta, self.xi]])
+        c.flags.writeable = False
+        object.__setattr__(self, "coupling", c)
 
 
 @dataclass(frozen=True)
@@ -125,21 +139,16 @@ def rhs_1d(w, t, prob, w1, w2):
     """Full-sum semi-discrete RHS of the stacked ``(2, n)`` state (u, v).
 
     Returns (du, dv) stacked the same way.  Each weight matrix multiplies
-    both fields in one product.  Boundary entries of the result are zero;
-    its dtype follows the state and the weights, which share one dtype
-    (complex inputs give a complex result).
+    both fields in one product, and the four products (u u_x, u v_x, v u_x,
+    v v_x) enter both fields through one product with ``prob.coupling``.
+    Boundary entries of the result are zero; its dtype follows the state and
+    the weights, which share one dtype (float32 inputs give a float32
+    result, complex inputs a complex one).
     """
     _check_state(w, (2, w1.shape[0]))
-    u, v = w[0], w[1]
     wx = w @ w1.T
-    ux, vx = wx[0], wx[1]
-    cross = u * vx + v * ux
     out = w @ w2.T
-    du, dv = out[0], out[1]
-    du -= prob.eta * u * ux
-    du -= prob.alpha * cross
-    dv -= prob.xi * v * vx
-    dv -= prob.beta * cross
+    out -= prob.coupling @ (w[:, None] * wx).reshape(4, -1)
     out[:, ::out.shape[-1] - 1] = 0.0  # both ends in one strided write
     return out
 

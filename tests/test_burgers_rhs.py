@@ -148,6 +148,41 @@ def test_rhs_1d_matches_per_field_products():
         np.testing.assert_allclose(out[1], dv, rtol=0, atol=1e-13 * scale)
 
 
+def test_problem1d_coupling_rows_hold_the_coefficients():
+    # row 0 takes (u u_x, u v_x, v u_x, v v_x) to u's convection, row 1 to v's
+    np.testing.assert_array_equal(problem1().coupling,
+                                  [[-2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, -2.0]])
+    np.testing.assert_array_equal(problem1_asymmetric().coupling,
+                                  [[0.3, 0.55, 0.55, 0.0], [0.0, 2.1, 2.1, -1.7]])
+
+
+def test_problem1d_coupling_is_derived_read_only_and_hidden():
+    prob = problem1()
+    with pytest.raises(ValueError):
+        prob.coupling[0, 1] = 5.0
+    np.testing.assert_array_equal(
+        dataclasses.replace(prob, alpha=0.25).coupling,
+        [[-2.0, 0.25, 0.25, 0.0], [0.0, 1.0, 1.0, -2.0]])
+    fields = {f.name: getattr(prob, f.name)
+              for f in dataclasses.fields(prob) if f.init}
+    with pytest.raises(TypeError):
+        Problem1D(**fields, coupling=prob.coupling)
+    assert Problem1D(**fields) == prob
+    assert "coupling" not in repr(prob)
+
+
+def test_rhs_1d_result_dtype_follows_float32_inputs():
+    prob = problem1_asymmetric()
+    g = Grid1D(prob.a, prob.b, 11)
+    w1, w2 = _weights_1d(g)
+    w = np.array((prob.phi(g.x), prob.psi(g.x) + 0.5))
+    want = rhs_1d(w, 0.0, prob, w1, w2)
+    f32 = [a.astype(np.float32) for a in (w, w1, w2)]
+    got = rhs_1d(f32[0], 0.0, prob, *f32[1:])
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+
+
 # ---------------------------------------------------------------------------
 # semi-discrete consistency under refinement
 # ---------------------------------------------------------------------------
