@@ -23,7 +23,8 @@ def main():
     g = Grid1D(-math.pi, math.pi, 11)
     params = FrozenParams(tau0=1.0, kappa0=1.0, nu=1.0)
 
-    # the spectra are computed once; each dt only scales them
+    # the grid's spectra are computed once per process and memoized, so the
+    # max_stable_dt call below reuses them; each dt only scales them
     print("verdict sweep at N = 11 (tau0 = kappa0 = nu = 1)")
     dts = (1e-4, 1e-3, 1e-2, 1e-1, 0.5)
     rep = analyze(g, params, dts)

@@ -31,12 +31,7 @@ import numpy as np
 
 from . import __version__
 from .burgers_rhs import Problem2D
-from .dqm_weights import (
-    Grid1D,
-    dump_weights_csv,
-    first_order_weights,
-    second_order_weights,
-)
+from .dqm_weights import Grid1D, _grid_weights, dump_weights_csv
 from .exceptions import (
     ConfigError,
     DegenerateError,
@@ -538,8 +533,9 @@ def run_weights_dump(args):
 
     manifest = Manifest(_config_echo(args), args.out)
     manifest.start("weights")
-    w1 = first_order_weights(grid)
-    w2 = second_order_weights(w1, grid) if args.order in (None, 2) else None
+    weights = _grid_weights(grid)
+    w1 = weights.w1  # w2 is built only when read
+    w2 = weights.w2 if args.order in (None, 2) else None
 
     manifest.start("output")
     for order, w in ((1, w1), (2, w2)):

@@ -10,7 +10,13 @@ there the recursion, derived for polynomial bases, does not converge on the
 spline weights, and the rows are closed with the centred 3- and 5-point
 polynomial weights instead (a deviation from the paper's pure construction;
 see second_order_weights).
+
+The weights depend on the grid alone, so the solvers, the stability
+analysis and the CLI read them from one per-process memo keyed by the
+grid's (a, b, n) (``_grid_weights``); the public builders stay pure.
 """
+
+import functools
 
 import numpy as np
 
@@ -131,13 +137,51 @@ def _close_boundary_rows(w2, h):
         w2[row, row - half:row + half + 1] = stencil / (h * h)
 
 
+# Grids whose weights the memo keeps; each holds at most two n-by-n float64
+# matrices (2 n^2 8 bytes), the least recently used grid is dropped first.
+MEMO_GRIDS = 4
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class _Weights:
+    """Read-only w1 and w2 of one 1D grid, each built on first use, w2 from
+    w1, so a caller that needs only w1 never builds w2."""
+
+    def __init__(self, a, b, n):
+        self.grid = Grid1D(a, b, n)
+
+    @functools.cached_property
+    def w1(self):
+        return _read_only(first_order_weights(self.grid))
+
+    @functools.cached_property
+    def w2(self):
+        return _read_only(second_order_weights(self.w1, self.grid))
+
+
+@functools.lru_cache(maxsize=MEMO_GRIDS)
+def _memo(a, b, n):
+    return _Weights(a, b, n)
+
+
+def _grid_weights(grid):
+    """The memoized weights of a 1D grid (``.w1``, ``.w2``), shared by every
+    caller in the process: bitwise the builders' results, but read-only."""
+    return _memo(grid.a, grid.b, grid.n)
+
+
 def weights_2d(grid):
-    """Per-axis weight matrices (Ax1, Ax2, By1, By2) for a tensor grid."""
-    ax1 = first_order_weights(grid.xgrid)
-    ax2 = second_order_weights(ax1, grid.xgrid)
-    by1 = first_order_weights(grid.ygrid)
-    by2 = second_order_weights(by1, grid.ygrid)
-    return ax1, ax2, by1, by2
+    """Per-axis weight matrices (Ax1, Ax2, By1, By2) for a tensor grid.
+
+    The arrays are read-only and memoized per process; a square grid gets
+    the same arrays for both axes.
+    """
+    x, y = _grid_weights(grid.xgrid), _grid_weights(grid.ygrid)
+    return x.w1, x.w2, y.w1, y.w2
 
 
 def dump_weights_csv(w, path):

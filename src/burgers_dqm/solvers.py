@@ -1,17 +1,18 @@
 """Time-stepping drivers for the 1D and 2D coupled Burgers' problems.
 
-``solve_1d`` and ``solve_2d`` build the grid and the quadrature weights,
-then hand one shared driver the problem, the grid, ``apply_dirichlet_1d``
-or ``_2d``, which write the Dirichlet traces at a column of times into
-rows of boundary values, and ``rhs(w, t)``, the full-sum right-hand side
-of the stacked ``(2, *shape)`` state.  The driver starts from the initial
-fields on the grid's ``coords`` and advances the state with the five-stage
-Runge-Kutta step.  Every stage state carries the traces at its own time, so
-time-varying traces keep the scheme's fourth order.  Every time a run needs
-traces at is known before its first step, so each field's traces are
-evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
-block's stage and result times: they receive an array ``t`` and must
-broadcast over it (a scalar return is allowed).
+``solve_1d`` and ``solve_2d`` build the grid, read its quadrature weights
+from the per-process memo of ``dqm_weights``, then hand one shared driver
+the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
+Dirichlet traces at a column of times into rows of boundary values, and
+``rhs(w, t)``, the full-sum right-hand side of the stacked ``(2, *shape)``
+state.  The driver starts from the initial fields on the grid's ``coords``
+and advances the state with the five-stage Runge-Kutta step.  Every stage
+state carries the traces at its own time, so time-varying traces keep the
+scheme's fourth order.  Every time a run needs traces at is known before
+its first step, so each field's traces are evaluated once per block of
+steps, over a ``(steps, 5, 1)`` array of the block's stage and result
+times: they receive an array ``t`` and must broadcast over it (a scalar
+return is allowed).
 """
 
 import math
@@ -21,13 +22,7 @@ import numpy as np
 
 from .burgers_rhs import (Problem1D, Problem2D, apply_dirichlet_1d,
                           apply_dirichlet_2d, rhs_1d, rhs_2d)
-from .dqm_weights import (
-    Grid1D,
-    Grid2D,
-    first_order_weights,
-    second_order_weights,
-    weights_2d,
-)
+from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
 from .ssprk54 import ABSCISSAE, num_steps, step
 
@@ -161,8 +156,8 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     if isinstance(prob, Problem2D):
         raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
     grid = Grid1D(prob.a, prob.b, n)
-    w1 = first_order_weights(grid)
-    w2 = second_order_weights(w1, grid)
+    weights = _grid_weights(grid)
+    w1, w2 = weights.w1, weights.w2
 
     def rhs(w, t):
         return rhs_1d(w, t, prob, w1, w2)

@@ -9,18 +9,24 @@ and judges each candidate time step against them: dt only scales the
 spectrum, so membership of lambda_B * dt in the integrator's stability
 region (via the amplification factor R(z)) needs no further eigenvalues.
 
+The spectra of A1 and A2 depend on the grid alone; they are memoized per
+process by the grid's (a, b, n), so a later call on the same grid makes one
+eigensolve (``analyze``'s assembled operator, always certified afresh) or
+none (``max_stable_dt``).
+
 The lambda_B construction pairs eigenvalues of two non-commuting matrices,
 which is heuristic; the report therefore also carries the exact spectrum of
 the assembled operator -(tau0 + kappa0) A1 + 2 nu A2 so the two routes can
 be compared.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dqm_weights import first_order_weights, second_order_weights
+from .dqm_weights import MEMO_GRIDS, Grid1D, _grid_weights
 from .exceptions import ConvergenceFailure, DomainError, NoStableDt
 from .ssprk54 import amplification
 
@@ -143,22 +149,30 @@ def eigen_spectrum(m):
 
 def operator_matrices(grid):
     """Interior first- and second-derivative blocks (A1, A2) for a grid."""
-    w1 = first_order_weights(grid)
-    w2 = second_order_weights(w1, grid)
-    return interior_weight_matrix(w1), interior_weight_matrix(w2)
+    weights = _grid_weights(grid)
+    return (interior_weight_matrix(weights.w1),
+            interior_weight_matrix(weights.w2))
 
 
-def _spectra(grid, params):
-    """Operator blocks (A1, A2), their spectra and lambda_B; lambda1 is
-    sorted by imaginary part, lambda2 by real part (the other component
-    breaking ties), and lambda_B pairs them by index."""
-    a1, a2 = operator_matrices(grid)
+@functools.lru_cache(maxsize=MEMO_GRIDS)
+def _block_spectra(a, b, n):
+    """Read-only spectra of A1, sorted by imaginary part, and of A2, sorted
+    by real part (the other component breaking ties)."""
+    a1, a2 = operator_matrices(Grid1D(a, b, n))
     lam1 = eigen_spectrum(a1)
     lam2 = eigen_spectrum(a2)
     lam1 = lam1[np.lexsort((lam1.real, lam1.imag))]
     lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
+    lam1.flags.writeable = lam2.flags.writeable = False
+    return lam1, lam2
+
+
+def _spectra(grid, params):
+    """The memoized block spectra lambda1, lambda2 and lambda_B, which pairs
+    them by index."""
+    lam1, lam2 = _block_spectra(grid.a, grid.b, grid.n)
     lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
-    return a1, a2, lam1, lam2, lam_b
+    return lam1, lam2, lam_b
 
 
 def _max_abs_r(lam_b, dt):
@@ -174,7 +188,8 @@ def analyze(grid, params, dts):
             raise DomainError("dt must be finite, got %r" % (dt,))
         if dt <= 0.0:
             raise DomainError("dt must be > 0, got %r" % (dt,))
-    a1, a2, lam1, lam2, lam_b = _spectra(grid, params)
+    lam1, lam2, lam_b = _spectra(grid, params)
+    a1, a2 = operator_matrices(grid)
     speed = params.tau0 + params.kappa0
     assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
     im_max = float(np.abs(lam1.imag).max())
@@ -182,8 +197,8 @@ def analyze(grid, params, dts):
     ratio = re_max / im_max if im_max > 0.0 else math.inf
     max_abs_r = tuple(_max_abs_r(lam_b, dt) for dt in dts)
     return StabilityReport(
-        lambda1=lam1,
-        lambda2=lam2,
+        lambda1=lam1.copy(),
+        lambda2=lam2.copy(),
         lambda_b=lam_b,
         assembled=assembled,
         ratio_re_im=ratio,
@@ -195,8 +210,9 @@ def analyze(grid, params, dts):
 def max_stable_dt(grid, params):
     """Largest dt in (0, 10] whose scaled spectrum stays inside the region.
 
-    The spectra are computed once (z is linear in dt) and the boundary is
-    located by bisection to relative width 1e-3.  Raises NoStableDt when
+    The grid's memoized spectra serve every dt (z is linear in dt), so a
+    grid seen before needs no eigensolve, and the boundary is located by
+    bisection to relative width 1e-3.  Raises NoStableDt when
     even dt = 1e-9 falls outside.
     """
     lam_b = _spectra(grid, params)[-1]

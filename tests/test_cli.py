@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from burgers_dqm import cli, load_reference_table, problem1
+from burgers_dqm import cli, dqm_weights, load_reference_table, problem1
 from burgers_dqm.cli import main
 
 
@@ -362,6 +362,31 @@ def test_weights_dump_single_order(tmp_path):
     assert rc == 0
     assert (out / "weights_order1.csv").exists()
     assert not (out / "weights_order2.csv").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_weights_dump_order_1_builds_no_second_order_weights(tmp_path,
+                                                              monkeypatch):
+    dqm_weights._memo.cache_clear()
+    first = _count_calls(monkeypatch, dqm_weights, "first_order_weights")
+    second = _count_calls(monkeypatch, dqm_weights, "second_order_weights")
+    argv = ["weights-dump", "--nx", "7", "--a", "0", "--b", "1"]
+    assert main(argv + ["--order", "1", "--out", str(tmp_path / "w1")]) == 0
+    assert (len(first), len(second)) == (1, 0)
+    # a later dump of both orders builds w2 once, from the memoized w1
+    assert main(argv + ["--out", str(tmp_path / "both")]) == 0
+    assert (len(first), len(second)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from burgers_dqm import (
     second_order_weights,
     weights_2d,
 )
+from burgers_dqm import dqm_weights
 from burgers_dqm.dqm_weights import dump_weights_csv
 from burgers_dqm.exceptions import DomainError
 from burgers_dqm.spline_basis import make_coeffs, modified_tables
@@ -227,8 +228,7 @@ def _check_w2_against_naive_double_loop(n):
 def test_weights_2d_square_grid_shares_matrices():
     g = Grid2D.square(0.0, 1.0, 21)
     ax1, ax2, by1, by2 = weights_2d(g)
-    np.testing.assert_array_equal(ax1, by1)
-    np.testing.assert_array_equal(ax2, by2)
+    assert ax1 is by1 and ax2 is by2
 
 
 def test_weights_2d_differentiates_plane():
@@ -247,6 +247,43 @@ def test_weights_2d_rectangular():
     ax1, ax2, by1, by2 = weights_2d(g)
     assert ax1.shape == (11, 11)
     assert by1.shape == (15, 15)
+
+
+# ---------------------------------------------------------------------------
+# per-process weight memo
+# ---------------------------------------------------------------------------
+
+MEMO_CASES = {
+    "square": lambda n: Grid2D.square(0.0, 1.0, n),
+    "rectangular": lambda n: Grid2D(Grid1D(0.0, 1.0, n),
+                                    Grid1D(-1.0, 2.0, n + 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_weight_memo_is_bitwise_the_builders_and_read_only(case):
+    g = MEMO_CASES[case](21)
+    dqm_weights._memo.cache_clear()
+    got = weights_2d(g)
+    want = []
+    for axis in (g.xgrid, g.ygrid):
+        w1 = first_order_weights(axis)
+        want += [w1, second_order_weights(w1, axis)]
+    for memo, fresh in zip(got, want):
+        assert memo.dtype == fresh.dtype and memo.shape == fresh.shape
+        assert memo.tobytes() == fresh.tobytes()  # sign bits of zeros too
+        with pytest.raises(ValueError):
+            memo[1, 1] = 0.0
+    # a warm call hands out the same arrays again
+    assert all(a is b for a, b in zip(weights_2d(g), got))
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_weight_memo_is_bounded(case):
+    dqm_weights._memo.cache_clear()
+    for n in range(8, 8 + dqm_weights.MEMO_GRIDS + 3):
+        weights_2d(MEMO_CASES[case](n))
+    assert dqm_weights._memo.cache_info().currsize <= dqm_weights.MEMO_GRIDS
 
 
 # ---------------------------------------------------------------------------

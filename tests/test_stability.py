@@ -14,7 +14,7 @@ from burgers_dqm import (
     max_stable_dt,
     kronecker_spectrum_check,
 )
-from burgers_dqm import cli, stability
+from burgers_dqm import cli, dqm_weights, stability
 from burgers_dqm.exceptions import ConvergenceFailure, DomainError, NoStableDt
 from burgers_dqm.stability import (
     eigen_spectrum,
@@ -116,13 +116,32 @@ def test_eigen_spectrum_probe_rejects_a_wrong_eigenvalue(monkeypatch):
     assert svd_calls
 
 
+def _clear_memos():
+    dqm_weights._memo.cache_clear()
+    stability._block_spectra.cache_clear()
+
+
 def test_stability_cli_exits_4_on_a_rejected_eigenvalue(monkeypatch, tmp_path,
                                                          capsys):
+    _clear_memos()
     _perturb_eigvals(monkeypatch)
     out = tmp_path / "stab"
     rc = cli.main(["stability", "--nx", "11", "--dt-list", "1e-3",
                    "--out", str(out)])
     assert rc == 4
+    assert "sigma_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_cli_exits_4_on_a_rejected_eigenvalue_with_warm_memo(
+        monkeypatch, tmp_path, capsys):
+    # the memoized block spectra are not re-checked, but the assembled
+    # operator's spectrum is computed and certified on every call
+    argv = ["stability", "--nx", "11", "--dt-list", "1e-3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
+    _perturb_eigvals(monkeypatch)
+    out = tmp_path / "stab"
+    assert cli.main(argv + [str(out)]) == 4
     assert "sigma_min" in capsys.readouterr().err
     assert not out.exists()
 
@@ -202,6 +221,33 @@ def test_analyze_many_dts_equals_one_call_per_dt():
         np.testing.assert_array_equal(one.assembled, rep.assembled)
     assert rep.all_inside == (False, True, True, True)
     assert analyze(g, UNIT, []).max_abs_r == ()
+
+
+def test_analyze_reuses_the_grid_spectra(monkeypatch):
+    g = Grid1D(-math.pi, math.pi, 41)
+    dts = [1e-4, 3e-3]
+    other = FrozenParams(tau0=0.3, kappa0=1.0, nu=0.5)
+    analyze(g, UNIT, dts)
+    real = stability.eigen_spectrum
+    calls = []
+    monkeypatch.setattr(stability, "eigen_spectrum",
+                        lambda m: calls.append(m.shape) or real(m))
+    warm = analyze(g, other, dts)
+    assert calls == [(39, 39)]  # the assembled operator only
+    warm_dt = max_stable_dt(g, other)
+    assert calls == [(39, 39)]
+    # the report's spectra are copies: writing to them leaves the memo be
+    warm.lambda1[:] = warm.lambda2[:] = 0.0
+    warm = analyze(g, other, dts)
+
+    _clear_memos()
+    cold = analyze(g, other, dts)
+    assert len(calls) == 2 + 3
+    for name in ("lambda1", "lambda2", "lambda_b", "assembled"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+    assert cold.max_abs_r == warm.max_abs_r
+    _clear_memos()
+    assert max_stable_dt(g, other) == warm_dt
 
 
 def test_analyze_reports_assembled_operator_spectrum():
