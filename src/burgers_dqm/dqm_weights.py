@@ -13,7 +13,8 @@ see second_order_weights).
 
 The weights depend on the grid alone, so the solvers, the stability
 analysis and the CLI read them from one per-process memo keyed by the
-grid's (a, b, n) (``_grid_weights``); the public builders stay pure.
+grid's (a, b, n) (``_grid_weights``), which saves a build whenever a grid
+comes back within one process; the public builders stay pure.
 """
 
 import functools
@@ -137,9 +138,12 @@ def _close_boundary_rows(w2, h):
         w2[row, row - half:row + half + 1] = stencil / (h * h)
 
 
-# Grids whose weights the memo keeps; each holds at most two n-by-n float64
-# matrices (2 n^2 8 bytes), the least recently used grid is dropped first.
-MEMO_GRIDS = 4
+# The memo keeps the last 4 grids, the least recently used dropped first,
+# and only grids of at most 512 nodes: an entry holds two n-by-n float64
+# matrices (2 n^2 8 bytes, 4.2 MB at 512 nodes), so the memo never holds
+# more than about 17 MB of weights.  Larger grids are built afresh per call.
+_MEMO_GRIDS = 4
+_MEMO_MAX_N = 512
 
 
 def _read_only(a):
@@ -147,12 +151,16 @@ def _read_only(a):
     return a
 
 
-class _Weights:
+class _GridData:
     """Read-only w1 and w2 of one 1D grid, each built on first use, w2 from
-    w1, so a caller that needs only w1 never builds w2."""
+    w1, so a caller that needs only w1 never builds w2.  ``spectra`` holds
+    the stability module's interior block spectra, kept and dropped with
+    the weights."""
 
-    def __init__(self, a, b, n):
-        self.grid = Grid1D(a, b, n)
+    spectra = None
+
+    def __init__(self, grid):
+        self.grid = grid
 
     @functools.cached_property
     def w1(self):
@@ -163,22 +171,26 @@ class _Weights:
         return _read_only(second_order_weights(self.w1, self.grid))
 
 
-@functools.lru_cache(maxsize=MEMO_GRIDS)
+@functools.lru_cache(maxsize=_MEMO_GRIDS)
 def _memo(a, b, n):
-    return _Weights(a, b, n)
+    return _GridData(Grid1D(a, b, n))
 
 
 def _grid_weights(grid):
-    """The memoized weights of a 1D grid (``.w1``, ``.w2``), shared by every
-    caller in the process: bitwise the builders' results, but read-only."""
+    """The weights of a 1D grid (``.w1``, ``.w2``): bitwise the builders'
+    results, but read-only.  They pay off when the same grid comes back
+    within one process, so up to ``_MEMO_MAX_N`` nodes they are memoized and
+    shared by every caller in the process."""
+    if grid.n > _MEMO_MAX_N:
+        return _GridData(grid)
     return _memo(grid.a, grid.b, grid.n)
 
 
 def weights_2d(grid):
     """Per-axis weight matrices (Ax1, Ax2, By1, By2) for a tensor grid.
 
-    The arrays are read-only and memoized per process; a square grid gets
-    the same arrays for both axes.
+    The arrays are read-only and, up to 512 nodes per axis, memoized per
+    process; a square grid gets the same arrays for both axes.
     """
     x, y = _grid_weights(grid.xgrid), _grid_weights(grid.ygrid)
     return x.w1, x.w2, y.w1, y.w2

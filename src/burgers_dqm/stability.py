@@ -9,10 +9,10 @@ and judges each candidate time step against them: dt only scales the
 spectrum, so membership of lambda_B * dt in the integrator's stability
 region (via the amplification factor R(z)) needs no further eigenvalues.
 
-The spectra of A1 and A2 depend on the grid alone; they are memoized per
-process by the grid's (a, b, n), so a later call on the same grid makes one
-eigensolve (``analyze``'s assembled operator, always certified afresh) or
-none (``max_stable_dt``).
+The spectra of A1 and A2 depend on the grid alone; they are kept with the
+grid's memoized weights (``dqm_weights._grid_weights``), so a later call on
+the same grid within one process makes one eigensolve (``analyze``'s
+assembled operator, always certified afresh) or none (``max_stable_dt``).
 
 The lambda_B construction pairs eigenvalues of two non-commuting matrices,
 which is heuristic; the report therefore also carries the exact spectrum of
@@ -20,13 +20,12 @@ the assembled operator -(tau0 + kappa0) A1 + 2 nu A2 so the two routes can
 be compared.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dqm_weights import MEMO_GRIDS, Grid1D, _grid_weights
+from .dqm_weights import _grid_weights
 from .exceptions import ConvergenceFailure, DomainError, NoStableDt
 from .ssprk54 import amplification
 
@@ -154,23 +153,24 @@ def operator_matrices(grid):
             interior_weight_matrix(weights.w2))
 
 
-@functools.lru_cache(maxsize=MEMO_GRIDS)
-def _block_spectra(a, b, n):
+def _block_spectra(weights):
     """Read-only spectra of A1, sorted by imaginary part, and of A2, sorted
-    by real part (the other component breaking ties)."""
-    a1, a2 = operator_matrices(Grid1D(a, b, n))
-    lam1 = eigen_spectrum(a1)
-    lam2 = eigen_spectrum(a2)
-    lam1 = lam1[np.lexsort((lam1.real, lam1.imag))]
-    lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
-    lam1.flags.writeable = lam2.flags.writeable = False
-    return lam1, lam2
+    by real part (the other component breaking ties), kept in the grid's
+    memo entry ``weights``."""
+    if weights.spectra is None:
+        lam1 = eigen_spectrum(interior_weight_matrix(weights.w1))
+        lam2 = eigen_spectrum(interior_weight_matrix(weights.w2))
+        lam1 = lam1[np.lexsort((lam1.real, lam1.imag))]
+        lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
+        lam1.flags.writeable = lam2.flags.writeable = False
+        weights.spectra = lam1, lam2
+    return weights.spectra
 
 
-def _spectra(grid, params):
-    """The memoized block spectra lambda1, lambda2 and lambda_B, which pairs
-    them by index."""
-    lam1, lam2 = _block_spectra(grid.a, grid.b, grid.n)
+def _spectra(weights, params):
+    """The block spectra lambda1, lambda2 and lambda_B, which pairs them by
+    index."""
+    lam1, lam2 = _block_spectra(weights)
     lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
     return lam1, lam2, lam_b
 
@@ -188,8 +188,12 @@ def analyze(grid, params, dts):
             raise DomainError("dt must be finite, got %r" % (dt,))
         if dt <= 0.0:
             raise DomainError("dt must be > 0, got %r" % (dt,))
-    lam1, lam2, lam_b = _spectra(grid, params)
-    a1, a2 = operator_matrices(grid)
+    # one entry serves the spectra and the assembled operator, so a grid
+    # above the memo's node cap is still built once
+    weights = _grid_weights(grid)
+    lam1, lam2, lam_b = _spectra(weights, params)
+    a1 = interior_weight_matrix(weights.w1)
+    a2 = interior_weight_matrix(weights.w2)
     speed = params.tau0 + params.kappa0
     assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
     im_max = float(np.abs(lam1.imag).max())
@@ -215,7 +219,7 @@ def max_stable_dt(grid, params):
     bisection to relative width 1e-3.  Raises NoStableDt when
     even dt = 1e-9 falls outside.
     """
-    lam_b = _spectra(grid, params)[-1]
+    lam_b = _spectra(_grid_weights(grid), params)[-1]
 
     def inside(dt):
         return _max_abs_r(lam_b, dt) <= 1.0 + MEMBERSHIP_TOL

@@ -278,12 +278,22 @@ def test_weight_memo_is_bitwise_the_builders_and_read_only(case):
     assert all(a is b for a, b in zip(weights_2d(g), got))
 
 
-@pytest.mark.parametrize("case", sorted(MEMO_CASES))
-def test_weight_memo_is_bounded(case):
+def test_weight_memo_keeps_the_last_grids_up_to_its_node_cap():
+    bound = dqm_weights._MEMO_GRIDS
+    grids = [Grid1D(0.0, 1.0, n) for n in range(8, 8 + bound + 3)]
     dqm_weights._memo.cache_clear()
-    for n in range(8, 8 + dqm_weights.MEMO_GRIDS + 3):
-        weights_2d(MEMO_CASES[case](n))
-    assert dqm_weights._memo.cache_info().currsize <= dqm_weights.MEMO_GRIDS
+    entries = [dqm_weights._grid_weights(g) for g in grids]
+    assert dqm_weights._memo.cache_info().currsize == bound
+    # the last `bound` grids are kept; the first is gone and built anew
+    kept = [dqm_weights._grid_weights(g) for g in grids[-bound:]]
+    assert all(a is b for a, b in zip(kept, entries[-bound:]))
+    assert dqm_weights._grid_weights(grids[0]) is not entries[0]
+    # a grid above the node cap is built afresh on every call, kept nowhere
+    big = Grid1D(0.0, 1.0, dqm_weights._MEMO_MAX_N + 1)
+    assert dqm_weights._grid_weights(big) is not dqm_weights._grid_weights(big)
+    assert dqm_weights._memo.cache_info().currsize == bound
+    assert all(dqm_weights._grid_weights(g).w1.shape == (g.n, g.n)
+               for g in (grids[-1], big))
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,9 @@ def test_eigen_spectrum_probe_rejects_a_wrong_eigenvalue(monkeypatch):
     assert svd_calls
 
 
-def _clear_memos():
-    dqm_weights._memo.cache_clear()
-    stability._block_spectra.cache_clear()
-
-
 def test_stability_cli_exits_4_on_a_rejected_eigenvalue(monkeypatch, tmp_path,
                                                          capsys):
-    _clear_memos()
+    dqm_weights._memo.cache_clear()
     _perturb_eigvals(monkeypatch)
     out = tmp_path / "stab"
     rc = cli.main(["stability", "--nx", "11", "--dt-list", "1e-3",
@@ -240,14 +235,30 @@ def test_analyze_reuses_the_grid_spectra(monkeypatch):
     warm.lambda1[:] = warm.lambda2[:] = 0.0
     warm = analyze(g, other, dts)
 
-    _clear_memos()
+    dqm_weights._memo.cache_clear()
     cold = analyze(g, other, dts)
     assert len(calls) == 2 + 3
     for name in ("lambda1", "lambda2", "lambda_b", "assembled"):
         assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
     assert cold.max_abs_r == warm.max_abs_r
-    _clear_memos()
+    dqm_weights._memo.cache_clear()
     assert max_stable_dt(g, other) == warm_dt
+
+
+def test_analyze_above_the_memo_node_cap_builds_the_weights_once(monkeypatch):
+    g = Grid1D(-math.pi, math.pi, 11)
+    memoized = analyze(g, UNIT, [1e-3])
+    monkeypatch.setattr(dqm_weights, "_MEMO_MAX_N", 10)
+    real = dqm_weights.first_order_weights
+    builds = []
+    monkeypatch.setattr(dqm_weights, "first_order_weights",
+                        lambda grid: builds.append(grid.n) or real(grid))
+    rep = analyze(g, UNIT, [1e-3])
+    assert builds == [11]  # the grid is kept nowhere, yet built once
+    for name in ("lambda1", "lambda2", "lambda_b", "assembled"):
+        assert getattr(rep, name).tobytes() == getattr(memoized, name).tobytes()
+    assert max_stable_dt(g, UNIT) == max_stable_dt(g, UNIT)
+    assert builds == [11, 11, 11]
 
 
 def test_analyze_reports_assembled_operator_spectrum():
