@@ -58,14 +58,14 @@ from .stability import FrozenParams, analyze
 
 def _cell(value):
     """One CSV cell; floats get 17 significant digits (exact round trip)."""
+    if isinstance(value, (float, np.floating)):  # float first: most cells
+        return "%.17g" % value
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
@@ -73,8 +73,9 @@ def write_csv(path, header, rows):
     """Write rows of mixed int/float/str cells with LF line endings."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append(",".join(map(_cell, row)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                          newline="")
 
 
 def sha256_of(path):
@@ -136,7 +137,7 @@ class Manifest:
         }
         self.path("manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+            encoding="utf-8", newline="",
         )
 
 

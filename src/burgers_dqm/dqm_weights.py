@@ -197,9 +197,15 @@ def weights_2d(grid):
 
 
 def dump_weights_csv(w, path):
-    """Write a weight matrix as (row, col, value) CSV, 17 significant digits."""
+    """Write a weight matrix as (row, col, value) CSV, 17 significant digits.
+
+    Each row is formatted by one ``%``: its template is the column template
+    (``"j,%.17g\\n"`` for every column, built once) with the row's ``"i,"``
+    joined in ahead of each column.
+    """
+    cols = [""] + ["%d,%%.17g\n" % j for j in range(1, w.shape[1] + 1)]
     lines = ["row,col,value\n"]
     for i, row in enumerate(w.tolist(), start=1):
-        lines += ["%d,%d,%.17g\n" % (i, j, v) for j, v in enumerate(row, start=1)]
+        lines.append(("%d," % i).join(cols) % tuple(row))
     with open(path, "w", newline="") as f:
         f.write("".join(lines))

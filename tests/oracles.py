@@ -17,6 +17,11 @@ the tests hold the two routes equal to rounding.
 stage, in the Shu-Osher form of Spiteri & Ruuth; ``ssprk54.step`` evaluates
 the same terms in the same order into buffers of its own, and the tests hold
 the two byte-equal.
+
+``dump_weights_csv_reference`` formats a weight dump with one ``%`` per
+matrix entry, and ``csv_text_reference`` a CSV cell by cell through a
+generator; the package's ``dump_weights_csv`` and ``cli.write_csv`` format
+a row at a time, and the tests hold their bytes equal to these.
 """
 
 import dataclasses
@@ -104,3 +109,32 @@ def step_reference(u, t, dt, rhs):
         for stage, uk in enumerate((u1, u2, u3, u4, out), start=1):
             _check(uk, t, stage)
     return out
+
+
+def dump_weights_csv_reference(w, path):
+    """Weight dump with one ``%`` per entry; dump_weights_csv matches it bytewise."""
+    lines = ["row,col,value\n"]
+    for i, row in enumerate(w.tolist(), start=1):
+        lines += ["%d,%d,%.17g\n" % (i, j, v) for j, v in enumerate(row, start=1)]
+    with open(path, "w", newline="") as f:
+        f.write("".join(lines))
+
+
+def _cell_reference(value):
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def csv_text_reference(header, rows):
+    """The text cli.write_csv writes, each cell formatted through a generator."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell_reference(c) for c in row))
+    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +388,30 @@ def test_weights_dump_order_1_builds_no_second_order_weights(tmp_path,
     # a later dump of both orders builds w2 once, from the memoized w1
     assert main(argv + ["--out", str(tmp_path / "both")]) == 0
     assert (len(first), len(second)) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def test_csv_and_manifest_writers_ask_for_lf_on_every_platform(tmp_path,
+                                                               monkeypatch):
+    # newline="" turns off the platform's line-ending translation (CRLF on
+    # Windows); a POSIX run writes LF either way, so the argument is checked
+    calls = []
+    real = Path.write_text
+
+    def recorded(self, data, *args, **kwargs):
+        calls.append((self.name, kwargs.get("newline")))
+        return real(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recorded)
+    out = tmp_path / "s"
+    assert main(["stability", "--nx", "7", "--dt-list", "1e-3",
+                 "--out", str(out)]) == 0
+    assert sorted(calls) == [(name, "") for name in (
+        "assembled_spectrum.csv", "manifest.json", "spectra.csv",
+        "stability.csv")]
 
 
 # ---------------------------------------------------------------------------

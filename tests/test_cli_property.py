@@ -1,12 +1,17 @@
-"""Property test of the command-line interface: whatever the subcommand and
+"""Property tests of the command-line interface: whatever the subcommand and
 settings, given as flags or through a config file, ``main`` returns one of
-the documented exit codes (0/2/3/4) and lets no exception escape.
+the documented exit codes (0/2/3/4) and lets no exception escape; and
+``write_csv`` writes the bytes of the cell-by-cell reference for any row of
+mixed cells.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -15,7 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from burgers_dqm.cli import main  # noqa: E402
+from burgers_dqm.cli import main, write_csv  # noqa: E402
+from oracles import csv_text_reference  # noqa: E402
 
 
 def _numbers(*usual):
@@ -80,3 +86,30 @@ def test_main_ends_in_documented_exit_code(run):
                 contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
     assert rc in (0, 2, 3, 4)
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e308, 0.1, 1.0 / 3.0])
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers() | st.sampled_from([10**20, -(2**63), 2**64]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(header=st.lists(st.sampled_from(["x", "u", "re", "all_inside"]),
+                       min_size=1, max_size=4),
+       rows=st.lists(st.lists(_CELLS, max_size=6), max_size=5))
+def test_write_csv_matches_cell_by_cell_reference(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == \
+            csv_text_reference(header, rows).encode("utf-8")

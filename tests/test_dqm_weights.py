@@ -16,6 +16,7 @@ from burgers_dqm import dqm_weights
 from burgers_dqm.dqm_weights import dump_weights_csv
 from burgers_dqm.exceptions import DomainError
 from burgers_dqm.spline_basis import make_coeffs, modified_tables
+from oracles import dump_weights_csv_reference
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +323,29 @@ def test_dump_weights_csv_round_trips(tmp_path):
         b"2,1,1e-300\n"
         b"2,2,0.33333333333333331\n"
     )
+
+
+def _assert_dump_matches_oracle(tmp_path, w):
+    dump_weights_csv(w, tmp_path / "by_row.csv")
+    dump_weights_csv_reference(w, tmp_path / "by_entry.csv")
+    assert (tmp_path / "by_row.csv").read_bytes() == \
+        (tmp_path / "by_entry.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 121])
+@pytest.mark.parametrize("order", [1, 2])
+def test_dump_weights_csv_matches_per_entry_oracle(tmp_path, order, n):
+    g = Grid1D(0.0, 1.0, n)
+    w = first_order_weights(g)
+    if order == 2:
+        w = second_order_weights(w, g)
+    _assert_dump_matches_oracle(tmp_path, w)
+
+
+@pytest.mark.parametrize("w", [
+    np.arange(1.0, 7.0).reshape(2, 3) / 7.0,
+    np.array([[-0.0, 5e-324, 1e-300, 1e308],
+              [np.inf, -np.inf, np.nan, 1.0 / 3.0]]),
+], ids=["2x3", "edge-values"])
+def test_dump_weights_csv_matches_oracle_on_other_matrices(tmp_path, w):
+    _assert_dump_matches_oracle(tmp_path, w)
