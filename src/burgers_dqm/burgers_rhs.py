@@ -13,7 +13,11 @@ the full-sum route (``rhs_1d``/``rhs_2d``), which takes both fields stacked
 in one ``(2, *shape)`` array, returns them stacked the same way, and applies
 each weight matrix to both fields in one product.  In 1D the four quadratic
 convection terms also enter through one product, with the (2, 4) matrix
-``Problem1D.coupling`` of the coefficients.  The paper writes each sum
+``Problem1D.coupling`` of the coefficients.  ``rhs_2d`` is a shape check,
+the private ``_rhs_2d_kernel`` (products, ``nu`` scaling, convection) and a
+zeroed boundary ring; ``solve_2d`` calls the kernel itself, with ``nu``
+folded into its second-derivative weights once per solve and the ring left
+to the driver, which overwrites it with the traces.  The paper writes each sum
 as its interior part plus a boundary forcing term (F for u, G for v) that
 collects the first/last-column contributions with the convection
 coefficients frozen at the node value; ``boundary_forcing_*`` compute those
@@ -187,6 +191,28 @@ def _zero_ring(D):
     D[..., ::D.shape[-1] - 1] = 0.0
 
 
+def _rhs_2d_kernel(w, nu, ax1, ax2, by1, by2):
+    """``rhs_2d`` without its shape check and without zeroing the ring.
+
+    The four batched products, the ``nu`` scaling of the diffusion sums
+    (skipped when ``nu`` is exactly 1.0, where the multiply is exact) and
+    the two convection terms.  The ring of the result holds its sums like
+    any other node; ``solve_2d`` calls this with ``nu`` folded into ``ax2``
+    and ``by2`` and leaves the ring to the driver.
+    """
+    out = ax2 @ w
+    out += w @ by2.T
+    if nu != 1.0:
+        out *= nu
+    conv = ax1 @ w
+    conv *= w[0]
+    out -= conv
+    conv = w @ by1.T
+    conv *= w[1]
+    out -= conv
+    return out
+
+
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     """Full-sum 2D RHS of the stacked ``(2, nx, ny)`` state (U, V).
 
@@ -198,15 +224,7 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     weights, which share one dtype (complex inputs give a complex result).
     """
     _check_state(w, (2, ax1.shape[0], by1.shape[0]))
-    out = ax2 @ w
-    out += w @ by2.T
-    out *= prob.nu
-    conv = ax1 @ w
-    conv *= w[0]
-    out -= conv
-    conv = w @ by1.T
-    conv *= w[1]
-    out -= conv
+    out = _rhs_2d_kernel(w, prob.nu, ax1, ax2, by1, by2)
     _zero_ring(out)
     return out
 

@@ -5,14 +5,17 @@ from the per-process memo of ``dqm_weights``, then hand one shared driver
 the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and
 ``rhs(w, t)``, the full-sum right-hand side of the stacked ``(2, *shape)``
-state.  The driver starts from the initial fields on the grid's ``coords``
-and advances the state with the five-stage Runge-Kutta step.  Every stage
-state carries the traces at its own time, so time-varying traces keep the
-scheme's fourth order.  Every time a run needs traces at is known before
-its first step, so each field's traces are evaluated once per block of
-steps, over a ``(steps, 5, 1)`` array of the block's stage and result
-times: they receive an array ``t`` and must broadcast over it (a scalar
-return is allowed).
+state: ``rhs_1d`` in 1D; in 2D the private kernel of ``rhs_2d``, with ``nu``
+folded into copies of the second-derivative weights once per solve and the
+boundary ring of its result left unwritten, since the driver overwrites
+every ring the right-hand side can reach.  The driver starts from the
+initial fields on the grid's ``coords`` and advances the state with the
+five-stage Runge-Kutta step.  Every stage state carries the traces at its
+own time, so time-varying traces keep the scheme's fourth order.  Every time
+a run needs traces at is known before its first step, so each field's traces
+are evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
+block's stage and result times: they receive an array ``t`` and must
+broadcast over it (a scalar return is allowed).
 """
 
 import math
@@ -20,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, apply_dirichlet_1d,
-                          apply_dirichlet_2d, rhs_1d, rhs_2d)
+from .burgers_rhs import (Problem1D, Problem2D, _rhs_2d_kernel,
+                          apply_dirichlet_1d, apply_dirichlet_2d, rhs_1d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
 from .ssprk54 import ABSCISSAE, num_steps, step
@@ -76,6 +79,12 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     ``grid.ring`` masks a field's Dirichlet nodes.  ``impose(u, v, t, prob,
     grid)`` fills two fields, or (..., b) rows of the masked values for an
     array t of times with a trailing axis of 1.
+
+    ``rhs`` may leave any finite values on the masked nodes of its result.
+    The step combines stages pointwise, so they reach only masked entries of
+    later stage states and of the result, and the driver writes the traces
+    there before the next ``rhs`` call and after every step; only ``step``'s
+    finiteness check reads them first.
 
     The traces are evaluated one block of steps ahead: one ``impose`` call
     covers the stage and result times of up to ``TRACE_BUDGET // (5 *
@@ -183,11 +192,14 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         )
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
-    # F order makes ``by.T`` C-contiguous for the per-field products in rhs_2d
-    by1, by2 = np.asfortranarray(by1), np.asfortranarray(by2)
+    # nu is folded into the second-derivative weights here, once per solve;
+    # F order makes ``by.T`` C-contiguous for the per-field y-products
+    ax2 = prob.nu * ax2
+    by1 = np.asfortranarray(by1)
+    by2 = np.multiply(prob.nu, by2, order="F")
 
     def rhs(w, t):
-        return rhs_2d(w, t, prob, ax1, ax2, by1, by2)
+        return _rhs_2d_kernel(w, 1.0, ax1, ax2, by1, by2)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
                                   t_end, t0, snapshots, observer))

@@ -1,0 +1,170 @@
+"""Deterministic cost counters of one solver step: a budget that timing noise
+cannot move.
+
+One step each of problem 4 at 17x17 and 65x65 and of problem 1 at n = 121
+is counted: the right-hand-side calls per step, the matrix products,
+elementwise ufunc calls and item writes (the ring writes) of one solver
+right-hand-side call, the ufunc calls ``ssprk54.step`` makes through its
+``np``, and the peak ``tracemalloc`` bytes of one step.  Each figure is
+pinned as an upper bound at its current value: a change that lowers a count
+lowers its bound with it, and one that must raise a bound says why.
+
+The counts repeat exactly in one process and in a fresh one; run this file
+as a script to print them as JSON.
+"""
+
+import collections
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+
+from burgers_dqm import problem1, problem4, solve_1d, solve_2d, solvers, ssprk54
+
+_COUNTS = collections.Counter()
+
+
+class _Counted(np.ndarray):
+    """An array whose ufunc calls and item writes land in ``_COUNTS``.
+
+    Every ufunc result that involves one is again ``_Counted``, so the
+    temporaries of a right-hand side are counted as well as its argument.
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _COUNTS["products" if ufunc is np.matmul else "elementwise"] += 1
+        plain = lambda xs: tuple(x.view(np.ndarray) if isinstance(x, _Counted)
+                                 else x for x in xs)
+        if out is not None:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_Counted)
+
+    def __setitem__(self, key, value):
+        _COUNTS["item_writes"] += 1
+        super().__setitem__(key, value)
+
+
+class _CountingUfunc:
+    """A ufunc whose calls, and calls of its methods (``np.add.reduce``),
+    land in ``_COUNTS``."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __call__(self, *args, **kwargs):
+        _COUNTS["step_ufuncs"] += 1
+        return self._fn(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return _CountingUfunc(getattr(self._fn, name))
+
+
+class _CountingNumpy:
+    """Stands in for ``ssprk54``'s ``np``: ufuncs come back counting."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        return _CountingUfunc(attr) if isinstance(attr, np.ufunc) else attr
+
+
+CASES = {
+    "p4-17": lambda: solve_2d(problem4(), 17, 1e-4, 2e-4),
+    "p4-65": lambda: solve_2d(problem4(), 65, 1e-4, 2e-4),
+    "p1-121": lambda: solve_1d(problem1(), 121, 1e-3, 2e-3),
+}
+
+# Upper bounds, each at its current value.  Folding nu into the 2D solver's
+# weights and leaving the ring to the driver took a 2D solver right-hand side
+# from 6 elementwise calls and 2 ring writes to 5 and 0, and a step's peak
+# from 48696 and 677912 bytes to 48640 and 677856.
+BOUNDS = {
+    "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 5,
+              "item_writes": 0, "step_ufuncs": 25, "step_peak_bytes": 48640},
+    "p4-65": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 5,
+              "item_writes": 0, "step_ufuncs": 25, "step_peak_bytes": 677856},
+    "p1-121": {"rhs_calls_per_step": 5, "products": 3, "elementwise": 2,
+               "item_writes": 1, "step_ufuncs": 25, "step_peak_bytes": 31544},
+}
+
+
+def _costs(run):
+    """The counts of the second step of a two-step ``run``.
+
+    A run's first step allocates some bytes more than the later ones, and
+    the first run of a process more again, so it is not the one counted.
+    """
+    real_drive, real_step = solvers._drive, solvers.step
+    rhs_seen, per_step = [], []
+
+    def drive(prob, grid, impose, rhs, *args):
+        rhs_seen.append(rhs)
+        return real_drive(prob, grid, impose, rhs, *args)
+
+    def step(u, t, dt, rhs):
+        # counted on the solver's bare right-hand side: ``rhs`` writes the
+        # next stage's traces and has a fixed number of them to give
+        calls = [0]
+
+        def counted_rhs(x, s):
+            calls[0] += 1
+            return rhs_seen[-1](x, s)
+
+        _COUNTS.clear()
+        ssprk54.np = _CountingNumpy()
+        try:
+            real_step(u, t, dt, counted_rhs)
+        finally:
+            ssprk54.np = np
+        tracemalloc.start()
+        try:
+            out = real_step(u, t, dt, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_step.append({"rhs_calls_per_step": calls[0],
+                         "step_ufuncs": _COUNTS["step_ufuncs"],
+                         "step_peak_bytes": peak})
+        return out
+
+    solvers._drive, solvers.step = drive, step
+    try:
+        sol = run()
+    finally:
+        solvers._drive, solvers.step = real_drive, real_step
+
+    costs = per_step[-1]
+    _COUNTS.clear()
+    rhs_seen[0](np.array((sol.u, sol.v)).view(_Counted), sol.t)
+    for name in ("products", "elementwise", "item_writes"):
+        costs[name] = _COUNTS[name]
+    return costs
+
+
+def measure():
+    return {name: _costs(run) for name, run in CASES.items()}
+
+
+def test_cost_counters_within_bounds_and_repeatable():
+    first = measure()
+    for name, bounds in BOUNDS.items():
+        over = {k: (first[name][k], bound) for k, bound in bounds.items()
+                if first[name][k] > bound}
+        assert not over, (name, over)
+    assert measure() == first
+
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, __file__], env=env, check=True,
+                           capture_output=True, text=True)
+    assert json.loads(fresh.stdout) == first
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure()))

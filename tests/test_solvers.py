@@ -14,7 +14,9 @@ from burgers_dqm import (
     first_order_weights,
     problem1,
     problem2,
+    problem3,
     problem4,
+    rhs_2d,
     second_order_weights,
     solve_1d,
     solve_2d,
@@ -458,3 +460,92 @@ def test_solve_2d_matches_split_reference(trace_time):
         lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
     sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
     _assert_rel_close((sol.u, sol.v), want)
+
+
+# ---------------------------------------------------------------------------
+# the 2D solver's right-hand side: nu folded into its weights, ring unwritten
+# ---------------------------------------------------------------------------
+
+TWO_D_CASES = pytest.mark.parametrize("build, nx, ny", [
+    (lambda: problem2(re=80.0), 9, 7), (lambda: problem2(re=80.0), 17, 17),
+    (problem3, 9, 7), (problem3, 17, 17), (problem4, 9, 7), (problem4, 17, 17),
+], ids=["p2-9x7", "p2-17", "p3-9x7", "p3-17", "p4-9x7", "p4-17"])
+
+
+@TWO_D_CASES
+def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
+                                                       monkeypatch):
+    # The kernel leaves its ring unwritten; the driver overwrites every ring
+    # it can reach.  A kernel that writes garbage there changes no bit.
+    prob, dt, steps = build(), 1e-3, 60
+    snaps = (0.0, 0.02, steps * dt)
+
+    def run():
+        seen = []
+
+        def observer(k, t, u, v):
+            seen.append((t, u[ring], v[ring]))
+
+        sol = solve_2d(prob, nx, dt, steps * dt, ny=ny, snapshots=snaps,
+                       observer=observer)
+        assert len(seen) == steps
+        for t, bu, bv in seen:
+            # after every step, not only at block starts
+            np.testing.assert_array_equal(
+                bu, prob.bc_u(grid.ring_x, grid.ring_y, t))
+            np.testing.assert_array_equal(
+                bv, prob.bc_v(grid.ring_x, grid.ring_y, t))
+        return sol
+
+    grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    ring = grid.ring
+    want = run()
+    kernel, calls = solvers._rhs_2d_kernel, []
+
+    def garbage(*args):
+        out = kernel(*args)
+        out[:, ring] = 7.0
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(solvers, "_rhs_2d_kernel", garbage)
+    got = run()
+    assert len(calls) == 5 * steps
+    assert got.t == want.t
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+    assert len(got.snapshots) == len(want.snapshots) == len(snaps)
+    for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
+        assert tg == tw
+        assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
+
+
+def _rhs_2d_reference_run(prob, nx, ny, dt, steps):
+    """``step`` on the public ``rhs_2d``, nu applied per call, with each
+    stage's traces imposed at the stage's own time."""
+    grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    weights = weights_2d(grid)
+
+    def rhs(w, t):
+        w = w.copy()
+        apply_dirichlet_2d(w[0], w[1], t, prob, grid)
+        return rhs_2d(w, t, prob, *weights)
+
+    w = np.array([np.broadcast_to(f(*grid.coords), grid.ring.shape)
+                  for f in (prob.phi, prob.psi)], dtype=float)
+    apply_dirichlet_2d(w[0], w[1], 0.0, prob, grid)
+    for m in range(steps):
+        w = step(w, m * dt, dt, rhs)
+        apply_dirichlet_2d(w[0], w[1], (m + 1) * dt, prob, grid)
+    return w[0], w[1]
+
+
+@TWO_D_CASES
+def test_solve_2d_as_with_the_public_rhs_oracle(build, nx, ny):
+    # nu folded into the weights sums the diffusion terms with other
+    # roundings than nu times the sums, so a whole run moves by rounding only
+    prob, dt, steps = build(), 1e-3, 200
+    sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
+    _assert_rel_close((sol.u, sol.v),
+                      _rhs_2d_reference_run(prob, nx, ny, dt, steps),
+                      rtol=1e-13)
