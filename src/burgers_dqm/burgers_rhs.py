@@ -13,15 +13,18 @@ the full-sum route (``rhs_1d``/``rhs_2d``), which takes both fields stacked
 in one ``(2, *shape)`` array, returns them stacked the same way, and applies
 each weight matrix to both fields in one product.  In 1D the four quadratic
 convection terms also enter through one product, with the (2, 4) matrix
-``Problem1D.coupling`` of the coefficients.  ``rhs_2d`` is a shape check,
-the private ``_rhs_2d_kernel`` (products, ``nu`` scaling, convection) and a
-zeroed boundary ring; ``solve_2d`` calls the kernel itself, with ``nu``
-folded into its second-derivative weights once per solve and the ring left
-to the driver, which overwrites it with the traces.  The paper writes each sum
-as its interior part plus a boundary forcing term (F for u, G for v) that
-collects the first/last-column contributions with the convection
-coefficients frozen at the node value; ``boundary_forcing_*`` compute those
-terms on separate (u, v) fields.  The interior-plus-forcing RHS built on
+``Problem1D.coupling`` of the coefficients.  ``rhs_1d`` and ``rhs_2d`` are
+each a shape check, a private kernel (``_rhs_1d_kernel``: products and
+convection; ``_rhs_2d_kernel``: products, ``nu`` scaling and convection)
+and zeroed boundary nodes, and return a new array.  The kernels write into
+output buffers they are given: the solvers call them with buffers held for
+the solve, so a result is overwritten by the next call, and leave the
+boundary nodes to the driver, which overwrites them with the traces;
+``solve_2d`` also folds ``nu`` into the second-derivative weights once per
+solve.  The paper writes each sum as its interior part plus a boundary
+forcing term (F for u, G for v) that collects the first/last-column
+contributions with the convection coefficients frozen at the node value;
+``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The interior-plus-forcing RHS built on
 them is a test oracle (``tests/oracles.py``) that agrees with the full-sum
 route to rounding.
 """
@@ -139,20 +142,36 @@ def apply_dirichlet_2d(U, V, t, prob, grid):
     V[ring] = prob.bc_v(grid.ring_x, grid.ring_y, t)
 
 
+def _rhs_1d_kernel(w, coupling, w1, w2, out=None, wx=None, prod=None,
+                   conv=None):
+    """``rhs_1d`` without its shape check and its end write.
+
+    The two products, the broadcast multiply and the coupling product, each
+    written into the given buffer: ``out`` and ``wx`` of the state's shape,
+    ``prod`` of shape (2, 2, n) and ``conv`` of shape (2, n).  A buffer left
+    None is allocated by its operation, as the operator form would.  The
+    ends of the result hold their sums like any other node; ``solve_1d``
+    binds buffers held for the solve and leaves the ends to the driver.
+    """
+    wx = np.matmul(w, w1.T, out=wx)
+    out = np.matmul(w, w2.T, out=out)
+    prod = np.multiply(w[:, None], wx, out=prod)
+    conv = np.matmul(coupling, prod.reshape(4, -1), out=conv)
+    return np.subtract(out, conv, out=out)
+
+
 def rhs_1d(w, t, prob, w1, w2):
     """Full-sum semi-discrete RHS of the stacked ``(2, n)`` state (u, v).
 
-    Returns (du, dv) stacked the same way.  Each weight matrix multiplies
-    both fields in one product, and the four products (u u_x, u v_x, v u_x,
-    v v_x) enter both fields through one product with ``prob.coupling``.
-    Boundary entries of the result are zero; its dtype follows the state and
-    the weights, which share one dtype (float32 inputs give a float32
-    result, complex inputs a complex one).
+    Returns (du, dv) stacked the same way, in a new array.  Each weight
+    matrix multiplies both fields in one product, and the four products
+    (u u_x, u v_x, v u_x, v v_x) enter both fields through one product with
+    ``prob.coupling``.  Boundary entries of the result are zero; its dtype
+    follows the state and the weights, which share one dtype (float32
+    inputs give a float32 result, complex inputs a complex one).
     """
     _check_state(w, (2, w1.shape[0]))
-    wx = w @ w1.T
-    out = w @ w2.T
-    out -= prob.coupling @ (w[:, None] * wx).reshape(4, -1)
+    out = _rhs_1d_kernel(w, prob.coupling, w1, w2)
     out[:, ::out.shape[-1] - 1] = 0.0  # both ends in one strided write
     return out
 
@@ -191,37 +210,43 @@ def _zero_ring(D):
     D[..., ::D.shape[-1] - 1] = 0.0
 
 
-def _rhs_2d_kernel(w, nu, ax1, ax2, by1, by2):
+def _rhs_2d_kernel(w, nu, ax1, ax2, by1, by2, out=None, conv=None):
     """``rhs_2d`` without its shape check and without zeroing the ring.
 
     The four batched products, the ``nu`` scaling of the diffusion sums
     (skipped when ``nu`` is exactly 1.0, where the multiply is exact) and
-    the two convection terms.  The ring of the result holds its sums like
-    any other node; ``solve_2d`` calls this with ``nu`` folded into ``ax2``
-    and ``by2`` and leaves the ring to the driver.
+    the two convection terms, written into ``out``, of the state's shape,
+    and ``conv``, of shape ``(2, *w.shape)``: ``conv[0]`` takes the
+    y-diffusion sums, then the x-derivatives and ``conv[1]`` the
+    y-derivatives, which one multiply scales by U and V.  Buffers left None
+    are allocated.  The ring of the result holds its sums like any other
+    node; ``solve_2d`` calls this with ``nu`` folded into ``ax2`` and
+    ``by2``, binds buffers held for the solve and leaves the ring to the
+    driver.
     """
-    out = ax2 @ w
-    out += w @ by2.T
+    out = np.matmul(ax2, w, out=out)
+    if conv is None:
+        conv = np.empty((2,) + out.shape, out.dtype)
+    np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
     if nu != 1.0:
-        out *= nu
-    conv = ax1 @ w
-    conv *= w[0]
-    out -= conv
-    conv = w @ by1.T
-    conv *= w[1]
-    out -= conv
-    return out
+        np.multiply(out, nu, out=out)
+    np.matmul(ax1, w, out=conv[0])
+    np.matmul(w, by1.T, out=conv[1])
+    np.multiply(conv, w[:, None], out=conv)
+    np.subtract(out, conv[0], out=out)
+    return np.subtract(out, conv[1], out=out)
 
 
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     """Full-sum 2D RHS of the stacked ``(2, nx, ny)`` state (U, V).
 
-    Returns (dU, dV) stacked the same way.  Each derivative is one batched
-    product over both fields, which computes the per-field products: the
-    x-axis matrix applies down each column of constant y (``ax @ w``), the
-    y-axis matrix along each row of constant x (``w @ by.T``).  The
-    boundary ring of the result is zero; its dtype follows the state and the
-    weights, which share one dtype (complex inputs give a complex result).
+    Returns (dU, dV) stacked the same way, in a new array.  Each derivative
+    is one batched product over both fields, which computes the per-field
+    products: the x-axis matrix applies down each column of constant y
+    (``ax @ w``), the y-axis matrix along each row of constant x
+    (``w @ by.T``).  The boundary ring of the result is zero; its dtype
+    follows the state and the weights, which share one dtype (complex
+    inputs give a complex result).
     """
     _check_state(w, (2, ax1.shape[0], by1.shape[0]))
     out = _rhs_2d_kernel(w, prob.nu, ax1, ax2, by1, by2)

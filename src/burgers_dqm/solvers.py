@@ -5,17 +5,19 @@ from the per-process memo of ``dqm_weights``, then hand one shared driver
 the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and
 ``rhs(w, t)``, the full-sum right-hand side of the stacked ``(2, *shape)``
-state: ``rhs_1d`` in 1D; in 2D the private kernel of ``rhs_2d``, with ``nu``
-folded into copies of the second-derivative weights once per solve and the
-boundary ring of its result left unwritten, since the driver overwrites
-every ring the right-hand side can reach.  The driver starts from the
-initial fields on the grid's ``coords`` and advances the state with the
-five-stage Runge-Kutta step.  Every stage state carries the traces at its
-own time, so time-varying traces keep the scheme's fourth order.  Every time
-a run needs traces at is known before its first step, so each field's traces
-are evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
-block's stage and result times: they receive an array ``t`` and must
-broadcast over it (a scalar return is allowed).
+state: the private kernel of ``rhs_1d`` or ``rhs_2d``, bound to output
+buffers held for the solve.  Neither kernel writes the boundary nodes of its
+result, since the driver overwrites every one the right-hand side can
+reach; in 2D ``nu`` is folded into copies of the second-derivative weights
+once per solve.  The driver starts from the initial fields on the grid's
+``coords`` and advances the state with the five-stage Runge-Kutta step,
+whose stage and result buffers it also holds for the solve.  Every stage
+state carries the traces at its own time, so time-varying traces keep the
+scheme's fourth order.  Every time a run needs traces at is known before
+its first step, so each field's traces are evaluated once per block of
+steps, over a ``(steps, 5, 1)`` array of the block's stage and result
+times: they receive an array ``t`` and must broadcast over it (a scalar
+return is allowed).
 """
 
 import math
@@ -23,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, _rhs_2d_kernel,
-                          apply_dirichlet_1d, apply_dirichlet_2d, rhs_1d)
+from .burgers_rhs import (Problem1D, Problem2D, _rhs_1d_kernel,
+                          _rhs_2d_kernel, apply_dirichlet_1d,
+                          apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
-from .ssprk54 import ABSCISSAE, num_steps, step
+from .ssprk54 import ABSCISSAE, _step_into, num_steps
 
 # Fractions of dt at which a step needs traces: stages 2-5, then the result.
 _TRACE_OFFSETS = np.array(ABSCISSAE[1:] + (1.0,))[:, None]
@@ -92,9 +95,13 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     that raises therefore raises before the observer sees the earlier steps
     of its block.
 
+    The stage states, the step's temporary and two result buffers are
+    allocated once per call, and the steps alternate between the result
+    buffers; ``rhs`` may return one held array, overwritten at every call.
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
-    copy them to keep them past the call.
+    their memory is overwritten two steps later, so copy them to keep them
+    past the call.  Snapshots and the returned fields are copies.
 
     The steps of a block run in one region with numpy's overflow and
     invalid-value warnings silenced: a blow-up ends in ``NonFiniteState``,
@@ -117,6 +124,8 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
                   np.broadcast_to(prob.psi(*grid.coords), grid.ring.shape)],
                  dtype=float)
     impose(w[0], w[1], t0, prob, grid)
+    stages = [np.empty_like(w) for _ in range(5)]
+    spare = np.empty_like(w)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
@@ -141,7 +150,8 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
                         x.reshape(-1)[nodes] = next(pending)
                     return rhs(x, s)
 
-                w = step(w, base[j], dt, stage_rhs)
+                w, spare = _step_into(w, base[j], dt, stage_rhs,
+                                      (*stages, spare)), w
                 w.reshape(-1)[nodes] = flat[j, -1]
                 if observer is not None:
                     ro = w.view()
@@ -166,10 +176,12 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
         raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
     grid = Grid1D(prob.a, prob.b, n)
     weights = _grid_weights(grid)
-    w1, w2 = weights.w1, weights.w2
+    w1, w2, coupling = weights.w1, weights.w2, prob.coupling
+    out, wx, conv = (np.empty((2, n)) for _ in range(3))
+    prod = np.empty((2, 2, n))
 
     def rhs(w, t):
-        return rhs_1d(w, t, prob, w1, w2)
+        return _rhs_1d_kernel(w, coupling, w1, w2, out, wx, prod, conv)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
                                   t_end, t0, snapshots, observer))
@@ -197,9 +209,10 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
     ax2 = prob.nu * ax2
     by1 = np.asfortranarray(by1)
     by2 = np.multiply(prob.nu, by2, order="F")
+    out, conv = np.empty((2, nx, ny)), np.empty((2, 2, nx, ny))
 
     def rhs(w, t):
-        return _rhs_2d_kernel(w, 1.0, ax1, ax2, by1, by2)
+        return _rhs_2d_kernel(w, 1.0, ax1, ax2, by1, by2, out, conv)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
                                   t_end, t0, snapshots, observer))

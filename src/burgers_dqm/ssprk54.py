@@ -3,6 +3,10 @@
 Each stage is a convex combination of previous stages and forward-Euler
 substeps, which is what gives the scheme its strong-stability property.
 The eleven coefficients are kept at full published precision.
+
+One private routine, ``_step_into``, does the arithmetic: it writes every
+stage into buffers the caller supplies.  ``step`` lets it allocate them
+for the one call; the solvers hand it buffers held for a whole solve.
 """
 
 import cmath
@@ -60,37 +64,56 @@ def step(u, t, dt, rhs):
     Each stage is the convex combination above, its terms multiplied and
     added in left-to-right order; after the first stage every product and
     sum is written into buffers of the first stage's dtype (so an integer u
-    gives a float result), one per stage state and one shared temporary.
-    rhs must return that dtype, or one that casts to it, at every stage.
-    Neither u nor an array that rhs returns is written to; a 0-d u gives a
-    numpy scalar.  rhs receives the step's own stage buffers and may write
-    to its argument (the solvers write each stage's traces there).
+    gives a float result), one per stage state and one shared temporary,
+    allocated for this call.  rhs must return that dtype, or one that casts
+    to it, at every stage.  Neither u nor an array that rhs returns is
+    written to; a 0-d u gives a numpy scalar.  rhs receives the step's own
+    stage buffers and may write to its argument (the solvers write each
+    stage's traces there).
 
     Only the result is checked for finiteness: every stage enters it with a
     nonzero weight, so a non-finite stage always reaches it.  When the
     result is non-finite, ``NonFiniteState`` names the base time ``t`` and
     the first stage (1-5) whose state is non-finite.
     """
-    u = np.asarray(u)
-    ts = [t + c * dt for c in ABSCISSAE]
-    mul, add, new = np.multiply, np.add, np.empty_like
+    return _step_into(np.asarray(u), t, dt, rhs)[()]
 
-    u1 = u + (B10 * dt) * rhs(u, ts[0])
-    # Each buffer is allocated where its state is first written, the result
-    # last: allocating all five up front cost a 65x65 solver step about 60
-    # minor page faults and some 15% of its time.
-    tmp = new(u1)
-    u2 = mul(A20, u, new(u1))
+
+def _step_into(u, t, dt, rhs, bufs=None):
+    """``step`` on an array u, every stage written into ``bufs``.
+
+    ``bufs`` is ``(u1, u2, u3, u4, tmp, out)``: the four stage states, the
+    shared temporary and the result, arrays of u's shape that are not u and
+    hold a dtype every stage casts to; the result is returned in ``out``.
+    With ``bufs=None``, stage 1 allocates u1 and fixes the dtype of the
+    other five, as ``step`` does.
+
+    rhs may return the same array at every call, overwritten by the next
+    call: each result is used up before rhs is called again (``l3`` enters
+    both u4 and the result before ``rhs(u4)`` runs).
+    """
+    ts = [t + c * dt for c in ABSCISSAE]
+    mul, add = np.multiply, np.add
+    u1, u2, u3, u4, tmp, out = bufs or (None,) * 6
+
+    # without buffers the first product is the operator's, so that a Python
+    # scalar from rhs stays weakly typed, as in ``u + B10 * dt * l1``
+    l1 = rhs(u, ts[0])
+    l1 = (B10 * dt) * l1 if tmp is None else mul(B10 * dt, l1, tmp)
+    u1 = add(u, l1, u1)
+    if out is None:
+        u2, u3, u4, tmp, out = (np.empty_like(u1) for _ in range(5))
+    mul(A20, u, u2)
     add(u2, mul(A21, u1, tmp), u2)
     add(u2, mul(B21 * dt, rhs(u1, ts[1]), tmp), u2)
-    u3 = mul(A30, u, new(u1))
+    mul(A30, u, u3)
     add(u3, mul(A32, u2, tmp), u3)
     add(u3, mul(B32 * dt, rhs(u2, ts[2]), tmp), u3)
     l3 = rhs(u3, ts[3])
-    u4 = mul(A40, u, new(u1))
+    mul(A40, u, u4)
     add(u4, mul(A43, u3, tmp), u4)
     add(u4, mul(B43 * dt, l3, tmp), u4)
-    out = mul(C2, u2, new(u1))
+    mul(C2, u2, out)
     add(out, mul(C3, u3, tmp), out)
     add(out, mul(D3 * dt, l3, tmp), out)
     add(out, mul(C4, u4, tmp), out)
@@ -102,7 +125,7 @@ def step(u, t, dt, rhs):
             and not np.isfinite(out).all():
         for stage, uk in enumerate((u1, u2, u3, u4, out), start=1):
             _check(uk, t, stage)
-    return out[()]
+    return out
 
 
 def num_steps(t0, t_end, dt):

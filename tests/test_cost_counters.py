@@ -4,10 +4,11 @@ cannot move.
 One step each of problem 4 at 17x17 and 65x65 and of problem 1 at n = 121
 is counted: the right-hand-side calls per step, the matrix products,
 elementwise ufunc calls and item writes (the ring writes) of one solver
-right-hand-side call, the ufunc calls ``ssprk54.step`` makes through its
-``np``, and the peak ``tracemalloc`` bytes of one step.  Each figure is
-pinned as an upper bound at its current value: a change that lowers a count
-lowers its bound with it, and one that must raise a bound says why.
+right-hand-side call, the ufunc calls the solvers' step routine
+``ssprk54._step_into`` makes through its ``np``, and the peak
+``tracemalloc`` bytes of one step.  Each figure is pinned as an upper bound
+at its current value: a change that lowers a count lowers its bound with
+it, and one that must raise a bound says why.
 
 The counts repeat exactly in one process and in a fresh one; run this file
 as a script to print them as JSON.
@@ -31,7 +32,8 @@ class _Counted(np.ndarray):
     """An array whose ufunc calls and item writes land in ``_COUNTS``.
 
     Every ufunc result that involves one is again ``_Counted``, so the
-    temporaries of a right-hand side are counted as well as its argument.
+    temporaries of a right-hand side are counted as well as its argument;
+    a ufunc that writes into a ``_Counted`` buffer is counted too.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -79,17 +81,21 @@ CASES = {
     "p1-121": lambda: solve_1d(problem1(), 121, 1e-3, 2e-3),
 }
 
-# Upper bounds, each at its current value.  Folding nu into the 2D solver's
-# weights and leaving the ring to the driver took a 2D solver right-hand side
-# from 6 elementwise calls and 2 ring writes to 5 and 0, and a step's peak
-# from 48696 and 677912 bytes to 48640 and 677856.
+# Upper bounds, each at its current value.  Holding every stage and
+# right-hand-side buffer for the whole solve took a step's peak from 48640,
+# 677856 and 31544 bytes to 10728, 1480 and 9176; scaling both 2D
+# convection stacks in one multiply took a 2D right-hand side from 5
+# elementwise calls to 4, and the 1D kernel makes no end write (it made 1).
+# ``step_ufuncs`` rose from 25 to 27 because stage 1 now writes into its
+# buffer through ``np.multiply``/``np.add``; it was the same two ufunc
+# calls as operators, which this counter does not see.
 BOUNDS = {
-    "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 5,
-              "item_writes": 0, "step_ufuncs": 25, "step_peak_bytes": 48640},
-    "p4-65": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 5,
-              "item_writes": 0, "step_ufuncs": 25, "step_peak_bytes": 677856},
+    "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
+              "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 10728},
+    "p4-65": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
+              "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 1480},
     "p1-121": {"rhs_calls_per_step": 5, "products": 3, "elementwise": 2,
-               "item_writes": 1, "step_ufuncs": 25, "step_peak_bytes": 31544},
+               "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 9176},
 }
 
 
@@ -99,14 +105,14 @@ def _costs(run):
     A run's first step allocates some bytes more than the later ones, and
     the first run of a process more again, so it is not the one counted.
     """
-    real_drive, real_step = solvers._drive, solvers.step
+    real_drive, real_step = solvers._drive, solvers._step_into
     rhs_seen, per_step = [], []
 
     def drive(prob, grid, impose, rhs, *args):
         rhs_seen.append(rhs)
         return real_drive(prob, grid, impose, rhs, *args)
 
-    def step(u, t, dt, rhs):
+    def step_into(u, t, dt, rhs, bufs):
         # counted on the solver's bare right-hand side: ``rhs`` writes the
         # next stage's traces and has a fixed number of them to give
         calls = [0]
@@ -118,12 +124,12 @@ def _costs(run):
         _COUNTS.clear()
         ssprk54.np = _CountingNumpy()
         try:
-            real_step(u, t, dt, counted_rhs)
+            real_step(u, t, dt, counted_rhs, bufs)
         finally:
             ssprk54.np = np
         tracemalloc.start()
         try:
-            out = real_step(u, t, dt, rhs)
+            out = real_step(u, t, dt, rhs, bufs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -132,15 +138,33 @@ def _costs(run):
                          "step_peak_bytes": peak})
         return out
 
-    solvers._drive, solvers.step = drive, step
+    solvers._drive, solvers._step_into = drive, step_into
     try:
         sol = run()
     finally:
-        solvers._drive, solvers.step = real_drive, real_step
+        solvers._drive, solvers._step_into = real_drive, real_step
+    assert len(per_step) == 2, "the step routine was not called"
 
-    costs = per_step[-1]
-    _COUNTS.clear()
-    rhs_seen[0](np.array((sol.u, sol.v)).view(_Counted), sol.t)
+    # the solver's right-hand side writes into buffers it holds, so its
+    # kernel is handed ``_Counted`` views of every array argument
+    costs, kernels = per_step[-1], []
+
+    def counting(kernel):
+        def counted(*args):
+            kernels.append(kernel)
+            return kernel(*(a.view(_Counted) if isinstance(a, np.ndarray)
+                            else a for a in args))
+        return counted
+
+    real_kernels = solvers._rhs_1d_kernel, solvers._rhs_2d_kernel
+    solvers._rhs_1d_kernel, solvers._rhs_2d_kernel = map(counting,
+                                                         real_kernels)
+    try:
+        _COUNTS.clear()
+        rhs_seen[0](np.array((sol.u, sol.v)), sol.t)
+    finally:
+        solvers._rhs_1d_kernel, solvers._rhs_2d_kernel = real_kernels
+    assert len(kernels) == 1, "the kernel was not called"
     for name in ("products", "elementwise", "item_writes"):
         costs[name] = _COUNTS[name]
     return costs

@@ -352,14 +352,22 @@ def test_block_schedule_is_bitwise_the_per_step_schedule(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["p4-17", "p1-121"])
 def test_solvers_step_bitwise_as_with_the_step_oracle(case, monkeypatch):
-    # the buffered step drives a solve to the bits of the expression form
+    # the step routine, on the buffers the driver holds, drives a solve to
+    # the bits of the expression form
     if case == "p4-17":
         run = lambda: solve_2d(problem4(), 17, 1e-4, 0.004, snapshots=(0.002,))
     else:
         run = lambda: solve_1d(problem1(), 121, 1e-3, 0.04, snapshots=(0.02,))
     got = run()
-    monkeypatch.setattr(solvers, "step", step_reference)
+    calls = []
+
+    def reference(u, t, dt, rhs, bufs):
+        calls.append(t)
+        return step_reference(u, t, dt, rhs)
+
+    monkeypatch.setattr(solvers, "_step_into", reference)
     want = run()
+    assert len(calls) == 40
     assert got.t == want.t
     assert got.u.tobytes() == want.u.tobytes()
     assert got.v.tobytes() == want.v.tobytes()
@@ -375,9 +383,16 @@ def test_solvers_step_bitwise_as_with_the_step_oracle(case, monkeypatch):
 def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
     # the coupling product sums the convection terms in another order than
     # the per-field expressions, so a whole run may move by rounding only
-    got = solve_1d(build(), n, 1e-3, 1.0)
-    monkeypatch.setattr(solvers, "rhs_1d", rhs_1d_reference)
-    want = solve_1d(build(), n, 1e-3, 1.0)
+    prob, calls = build(), []
+    got = solve_1d(prob, n, 1e-3, 1.0)
+
+    def reference(w, coupling, w1, w2, *bufs):
+        calls.append(1)
+        return rhs_1d_reference(w, None, prob, w1, w2)
+
+    monkeypatch.setattr(solvers, "_rhs_1d_kernel", reference)
+    want = solve_1d(prob, n, 1e-3, 1.0)
+    assert len(calls) == 5 * 1000
     assert got.t == want.t
     for g, w in ((got.u, want.u), (got.v, want.v)):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
@@ -549,3 +564,109 @@ def test_solve_2d_as_with_the_public_rhs_oracle(build, nx, ny):
     _assert_rel_close((sol.u, sol.v),
                       _rhs_2d_reference_run(prob, nx, ny, dt, steps),
                       rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the 1D solver's right-hand side: ends unwritten, buffers held per solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, n", [
+    (problem1, 41), (problem1, 121), (_moved_problem1, 41),
+    (problem1_asymmetric, 41),
+], ids=["p1-41", "p1-121", "p1-moved-41", "p1-asymmetric-41"])
+def test_ends_of_the_1d_rhs_never_reach_the_solution(build, n, monkeypatch):
+    # The kernel leaves the ends of its result unwritten; the driver
+    # overwrites every end it can reach.  A kernel that writes garbage
+    # there changes no bit.
+    prob, dt, steps = build(), 1e-3, 60
+    snaps = (0.0, 0.02, steps * dt)
+
+    def run():
+        seen = []
+
+        def observer(k, t, u, v):
+            seen.append((t, u[[0, -1]], v[[0, -1]]))
+
+        sol = solve_1d(prob, n, dt, steps * dt, snapshots=snaps,
+                       observer=observer)
+        assert len(seen) == steps
+        for t, bu, bv in seen:
+            # after every step, not only at block starts
+            assert bu.tobytes() == np.array([prob.g1(t), prob.g2(t)]).tobytes()
+            assert bv.tobytes() == np.array([prob.g3(t), prob.g4(t)]).tobytes()
+        return sol
+
+    want = run()
+    kernel, calls = solvers._rhs_1d_kernel, []
+
+    def garbage(*args):
+        out = kernel(*args)
+        out[:, [0, -1]] = 7.0
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(solvers, "_rhs_1d_kernel", garbage)
+    got = run()
+    assert len(calls) == 5 * steps
+    assert got.t == want.t
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.v.tobytes() == want.v.tobytes()
+    assert len(got.snapshots) == len(want.snapshots) == len(snaps)
+    for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
+        assert tg == tw
+        assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
+
+
+NESTED_CASES = pytest.mark.parametrize("solve, build, n", [
+    (solve_1d, problem1, 41), (solve_2d, problem4, 9),
+], ids=["1d", "2d"])
+
+
+def _fields(sol):
+    return [sol.u, sol.v] + [f for _, u, v in sol.snapshots for f in (u, v)]
+
+
+def _same_bits(got, want):
+    assert got.t == want.t
+    assert [f.tobytes() for f in _fields(got)] == \
+        [f.tobytes() for f in _fields(want)]
+
+
+@NESTED_CASES
+def test_a_solve_inside_an_observer_leaves_both_runs_unchanged(solve, build,
+                                                                n):
+    # each solve holds buffers of its own: a whole run on the same grid,
+    # started from the observer, disturbs neither run
+    prob, dt, steps = build(), 1e-3, 30
+    run = lambda observer=None: solve(prob, n, dt, steps * dt,
+                                      snapshots=(0.01,), observer=observer)
+    outer_want, inner_want = run(), run()
+    inner = []
+
+    def observer(k, t, u, v):
+        # after steps 1 and 2, so that the outer state is in each of the
+        # two result buffers the driver alternates between
+        before = (u.copy(), v.copy())
+        if k <= 2:
+            inner.append(run())
+        assert u.tobytes() == before[0].tobytes()
+        assert v.tobytes() == before[1].tobytes()
+
+    outer = run(observer)
+    assert len(inner) == 2
+    _same_bits(outer, outer_want)
+    for sol in inner:
+        _same_bits(sol, inner_want)
+
+
+@NESTED_CASES
+def test_solution_fields_are_writeable_and_share_no_memory(solve, build, n):
+    prob, dt = build(), 1e-3
+    first = solve(prob, n, dt, 0.01, snapshots=(0.0, 0.003, 0.004, 0.01))
+    later = solve(prob, n, dt, 0.01, snapshots=(0.005,))
+    fields = _fields(first) + _fields(later)
+    assert len(fields) == 2 * 5 + 2 * 2
+    assert all(f.flags.writeable for f in fields)
+    for i, f in enumerate(fields):
+        for g in fields[i + 1:]:
+            assert not np.shares_memory(f, g)

@@ -172,6 +172,14 @@ def test_step_keeps_the_expression_forms_types():
     assert type(step(1.0 + 2.0j, 0.0, 0.1, lambda u, t: -1j * u)) is np.complex128
 
 
+def test_a_python_scalar_from_rhs_keeps_the_states_dtype():
+    # as in the expression form, a Python float is weakly typed
+    for u in (np.ones(3, np.float32), np.float32(1.0)):
+        got = step(u, 0.0, 0.1, lambda u, t: 0.5)
+        assert got.dtype == np.float32
+        assert got.dtype == step_reference(u, 0.0, 0.1, lambda u, t: 0.5).dtype
+
+
 def test_step_writes_neither_its_input_nor_the_rhs_results():
     # read-only arrays make any write raise
     u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
@@ -193,6 +201,29 @@ def test_step_writes_neither_its_input_nor_the_rhs_results():
     assert len(calls) == 5 and got.flags.writeable
     np.testing.assert_array_equal(u, np.linspace(-1.0, 1.0, 6).reshape(2, 3))
     assert (cached == 0.25).all()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 121), (2, 17, 17)])
+def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
+    # The solvers' right-hand sides return one array, overwritten at every
+    # call; each result is used up before the next call, so ``step`` and the
+    # routine the solvers call, on buffers held across steps, give the bits
+    # of a right-hand side that returns fresh arrays.
+    rng = np.random.default_rng(len(shape))
+    u = rng.uniform(-1.0, 1.0, shape)
+    held = np.empty_like(u)
+
+    def held_rhs(x, t):
+        np.copyto(held, _nonlinear_rhs(x, t))
+        return held
+
+    bufs = tuple(np.empty_like(u) for _ in range(6))
+    for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
+        want = step(u, t, dt, _nonlinear_rhs)
+        assert step(u, t, dt, held_rhs).tobytes() == want.tobytes()
+        for _ in range(2):  # the second call finds the first one's values
+            got = ssprk54._step_into(u, t, dt, held_rhs, bufs)
+            assert got is bufs[-1] and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
