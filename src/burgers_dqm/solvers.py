@@ -4,14 +4,16 @@
 from the per-process memo of ``dqm_weights``, then hand one shared driver
 the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and
-``rhs(w, t)``, the full-sum right-hand side of the stacked ``(2, *shape)``
-state: the private kernel of ``rhs_1d`` or ``rhs_2d``, bound to output
-buffers held for the solve.  Neither kernel writes the boundary nodes of its
-result, since the driver overwrites every one the right-hand side can
-reach; in 2D ``nu`` is folded into copies of the second-derivative weights
-once per solve.  The driver starts from the initial fields on the grid's
-``coords`` and advances the state with the five-stage Runge-Kutta step,
-whose stage and result buffers it also holds for the solve.  Every stage
+``rhs(w, t, out)``, the full-sum right-hand side of the stacked
+``(2, *shape)`` state written into ``out``: the private kernel of ``rhs_1d``
+or ``rhs_2d``, bound to scratch buffers held for the solve.  Neither kernel
+zeroes the boundary nodes of its result, since the driver overwrites every
+one the right-hand side can reach; in 2D ``nu`` is folded into copies of
+the second-derivative weights once per solve.  The driver starts from the
+initial fields on the grid's ``coords`` and advances the state with the
+five-stage Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
+whose stacks and stage states are also held for the solve: each ``out`` is
+a row of a stack, and each stage state one product over it.  Every stage
 state carries the traces at its own time, so time-varying traces keep the
 scheme's fourth order.  Every time a run needs traces at is known before
 its first step, so each field's traces are evaluated once per block of
@@ -30,7 +32,7 @@ from .burgers_rhs import (Problem1D, Problem2D, _rhs_1d_kernel,
                           apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
-from .ssprk54 import ABSCISSAE, _step_into, num_steps
+from .ssprk54 import ABSCISSAE, _stacked_stepper, num_steps
 
 # Fractions of dt at which a step needs traces: stages 2-5, then the result.
 _TRACE_OFFSETS = np.array(ABSCISSAE[1:] + (1.0,))[:, None]
@@ -86,7 +88,7 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     ``rhs`` may leave any finite values on the masked nodes of its result.
     The step combines stages pointwise, so they reach only masked entries of
     later stage states and of the result, and the driver writes the traces
-    there before the next ``rhs`` call and after every step; only ``step``'s
+    there before the next ``rhs`` call and after every step; only the step's
     finiteness check reads them first.
 
     The traces are evaluated one block of steps ahead: one ``impose`` call
@@ -95,13 +97,14 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     that raises therefore raises before the observer sees the earlier steps
     of its block.
 
-    The stage states, the step's temporary and two result buffers are
-    allocated once per call, and the steps alternate between the result
-    buffers; ``rhs`` may return one held array, overwritten at every call.
-    ``observer(step_index, t, u, v)`` is called after every step, once the
-    Dirichlet data are reimposed, with read-only views of the solver state;
-    their memory is overwritten two steps later, so copy them to keep them
-    past the call.  Snapshots and the returned fields are copies.
+    ``rhs(x, t, out)`` writes the right-hand side of x into ``out``; its
+    return value is not read.  The stepper's two stacks and four stage
+    states are allocated once per call, and the state alternates between
+    row 0 of the two stacks.  ``observer(step_index, t, u, v)`` is called
+    after every step, once the Dirichlet data are reimposed, with read-only
+    views of the solver state; their memory is overwritten two steps later,
+    so copy them to keep them past the call.  Snapshots and the returned
+    fields are copies.
 
     The steps of a block run in one region with numpy's overflow and
     invalid-value warnings silenced: a blow-up ends in ``NonFiniteState``,
@@ -124,11 +127,17 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
                   np.broadcast_to(prob.psi(*grid.coords), grid.ring.shape)],
                  dtype=float)
     impose(w[0], w[1], t0, prob, grid)
-    stages = [np.empty_like(w) for _ in range(5)]
-    spare = np.empty_like(w)
+    w, advance = _stacked_stepper(w, dt)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
+
+    def stage(k, x, s, out):
+        # ``traces`` is the running step's row of ``flat``; stage 0 runs on
+        # the state, which holds the traces at its time
+        if k:
+            x.reshape(-1)[nodes] = traces[k - 1]
+        rhs(x, s, out)
 
     caller = np.geterr()
     for first in range(0, steps, block):
@@ -142,17 +151,9 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size):
                 k = first + j + 1
-                pending = iter(flat[j])
-
-                def stage_rhs(x, s, start=w):
-                    # stage 1 runs on ``start``, which holds the traces at t
-                    if x is not start:
-                        x.reshape(-1)[nodes] = next(pending)
-                    return rhs(x, s)
-
-                w, spare = _step_into(w, base[j], dt, stage_rhs,
-                                      (*stages, spare)), w
-                w.reshape(-1)[nodes] = flat[j, -1]
+                traces = flat[j]
+                w = advance(w, base[j], stage)
+                w.reshape(-1)[nodes] = traces[-1]
                 if observer is not None:
                     ro = w.view()
                     ro.flags.writeable = False
@@ -177,10 +178,10 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     grid = Grid1D(prob.a, prob.b, n)
     weights = _grid_weights(grid)
     w1, w2, coupling = weights.w1, weights.w2, prob.coupling
-    out, wx, conv = (np.empty((2, n)) for _ in range(3))
+    wx, conv = np.empty((2, n)), np.empty((2, n))
     prod = np.empty((2, 2, n))
 
-    def rhs(w, t):
+    def rhs(w, t, out):
         return _rhs_1d_kernel(w, coupling, w1, w2, out, wx, prod, conv)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
@@ -209,9 +210,9 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
     ax2 = prob.nu * ax2
     by1 = np.asfortranarray(by1)
     by2 = np.multiply(prob.nu, by2, order="F")
-    out, conv = np.empty((2, nx, ny)), np.empty((2, 2, nx, ny))
+    conv = np.empty((2, 2, nx, ny))
 
-    def rhs(w, t):
+    def rhs(w, t, out):
         return _rhs_2d_kernel(w, 1.0, ax1, ax2, by1, by2, out, conv)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,

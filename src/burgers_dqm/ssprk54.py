@@ -1,12 +1,22 @@
 """Five-stage, fourth-order strong-stability-preserving Runge-Kutta stepper.
 
-Each stage is a convex combination of previous stages and forward-Euler
-substeps, which is what gives the scheme its strong-stability property.
-The eleven coefficients are kept at full published precision.
+The scheme is Spiteri & Ruuth's optimal SSP-RK54, written in their
+Shu-Osher form: each stage is a convex combination of previous stages and
+forward-Euler substeps, which is what gives the scheme its strong-stability
+property.  Ten of the eleven coefficients are kept at full published
+precision.  The eleventh, C2, is computed as ``1 - C3 - C4``: the published
+C2 + C3 + C4 is 1 + 1e-15, so a step of a zero right-hand side scaled the
+state by 1 + 9e-16, and a long run drifted by that factor at every step.
 
-One private routine, ``_step_into``, does the arithmetic: it writes every
-stage into buffers the caller supplies.  ``step`` lets it allocate them
-for the one call; the solvers hand it buffers held for a whole solve.
+``step`` evaluates the Shu-Osher expressions term by term.  The solvers run
+the same scheme in increment (Butcher) form, through ``_stacked_stepper``:
+stage state k is ``u + dt * sum_j INCREMENTS[k - 1, j] * L_j``, where L_j is
+the right-hand side at stage state j (stage state 0 is u) and row 4 of the
+table gives the result.  The table is derived at import from the Shu-Osher
+coefficients.  Its coefficient on u is exactly 1, so a zero right-hand side
+leaves the state unchanged and the roundings of u's multiples do not pile up
+over a run.  The five right-hand sides are rows of one held stack beside u,
+so each stage state is one BLAS product over a prefix of that stack.
 """
 
 import cmath
@@ -31,11 +41,11 @@ A40 = 0.178079954393132
 A43 = 0.821920045606868
 B43 = 0.544974750228521
 # final: u+ = C2 u2 + C3 u3 + D3 dt L(u3) + C4 u4 + D4 dt L(u4)
-C2 = 0.517231671970585
 C3 = 0.096059710526147
 D3 = 0.063692468666290
 C4 = 0.386708617503269
 D4 = 0.226007483236906
+C2 = 1.0 - C3 - C4  # published as 0.517231671970585
 
 # effective stage abscissae (fraction of dt at which each L argument lives),
 # derived from the combination weights
@@ -47,11 +57,40 @@ _C5 = A43 * _C4 + B43
 ABSCISSAE = (_C1, _C2, _C3, _C4, _C5)
 
 
+def _increments():
+    """Row k - 1: stage state k's weights on L(u), L(u1), ..., L(u4); row 4:
+    the result's.  Each Shu-Osher stage is substituted into the next one."""
+    a = np.zeros((5, 5))
+    a[0, 0] = B10
+    for k, (ak, bk) in enumerate(((A21, B21), (A32, B32), (A43, B43)), 1):
+        a[k] = ak * a[k - 1]
+        a[k, k] = bk
+    a[4] = C2 * a[1] + C3 * a[2] + C4 * a[3]
+    a[4, 3] += D3
+    a[4, 4] = D4
+    a.flags.writeable = False
+    return a
+
+
+INCREMENTS = _increments()
+
+
 def _check(u, t, stage):
     if not np.all(np.isfinite(u)):
         raise NonFiniteState(
             f"non-finite state after stage {stage} at t={t!r}", t=t, stage=stage
         )
+
+
+def _check_result(out, t, stages):
+    """Raise ``NonFiniteState`` naming the first non-finite of ``stages``
+    (stages 1-4, then the result ``out``) if ``out`` is not finite."""
+    # a finite sum proves every entry finite; only a non-finite sum (which
+    # may be an overflow of finite entries) needs the entrywise check
+    if not cmath.isfinite(np.add.reduce(out, None)) \
+            and not np.isfinite(out).all():
+        for stage, uk in enumerate((*stages, out), start=1):
+            _check(uk, t, stage)
 
 
 def step(u, t, dt, rhs):
@@ -68,41 +107,23 @@ def step(u, t, dt, rhs):
     allocated for this call.  rhs must return that dtype, or one that casts
     to it, at every stage.  Neither u nor an array that rhs returns is
     written to; a 0-d u gives a numpy scalar.  rhs receives the step's own
-    stage buffers and may write to its argument (the solvers write each
-    stage's traces there).
+    stage buffers and may write to its argument.  rhs may return the same
+    array at every call, overwritten by the next call: each result is used
+    up before rhs is called again.
 
     Only the result is checked for finiteness: every stage enters it with a
     nonzero weight, so a non-finite stage always reaches it.  When the
     result is non-finite, ``NonFiniteState`` names the base time ``t`` and
     the first stage (1-5) whose state is non-finite.
     """
-    return _step_into(np.asarray(u), t, dt, rhs)[()]
-
-
-def _step_into(u, t, dt, rhs, bufs=None):
-    """``step`` on an array u, every stage written into ``bufs``.
-
-    ``bufs`` is ``(u1, u2, u3, u4, tmp, out)``: the four stage states, the
-    shared temporary and the result, arrays of u's shape that are not u and
-    hold a dtype every stage casts to; the result is returned in ``out``.
-    With ``bufs=None``, stage 1 allocates u1 and fixes the dtype of the
-    other five, as ``step`` does.
-
-    rhs may return the same array at every call, overwritten by the next
-    call: each result is used up before rhs is called again (``l3`` enters
-    both u4 and the result before ``rhs(u4)`` runs).
-    """
+    u = np.asarray(u)
     ts = [t + c * dt for c in ABSCISSAE]
     mul, add = np.multiply, np.add
-    u1, u2, u3, u4, tmp, out = bufs or (None,) * 6
 
-    # without buffers the first product is the operator's, so that a Python
-    # scalar from rhs stays weakly typed, as in ``u + B10 * dt * l1``
-    l1 = rhs(u, ts[0])
-    l1 = (B10 * dt) * l1 if tmp is None else mul(B10 * dt, l1, tmp)
-    u1 = add(u, l1, u1)
-    if out is None:
-        u2, u3, u4, tmp, out = (np.empty_like(u1) for _ in range(5))
+    # the first stage is the expression form's own, so that a Python scalar
+    # from rhs stays weakly typed; it fixes the dtype of the other buffers
+    u1 = u + (B10 * dt) * rhs(u, ts[0])
+    u2, u3, u4, tmp, out = (np.empty_like(u1) for _ in range(5))
     mul(A20, u, u2)
     add(u2, mul(A21, u1, tmp), u2)
     add(u2, mul(B21 * dt, rhs(u1, ts[1]), tmp), u2)
@@ -118,14 +139,57 @@ def _step_into(u, t, dt, rhs, bufs=None):
     add(out, mul(D3 * dt, l3, tmp), out)
     add(out, mul(C4, u4, tmp), out)
     add(out, mul(D4 * dt, rhs(u4, ts[4]), tmp), out)
+    _check_result(out, t, (u1, u2, u3, u4))
+    return out[()]
 
-    # a finite sum proves every entry finite; only a non-finite sum (which
-    # may be an overflow of finite entries) needs the entrywise check
-    if not cmath.isfinite(np.add.reduce(out, None)) \
-            and not np.isfinite(out).all():
-        for stage, uk in enumerate((u1, u2, u3, u4, out), start=1):
-            _check(uk, t, stage)
-    return out
+
+def _stacked_stepper(u, dt):
+    """The solvers' step: SSP-RK54 in increment form, on stacks held for a
+    whole run at one dt.  Returns ``(state, advance)``.
+
+    ``state`` is a float copy of the array u.  It is row 0 of one of two
+    stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the right-hand
+    sides L0..L4 of a step from that row.  ``advance(w, t, stage)`` steps w,
+    which must be ``state`` or a result of ``advance``, from t to t + dt and
+    returns the result: row 0 of the other stack, so that results alternate
+    between two arrays and w is not written.  For k = 0..4 it calls
+    ``stage(k, x, t_k, row)``, which must write the right-hand side of x at
+    ``t_k = t + ABSCISSAE[k] * dt`` into ``row``, the stack row of L_k; x is
+    w for k = 0, which ``stage`` must not write, and then one of four held
+    stage-state arrays, which it may write (the solvers write each stage's
+    traces there).  Stage state k + 1, or the result after k = 4, is then
+    one ``np.dot`` of its coefficient row over rows 0..k + 1 of the stack.
+    The stacks, the stage states, the coefficient rows and every view a
+    step uses are made here, once.
+
+    Only the result is checked for finiteness: each L_k enters it with a
+    nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
+    the first non-finite stage state, as ``step`` does.
+    """
+    stacks = np.empty((2, 6) + u.shape)
+    stacks[0, 0] = u
+    stages = np.empty((4,) + u.shape)
+    flat = stacks.reshape(2, 6, -1)
+    offsets = [c * dt for c in ABSCISSAE]
+    coeffs = [np.array((1.0, *(dt * INCREMENTS[k, :k + 1]))) for k in range(5)]
+    heads = (stacks[0, 0], stacks[1, 0])
+    plans = {}
+    for s in (0, 1):
+        xs = (heads[s], *stages)
+        targets = (*stages.reshape(4, -1), flat[1 - s, 0])
+        plans[id(heads[s])] = heads[1 - s], tuple(
+            (k, xs[k], stacks[s, k + 1], offsets[k], coeffs[k],
+             flat[s, :k + 2], targets[k]) for k in range(5))
+
+    def advance(w, t, stage):
+        result, plan = plans[id(w)]
+        for k, x, row, offset, c, prefix, target in plan:
+            stage(k, x, t + offset, row)
+            np.dot(c, prefix, out=target)
+        _check_result(result, t, stages)
+        return result
+
+    return heads[0], advance
 
 
 def num_steps(t0, t_end, dt):

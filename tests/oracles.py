@@ -14,9 +14,11 @@ also check the state shapes).  The solvers use the full-sum route instead;
 the tests hold the two routes equal to rounding.
 
 ``step_reference`` is the SSP-RK54 step written as one expression per
-stage, in the Shu-Osher form of Spiteri & Ruuth; ``ssprk54._step_into``,
-which ``step`` and the solvers run, evaluates the same terms in the same
-order into buffers, and the tests hold the two byte-equal.
+stage, in the Shu-Osher form of Spiteri & Ruuth; ``step`` evaluates the same
+terms in the same order into buffers, and the tests hold the two
+byte-equal.  The solvers run the increment form instead
+(``ssprk54._stacked_stepper``), which the tests hold within a few ulps of
+it.
 
 ``dump_weights_csv_reference`` formats a weight dump with one ``%`` per
 matrix entry, and ``csv_text_reference`` a CSV cell by cell through a

@@ -4,11 +4,11 @@ cannot move.
 One step each of problem 4 at 17x17 and 65x65 and of problem 1 at n = 121
 is counted: the right-hand-side calls per step, the matrix products,
 elementwise ufunc calls and item writes (the ring writes) of one solver
-right-hand-side call, the ufunc calls the solvers' step routine
-``ssprk54._step_into`` makes through its ``np``, and the peak
-``tracemalloc`` bytes of one step.  Each figure is pinned as an upper bound
-at its current value: a change that lowers a count lowers its bound with
-it, and one that must raise a bound says why.
+right-hand-side call, the numpy calls (ufuncs and ``np.dot``) a step of the
+solvers' stepper, ``ssprk54._stacked_stepper``, makes through its ``np``,
+and the peak ``tracemalloc`` bytes of one step.  Each figure is pinned as
+an upper bound at its current value: a change that lowers a count lowers
+its bound with it, and one that must raise a bound says why.
 
 The counts repeat exactly in one process and in a fresh one; run this file
 as a script to print them as JSON.
@@ -52,27 +52,30 @@ class _Counted(np.ndarray):
         super().__setitem__(key, value)
 
 
-class _CountingUfunc:
-    """A ufunc whose calls, and calls of its methods (``np.add.reduce``),
-    land in ``_COUNTS``."""
+class _CountingCall:
+    """A ufunc or ``np.dot`` whose calls, and calls of its methods
+    (``np.add.reduce``), land in ``_COUNTS``."""
 
     def __init__(self, fn):
         self._fn = fn
 
     def __call__(self, *args, **kwargs):
-        _COUNTS["step_ufuncs"] += 1
+        _COUNTS["step_numpy_calls"] += 1
         return self._fn(*args, **kwargs)
 
     def __getattr__(self, name):
-        return _CountingUfunc(getattr(self._fn, name))
+        return _CountingCall(getattr(self._fn, name))
 
 
 class _CountingNumpy:
-    """Stands in for ``ssprk54``'s ``np``: ufuncs come back counting."""
+    """Stands in for ``ssprk54``'s ``np``: ufuncs and ``np.dot`` come back
+    counting."""
 
     def __getattr__(self, name):
         attr = getattr(np, name)
-        return _CountingUfunc(attr) if isinstance(attr, np.ufunc) else attr
+        if isinstance(attr, np.ufunc) or attr is np.dot:
+            return _CountingCall(attr)
+        return attr
 
 
 CASES = {
@@ -86,16 +89,19 @@ CASES = {
 # 677856 and 31544 bytes to 10728, 1480 and 9176; scaling both 2D
 # convection stacks in one multiply took a 2D right-hand side from 5
 # elementwise calls to 4, and the 1D kernel makes no end write (it made 1).
-# ``step_ufuncs`` rose from 25 to 27 because stage 1 now writes into its
-# buffer through ``np.multiply``/``np.add``; it was the same two ufunc
-# calls as operators, which this counter does not see.
+# Stepping in increment form over a held stack took a step from 27 numpy
+# calls (ufuncs in the Shu-Osher form) to 6: one ``np.dot`` per stage and
+# one finiteness reduce; its peak fell by 136 bytes more.
 BOUNDS = {
     "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
-              "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 10728},
+              "item_writes": 0, "step_numpy_calls": 6,
+              "step_peak_bytes": 10592},
     "p4-65": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
-              "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 1480},
+              "item_writes": 0, "step_numpy_calls": 6,
+              "step_peak_bytes": 1344},
     "p1-121": {"rhs_calls_per_step": 5, "products": 3, "elementwise": 2,
-               "item_writes": 0, "step_ufuncs": 27, "step_peak_bytes": 9176},
+               "item_writes": 0, "step_numpy_calls": 6,
+               "step_peak_bytes": 9040},
 }
 
 
@@ -104,45 +110,50 @@ def _costs(run):
 
     A run's first step allocates some bytes more than the later ones, and
     the first run of a process more again, so it is not the one counted.
+    A step reads its input and writes the other stack, so it is run twice
+    on the same input: once counting calls, once tracing memory.
     """
-    real_drive, real_step = solvers._drive, solvers._step_into
+    real_drive, real_stepper = solvers._drive, solvers._stacked_stepper
     rhs_seen, per_step = [], []
 
     def drive(prob, grid, impose, rhs, *args):
         rhs_seen.append(rhs)
         return real_drive(prob, grid, impose, rhs, *args)
 
-    def step_into(u, t, dt, rhs, bufs):
-        # counted on the solver's bare right-hand side: ``rhs`` writes the
-        # next stage's traces and has a fixed number of them to give
-        calls = [0]
+    def stepper(u, dt):
+        state, advance = real_stepper(u, dt)
 
-        def counted_rhs(x, s):
-            calls[0] += 1
-            return rhs_seen[-1](x, s)
+        def counted_advance(w, t, stage):
+            calls = [0]
 
-        _COUNTS.clear()
-        ssprk54.np = _CountingNumpy()
-        try:
-            real_step(u, t, dt, counted_rhs, bufs)
-        finally:
-            ssprk54.np = np
-        tracemalloc.start()
-        try:
-            out = real_step(u, t, dt, rhs, bufs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_step.append({"rhs_calls_per_step": calls[0],
-                         "step_ufuncs": _COUNTS["step_ufuncs"],
-                         "step_peak_bytes": peak})
-        return out
+            def counted_stage(*args):
+                calls[0] += 1
+                return stage(*args)
 
-    solvers._drive, solvers._step_into = drive, step_into
+            _COUNTS.clear()
+            ssprk54.np = _CountingNumpy()
+            try:
+                advance(w, t, counted_stage)
+            finally:
+                ssprk54.np = np
+            tracemalloc.start()
+            try:
+                out = advance(w, t, stage)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            per_step.append({"rhs_calls_per_step": calls[0],
+                             "step_numpy_calls": _COUNTS["step_numpy_calls"],
+                             "step_peak_bytes": peak})
+            return out
+
+        return state, counted_advance
+
+    solvers._drive, solvers._stacked_stepper = drive, stepper
     try:
         sol = run()
     finally:
-        solvers._drive, solvers._step_into = real_drive, real_step
+        solvers._drive, solvers._stacked_stepper = real_drive, real_stepper
     assert len(per_step) == 2, "the step routine was not called"
 
     # the solver's right-hand side writes into buffers it holds, so its
@@ -161,7 +172,8 @@ def _costs(run):
                                                          real_kernels)
     try:
         _COUNTS.clear()
-        rhs_seen[0](np.array((sol.u, sol.v)), sol.t)
+        w = np.array((sol.u, sol.v))
+        rhs_seen[0](w, sol.t, np.empty_like(w))
     finally:
         solvers._rhs_1d_kernel, solvers._rhs_2d_kernel = real_kernels
     assert len(kernels) == 1, "the kernel was not called"

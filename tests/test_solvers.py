@@ -24,11 +24,11 @@ from burgers_dqm import (
     step,
     weights_2d,
 )
-from burgers_dqm import solvers
+from burgers_dqm import solvers, ssprk54
 from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
 from burgers_dqm.exceptions import ConfigError, DomainError, NonFiniteState
 from oracles import (problem1_asymmetric, rhs_1d_reference, rhs_1d_split,
-                     rhs_2d_split, step_reference)
+                     rhs_2d_split)
 
 
 def test_zero_horizon_returns_initial_condition():
@@ -350,31 +350,87 @@ def test_block_schedule_is_bitwise_the_per_step_schedule(case, monkeypatch):
         np.testing.assert_array_equal(vg, vw)
 
 
-@pytest.mark.parametrize("case", ["p4-17", "p1-121"])
-def test_solvers_step_bitwise_as_with_the_step_oracle(case, monkeypatch):
-    # the step routine, on the buffers the driver holds, drives a solve to
-    # the bits of the expression form
-    if case == "p4-17":
-        run = lambda: solve_2d(problem4(), 17, 1e-4, 0.004, snapshots=(0.002,))
-    else:
-        run = lambda: solve_1d(problem1(), 121, 1e-3, 0.04, snapshots=(0.02,))
-    got = run()
-    calls = []
+def _long_double_run(prob, grid, impose, rhs, dt, steps):
+    """The solver's semi-discrete system stepped in long double.
 
-    def reference(u, t, dt, rhs, bufs):
-        calls.append(t)
-        return step_reference(u, t, dt, rhs)
+    ``rhs(x)`` is the system's right-hand side on long-double arrays.  The
+    step is SSP-RK54 in Shu-Osher form with each weight on u taken as one
+    minus the others, so that, as in the increment form, the weights on u
+    sum to 1.  The initial fields and the traces are the solver's float64
+    values, each stage's at the solver's stage time.
+    """
+    c = {name: np.longdouble(getattr(ssprk54, name)) for name in (
+        "B10", "A21", "B21", "A32", "B32", "A43", "B43", "C3", "D3", "C4",
+        "D4")}
+    a20, a30, a40 = 1 - c["A21"], 1 - c["A32"], 1 - c["A43"]
+    c2 = 1 - c["C3"] - c["C4"]
+    offsets = dt * np.array(ssprk54.ABSCISSAE)
+    h = np.longdouble(dt)
+    w = np.array([np.broadcast_to(f(*grid.coords), grid.ring.shape)
+                  for f in (prob.phi, prob.psi)], dtype=float)
+    impose(w[0], w[1], 0.0, prob, grid)
+    w = w.astype(np.longdouble)
+    for m in range(steps):
+        def f(x, k):
+            impose(x[0], x[1], m * dt + offsets[k], prob, grid)
+            return rhs(x)
 
-    monkeypatch.setattr(solvers, "_step_into", reference)
-    want = run()
-    assert len(calls) == 40
-    assert got.t == want.t
-    assert got.u.tobytes() == want.u.tobytes()
-    assert got.v.tobytes() == want.v.tobytes()
-    assert len(got.snapshots) == len(want.snapshots) == 1
-    for (tg, ug, vg), (tw, uw, vw) in zip(got.snapshots, want.snapshots):
-        assert tg == tw
-        assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
+        u1 = w + h * c["B10"] * f(w, 0)
+        u2 = a20 * w + c["A21"] * u1 + h * c["B21"] * f(u1, 1)
+        u3 = a30 * w + c["A32"] * u2 + h * c["B32"] * f(u2, 2)
+        l3 = f(u3, 3)
+        u4 = a40 * w + c["A43"] * u3 + h * c["B43"] * l3
+        w = (c2 * u2 + c["C3"] * u3 + h * c["D3"] * l3 + c["C4"] * u4
+             + h * c["D4"] * f(u4, 4))
+        impose(w[0], w[1], (m + 1) * dt, prob, grid)
+    return w
+
+
+def _long_double_case(case):
+    """(solve, long-double run) of p4 at 8x8 or p1 at 41 nodes."""
+    L = np.longdouble
+    if case == "p4-8":
+        prob, dt, steps = problem4(), 1e-4, 400
+        grid = Grid2D(Grid1D(prob.a, prob.b, 8), Grid1D(prob.c, prob.d, 8))
+        ax1, ax2, by1, by2 = weights_2d(grid)
+        # nu folded into the float64 weights, as ``solve_2d`` does
+        ax1, ax2, by1, by2 = (np.asarray(a, L) for a in (
+            ax1, prob.nu * ax2, by1, prob.nu * by2))
+
+        def rhs(x):
+            return (ax2 @ x + x @ by2.T - x[0] * (ax1 @ x)
+                    - x[1] * (x @ by1.T))
+
+        sol = solve_2d(prob, 8, dt, steps * dt)
+        return sol, _long_double_run(prob, grid, apply_dirichlet_2d, rhs, dt,
+                                     steps)
+    prob, dt, steps = problem1(), 1e-3, 400
+    grid = Grid1D(prob.a, prob.b, 41)
+    w1 = first_order_weights(grid)
+    w2, w1, coupling = (np.asarray(a, L) for a in (
+        second_order_weights(w1, grid), w1, prob.coupling))
+
+    def rhs(x):
+        return x @ w2.T - coupling @ (x[:, None] * (x @ w1.T)).reshape(4, -1)
+
+    sol = solve_1d(prob, 41, dt, steps * dt)
+    return sol, _long_double_run(prob, grid, apply_dirichlet_1d, rhs, dt,
+                                 steps)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 on this platform, so it "
+                           "gives no more precise reference")
+@pytest.mark.parametrize("case", ["p4-8", "p1-41"])
+def test_a_solve_stays_near_a_long_double_run_of_its_system(case):
+    # The increment form's weight on u is exactly 1, so the roundings of
+    # u's multiples do not pile up over a run.  After 400 steps the relative
+    # distance reads 2.8e-15 (p4) and 8.2e-16 (p1); stepping in Shu-Osher
+    # form with the published C2, whose weights on u sum to 1 + 1e-15,
+    # read 3.9e-13 and 3.8e-13.  The bound is 3.6x the larger measured value.
+    sol, want = _long_double_case(case)
+    got = np.array((sol.u, sol.v))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("build, n", [(problem1, 41), (problem1, 121),
@@ -386,9 +442,10 @@ def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
     prob, calls = build(), []
     got = solve_1d(prob, n, 1e-3, 1.0)
 
-    def reference(w, coupling, w1, w2, *bufs):
+    def reference(w, coupling, w1, w2, out, *bufs):
         calls.append(1)
-        return rhs_1d_reference(w, None, prob, w1, w2)
+        out[...] = rhs_1d_reference(w, None, prob, w1, w2)
+        return out
 
     monkeypatch.setattr(solvers, "_rhs_1d_kernel", reference)
     want = solve_1d(prob, n, 1e-3, 1.0)

@@ -38,8 +38,10 @@ def test_first_stage_weight_value():
 
 def test_zero_rhs_leaves_state_unchanged():
     u0 = np.array([1.0, -2.0, 3.5])
+    # C2 is 1 - C3 - C4: the published C2 + C3 + C4 is 1 + 1e-15, which
+    # scaled the state by 1 + 9e-16 here
     u1 = step(u0, 0.0, 0.1, lambda u, t: np.zeros_like(u))
-    np.testing.assert_allclose(u1, u0, atol=1e-14)
+    assert u1.tobytes() == u0.tobytes()
 
 
 def test_single_step_on_exponential_decay():
@@ -205,10 +207,9 @@ def test_step_writes_neither_its_input_nor_the_rhs_results():
 
 @pytest.mark.parametrize("shape", [(3,), (2, 121), (2, 17, 17)])
 def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
-    # The solvers' right-hand sides return one array, overwritten at every
-    # call; each result is used up before the next call, so ``step`` and the
-    # routine the solvers call, on buffers held across steps, give the bits
-    # of a right-hand side that returns fresh arrays.
+    # An rhs may return one array, overwritten at every call: each result
+    # is used up before the next call, so ``step`` gives the bits of a
+    # right-hand side that returns fresh arrays.
     rng = np.random.default_rng(len(shape))
     u = rng.uniform(-1.0, 1.0, shape)
     held = np.empty_like(u)
@@ -217,13 +218,108 @@ def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
         np.copyto(held, _nonlinear_rhs(x, t))
         return held
 
-    bufs = tuple(np.empty_like(u) for _ in range(6))
     for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
         want = step(u, t, dt, _nonlinear_rhs)
         assert step(u, t, dt, held_rhs).tobytes() == want.tobytes()
-        for _ in range(2):  # the second call finds the first one's values
-            got = ssprk54._step_into(u, t, dt, held_rhs, bufs)
-            assert got is bufs[-1] and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the solvers' step: increment form over a held stack
+# ---------------------------------------------------------------------------
+
+def _stage(rhs):
+    """The stage callback of ``_stacked_stepper`` for ``rhs(x, t)``."""
+    def stage(k, x, s, row):
+        row[...] = rhs(x, s)
+    return stage
+
+
+def _stacked_step(u, t, dt, rhs):
+    state, advance = ssprk54._stacked_stepper(u, dt)
+    return advance(state, t, _stage(rhs))
+
+
+def test_increment_table_rows_sum_to_the_abscissae():
+    a = ssprk54.INCREMENTS
+    assert not a.flags.writeable
+    assert np.array_equal(a, np.tril(a))
+    np.testing.assert_allclose(a[:4].sum(axis=1), ssprk54.ABSCISSAE[1:],
+                               rtol=1e-15)
+    assert abs(a[4].sum() - 1.0) <= 1e-15
+
+
+def test_increment_table_gives_the_amplification_polynomial():
+    # Butcher form: R(z) = 1 + sum_j z^j b A^(j-1) 1, where row s of A is
+    # stage state s's weights (stage state 0 is u) and b the result's
+    a = np.zeros((5, 5))
+    a[1:] = ssprk54.INCREMENTS[:4]
+    b = ssprk54.INCREMENTS[4]
+    taylor = [1.0] + [b @ np.linalg.matrix_power(a, j) @ np.ones(5)
+                      for j in range(5)]
+    for got, want in zip(taylor, [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0]):
+        assert abs(got - want) <= 1e-14
+    assert 0.0 < taylor[5] < 1.0 / 24.0
+    zs = np.array([-2.5, -1.0 + 0.5j, 0.3j, 0.25 - 1.5j, 0.0, -0.01])
+    np.testing.assert_allclose(np.polyval(taylor[::-1], zs),
+                               amplification(zs), rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 121), (2, 17, 17)])
+def test_a_zero_rhs_leaves_the_stacked_state_unchanged(shape):
+    u = np.random.default_rng(sum(shape)).uniform(-1e3, 1e3, shape)
+    got = _stacked_step(u, 0.25, 0.1, lambda x, t: np.zeros_like(x))
+    assert got.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 121), (2, 17, 17), (2, 65, 65)])
+def test_a_stacked_step_is_within_ulps_of_the_expression_form(shape):
+    rng = np.random.default_rng(sum(shape) + 7)
+    u = rng.uniform(-1.0, 1.0, shape)
+    for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
+        got = _stacked_step(u, t, dt, _nonlinear_rhs)
+        want = step_reference(u, t, dt, _nonlinear_rhs)
+        assert got.shape == shape and got.dtype == want.dtype
+        # at most 4 ulps of the largest entry here; the two forms round u's
+        # multiples differently
+        assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
+
+
+def test_stacked_results_alternate_and_leave_their_input_unchanged():
+    u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    state, advance = ssprk54._stacked_stepper(u, 0.1)
+    assert state.tobytes() == u.tobytes() and not np.shares_memory(state, u)
+    stage, times = _stage(_nonlinear_rhs), []
+
+    def recorded(k, x, s, row):
+        times.append(s)
+        assert (x is state) == (k == 0)
+        stage(k, x, s, row)
+
+    first = advance(state, 0.5, recorded)
+    assert times == [0.5 + c * 0.1 for c in ssprk54.ABSCISSAE]
+    assert state.tobytes() == u.tobytes()
+    again = advance(state, 0.5, stage)
+    assert again is first
+    second = advance(first, 0.6, stage)
+    assert advance(second, 0.7, stage) is first
+    assert not np.shares_memory(first, second)
+    with pytest.raises(KeyError):
+        advance(u, 0.5, stage)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+def test_nonfinite_stacked_step_names_the_failing_stage(stage):
+    t, dt = 0.5, 0.5
+    bad_t = t + ssprk54.ABSCISSAE[stage - 1] * dt
+
+    def rhs(u, s):
+        return np.full_like(u, np.nan) if s == bad_t else -u
+
+    with pytest.raises(NonFiniteState) as exc:
+        with np.errstate(invalid="ignore"):
+            _stacked_step(np.ones(3), t, dt, rhs)
+    assert exc.value.t == t
+    assert exc.value.stage == stage
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +327,7 @@ def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
 # ---------------------------------------------------------------------------
 
 def test_amplification_at_zero_is_one():
-    assert abs(amplification(0.0) - 1.0) <= 1e-12
+    assert amplification(0.0) == 1.0
 
 
 def test_amplification_on_arrays_matches_scalar_calls():
