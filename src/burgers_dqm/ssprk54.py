@@ -1,22 +1,21 @@
 """Five-stage, fourth-order strong-stability-preserving Runge-Kutta stepper.
 
-The scheme is Spiteri & Ruuth's optimal SSP-RK54, written in their
-Shu-Osher form: each stage is a convex combination of previous stages and
+The scheme is Spiteri & Ruuth's optimal SSP-RK54, published in Shu-Osher
+form: each stage is a convex combination of previous stages and
 forward-Euler substeps, which is what gives the scheme its strong-stability
 property.  Ten of the eleven coefficients are kept at full published
-precision.  The eleventh, C2, is computed as ``1 - C3 - C4``: the published
-C2 + C3 + C4 is 1 + 1e-15, so a step of a zero right-hand side scaled the
-state by 1 + 9e-16, and a long run drifted by that factor at every step.
+precision; C2 is computed as ``1 - C3 - C4``, as the published
+C2 + C3 + C4 is 1 + 1e-15.
 
-``step`` evaluates the Shu-Osher expressions term by term.  The solvers run
-the same scheme in increment (Butcher) form, through ``_stacked_stepper``:
-stage state k is ``u + dt * sum_j INCREMENTS[k - 1, j] * L_j``, where L_j is
-the right-hand side at stage state j (stage state 0 is u) and row 4 of the
-table gives the result.  The table is derived at import from the Shu-Osher
-coefficients.  Its coefficient on u is exactly 1, so a zero right-hand side
-leaves the state unchanged and the roundings of u's multiples do not pile up
-over a run.  The five right-hand sides are rows of one held stack beside u,
-so each stage state is one BLAS product over a prefix of that stack.
+Those coefficients only derive, at import, the stage abscissae and the
+increment (Butcher) table by which ``_stacked_stepper`` runs the scheme:
+stage state k is ``u + dt * sum_j INCREMENTS[k - 1, j] * L_j``, where L_j
+is the right-hand side at stage state j (stage state 0 is u), and row 4
+gives the result.  The coefficient on u is exactly 1, so a zero
+right-hand side leaves the state unchanged and the roundings of u's
+multiples do not pile up over a run.  The solvers hold one stepper for a
+whole run, ``step`` builds one per call, and ``amplification`` evaluates
+the stability polynomial whose coefficients the table gives.
 """
 
 import cmath
@@ -75,6 +74,19 @@ def _increments():
 INCREMENTS = _increments()
 
 
+def _taylor():
+    """R(z)'s coefficients on z^0..z^5: 1, then b A^(j-1) 1 for j = 1..5, with
+    b row 4 of ``INCREMENTS`` and A its rows 0-3 below a zero row for u."""
+    a, v, coeffs = np.vstack((np.zeros(5), INCREMENTS[:4])), np.ones(5), [1.0]
+    for _ in range(5):
+        coeffs.append(float(INCREMENTS[4] @ v))
+        v = a @ v
+    return tuple(coeffs)
+
+
+_TAYLOR = _taylor()
+
+
 def _check(u, t, stage):
     if not np.all(np.isfinite(u)):
         raise NonFiniteState(
@@ -96,89 +108,72 @@ def _check_result(out, t, stages):
 def step(u, t, dt, rhs):
     """Advance u from t to t + dt with one SSP-RK54 step.
 
-    rhs(u, t) returns du/dt.  Stage k evaluates rhs at its abscissa
-    ``t + ABSCISSAE[k-1] * dt``, so a time-dependent rhs is integrated to
-    fourth order.
-
-    Each stage is the convex combination above, its terms multiplied and
-    added in left-to-right order; after the first stage every product and
-    sum is written into buffers of the first stage's dtype (so an integer u
-    gives a float result), one per stage state and one shared temporary,
-    allocated for this call.  rhs must return that dtype, or one that casts
-    to it, at every stage.  Neither u nor an array that rhs returns is
-    written to; a 0-d u gives a numpy scalar.  rhs receives the step's own
-    stage buffers and may write to its argument.  rhs may return the same
-    array at every call, overwritten by the next call: each result is used
-    up before rhs is called again.
-
-    Only the result is checked for finiteness: every stage enters it with a
-    nonzero weight, so a non-finite stage always reaches it.  When the
-    result is non-finite, ``NonFiniteState`` names the base time ``t`` and
-    the first stage (1-5) whose state is non-finite.
+    rhs(u, t) returns du/dt, broadcastable to u's shape, and is evaluated at
+    each stage's abscissa ``t + ABSCISSAE[k-1] * dt``.  The step is one
+    ``advance`` of a ``_stacked_stepper`` built for the call, in the dtype
+    of the expression form's first stage ``u + (B10 * dt) * rhs(u, t)`` (an
+    integer u gives a float result; a Python scalar from rhs is weakly
+    typed), to which later right-hand sides must cast by same-kind casting.
+    A 0-d u gives a numpy scalar.  Neither u nor an array rhs returns is
+    written, and rhs may return one array, overwritten at every call.  rhs
+    is handed u, which it must not write, then the step's own stage states;
+    a write to one of those reaches only that call's right-hand side, as
+    each stage state is built from u and the right-hand sides alone.  A
+    non-finite result raises ``NonFiniteState`` naming ``t`` and the first
+    non-finite stage (1-5).
     """
     u = np.asarray(u)
-    ts = [t + c * dt for c in ABSCISSAE]
-    mul, add = np.multiply, np.add
+    l0 = rhs(u, t)
+    dtype = np.result_type(u, (B10 * dt) * l0)
+    state, advance = _stacked_stepper(np.asarray(u, dtype), dt)
 
-    # the first stage is the expression form's own, so that a Python scalar
-    # from rhs stays weakly typed; it fixes the dtype of the other buffers
-    u1 = u + (B10 * dt) * rhs(u, ts[0])
-    u2, u3, u4, tmp, out = (np.empty_like(u1) for _ in range(5))
-    mul(A20, u, u2)
-    add(u2, mul(A21, u1, tmp), u2)
-    add(u2, mul(B21 * dt, rhs(u1, ts[1]), tmp), u2)
-    mul(A30, u, u3)
-    add(u3, mul(A32, u2, tmp), u3)
-    add(u3, mul(B32 * dt, rhs(u2, ts[2]), tmp), u3)
-    l3 = rhs(u3, ts[3])
-    mul(A40, u, u4)
-    add(u4, mul(A43, u3, tmp), u4)
-    add(u4, mul(B43 * dt, l3, tmp), u4)
-    mul(C2, u2, out)
-    add(out, mul(C3, u3, tmp), out)
-    add(out, mul(D3 * dt, l3, tmp), out)
-    add(out, mul(C4, u4, tmp), out)
-    add(out, mul(D4 * dt, rhs(u4, ts[4]), tmp), out)
-    _check_result(out, t, (u1, u2, u3, u4))
-    return out[()]
+    def stage(k, x, s, row):
+        np.copyto(row, rhs(x, s) if k else l0, casting="same_kind")
+
+    # a copy, so that the result does not keep the stepper's stacks alive
+    return advance(state, t, stage).copy()[()]
 
 
 def _stacked_stepper(u, dt):
     """The solvers' step: SSP-RK54 in increment form, on stacks held for a
     whole run at one dt.  Returns ``(state, advance)``.
 
-    ``state`` is a float copy of the array u.  It is row 0 of one of two
-    stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the right-hand
-    sides L0..L4 of a step from that row.  ``advance(w, t, stage)`` steps w,
-    which must be ``state`` or a result of ``advance``, from t to t + dt and
-    returns the result: row 0 of the other stack, so that results alternate
-    between two arrays and w is not written.  For k = 0..4 it calls
-    ``stage(k, x, t_k, row)``, which must write the right-hand side of x at
-    ``t_k = t + ABSCISSAE[k] * dt`` into ``row``, the stack row of L_k; x is
-    w for k = 0, which ``stage`` must not write, and then one of four held
-    stage-state arrays, which it may write (the solvers write each stage's
-    traces there).  Stage state k + 1, or the result after k = 4, is then
-    one ``np.dot`` of its coefficient row over rows 0..k + 1 of the stack.
-    The stacks, the stage states, the coefficient rows and every view a
-    step uses are made here, once.
+    ``state`` is a copy of the array u, in u's dtype.  It is row 0 of one
+    of two stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the
+    right-hand sides L0..L4 of a step from that row.  ``advance(w, t,
+    stage)`` steps w, which must be ``state`` or a result of ``advance``,
+    from t to t + dt and returns the result: row 0 of the other stack, so
+    that results alternate between two arrays and w is not written.  For
+    k = 0..4 it calls ``stage(k, x, t_k, row)``, which must write the
+    right-hand side of x at ``t_k = t + ABSCISSAE[k] * dt`` into ``row``,
+    the stack row of L_k; x is w for k = 0, which ``stage`` must not write,
+    and then one of four held stage-state arrays, which it may write (the
+    solvers write each stage's traces there).  Stage state k + 1, or the
+    result after k = 4, is then one ``np.dot`` of its coefficient row over
+    rows 0..k + 1 of the stack.  The stacks, the stage states, the
+    coefficient rows (views of one dt-scaled ``[1 | INCREMENTS]`` table)
+    and every view a step uses are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
-    the first non-finite stage state, as ``step`` does.
+    the first non-finite stage state (1-5).
     """
-    stacks = np.empty((2, 6) + u.shape)
+    stacks = np.empty((2, 6) + u.shape, u.dtype)
     stacks[0, 0] = u
-    stages = np.empty((4,) + u.shape)
+    stages = np.empty((4,) + u.shape, u.dtype)
     flat = stacks.reshape(2, 6, -1)
     offsets = [c * dt for c in ABSCISSAE]
-    coeffs = [np.array((1.0, *(dt * INCREMENTS[k, :k + 1]))) for k in range(5)]
-    heads = (stacks[0, 0], stacks[1, 0])
+    coeffs = np.ones((5, 6), u.dtype)
+    coeffs[:, 1:] = dt * INCREMENTS
+    # ``...`` keeps a 0-d state's rows views rather than scalars
+    heads = (stacks[0, 0, ...], stacks[1, 0, ...])
+    states = [stages[k, ...] for k in range(4)]
     plans = {}
     for s in (0, 1):
-        xs = (heads[s], *stages)
+        xs = (heads[s], *states)
         targets = (*stages.reshape(4, -1), flat[1 - s, 0])
         plans[id(heads[s])] = heads[1 - s], tuple(
-            (k, xs[k], stacks[s, k + 1], offsets[k], coeffs[k],
+            (k, xs[k], stacks[s, k + 1, ...], offsets[k], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
     def advance(w, t, stage):
@@ -210,13 +205,17 @@ def num_steps(t0, t_end, dt):
 def amplification(z):
     """Stability function R(z) of the scheme, elementwise over complex z.
 
-    R is the degree-5 polynomial that one ``step`` of u' = z*u makes of
-    u = 1 with dt = 1; the region of absolute stability is {z : |R(z)| <= 1}.
-    A scalar z gives a Python complex, an array z an array of its shape; a
-    z whose R(z) is not finite raises ``NonFiniteState``, as ``step`` does.
+    R is the degree-5 polynomial that one step of u' = z*u makes of u = 1
+    with dt = 1; the region of absolute stability is {z : |R(z)| <= 1}.  It
+    is evaluated by Horner's rule on the coefficients derived from
+    ``INCREMENTS``.  A scalar z gives a Python complex, an array z an array
+    of its shape; a z whose R(z) is not finite raises ``NonFiniteState``.
     """
     z = np.asarray(z, dtype=complex)
-    r = step(np.ones_like(z), 0.0, 1.0, lambda u, t: z * u)
-    if np.ndim(r) == 0:
-        return complex(r)
-    return r
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _TAYLOR[5]
+        for c in _TAYLOR[4::-1]:
+            r = r * z + c
+    if not np.isfinite(r).all():
+        raise NonFiniteState("R(z) is not finite")
+    return complex(r) if np.ndim(r) == 0 else r

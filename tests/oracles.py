@@ -14,11 +14,10 @@ also check the state shapes).  The solvers use the full-sum route instead;
 the tests hold the two routes equal to rounding.
 
 ``step_reference`` is the SSP-RK54 step written as one expression per
-stage, in the Shu-Osher form of Spiteri & Ruuth; ``step`` evaluates the same
-terms in the same order into buffers, and the tests hold the two
-byte-equal.  The solvers run the increment form instead
-(``ssprk54._stacked_stepper``), which the tests hold within a few ulps of
-it.
+stage, in the Shu-Osher form of Spiteri & Ruuth.  The package evaluates the
+scheme only in increment form (``ssprk54._stacked_stepper``, which ``step``
+and the solvers run), so ``step`` is not byte-equal to it: the tests hold
+the two within a few ulps.
 
 ``dump_weights_csv_reference`` formats a weight dump with one ``%`` per
 matrix entry, and ``csv_text_reference`` a CSV cell by cell through a
@@ -97,7 +96,8 @@ def rhs_2d_split(U, V, t, prob, ax1, ax2, by1, by2):
 
 
 def step_reference(u, t, dt, rhs):
-    """One SSP-RK54 step, one expression per stage; ``step`` matches it bitwise."""
+    """One SSP-RK54 step, one expression per stage; ``step`` is within a few
+    ulps of it."""
     u = np.asarray(u)
     ts = [t + c * dt for c in ABSCISSAE]
 
