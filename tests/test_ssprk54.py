@@ -274,15 +274,30 @@ def test_a_stacked_step_is_within_ulps_of_the_expression_form(shape):
     for u in (real, real + 1j * rng.uniform(-1.0, 1.0, shape)):
         for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
             want = step_reference(u, t, dt, _nonlinear_rhs)
-            got = step(u, t, dt, _nonlinear_rhs)
-            assert type(got) is type(want) and got.dtype == want.dtype
-            assert np.shape(got) == shape
-            # step runs the solvers' stepper
-            stacked = _stacked_step(u, t, dt, _nonlinear_rhs)
-            assert got.tobytes() == stacked.tobytes()
+            got = _stacked_step(u, t, dt, _nonlinear_rhs)
+            assert got.shape == shape and got.dtype == want.dtype
             # at most 4 ulps of the largest entry here; the two forms round
             # u's multiples differently
             assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 121), (2, 17, 17), (2, 65, 65)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_step_is_bitwise_the_expression_form(shape, dtype):
+    # step gives the expression form's type, dtype and shape, and the bits
+    # of the solvers' stepper run on u in that dtype; its values are the
+    # stepper's, within ulps of the expression form (test above)
+    rng = np.random.default_rng(sum(shape) + 7)
+    u = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    if dtype is complex:
+        u += 1j * rng.uniform(-1.0, 1.0, shape)
+    for t, dt in ((0.0, 0.1), (0.37, 1e-3)):
+        got = step(u, t, dt, _nonlinear_rhs)
+        want = step_reference(u, t, dt, _nonlinear_rhs)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.shape(got) == shape
+        stacked = _stacked_step(np.asarray(u, want.dtype), t, dt, _nonlinear_rhs)
+        assert got.tobytes() == stacked.tobytes()
 
 
 def test_stacked_results_alternate_and_leave_their_input_unchanged():
