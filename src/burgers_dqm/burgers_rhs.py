@@ -8,25 +8,22 @@
     u_t = nu (u_xx + u_yy) - u u_x - v u_y
     v_t = nu (v_xx + v_yy) - u v_x - v v_y
 
-Spatial derivatives are weighted sums over all grid nodes.  The solvers use
-the full-sum route (``rhs_1d``/``rhs_2d``), which takes both fields stacked
-in one ``(2, *shape)`` array, returns them stacked the same way, and applies
-each weight matrix to both fields in one product.  In 1D the four quadratic
-convection terms also enter through one product, with the (2, 4) matrix
-``Problem1D.coupling`` of the coefficients.  ``rhs_1d`` and ``rhs_2d`` are
-each a shape check, a private kernel (``_rhs_1d_kernel``: products and
-convection; ``_rhs_2d_kernel``: products, ``nu`` scaling and convection)
-and zeroed boundary nodes, and return a new array.  The kernels write into
-output buffers they are given: the solvers call them with buffers held for
-the solve, so a result is overwritten by the next call, and leave the
-boundary nodes to the driver, which overwrites them with the traces;
-``solve_2d`` also folds ``nu`` into the second-derivative weights once per
-solve.  The paper writes each sum as its interior part plus a boundary
-forcing term (F for u, G for v) that collects the first/last-column
+Spatial derivatives are weighted sums over all grid nodes.  ``rhs_1d`` and
+``rhs_2d`` take both fields stacked in one ``(2, *shape)`` array, return them
+stacked the same way in a new array, and apply each weight matrix to both
+fields in one product.  In 1D the four quadratic convection terms also enter
+through one product, with the (2, 4) matrix ``Problem1D.coupling`` of the
+coefficients; in 2D ``nu`` is folded into copies of the second-derivative
+weights (``_fold_nu``).  Each is a shape check, a private kernel that writes
+into buffers it is given, and zeroed boundary nodes.  The solvers run the
+same kernels on buffers held for the solve and leave the boundary nodes to
+the driver, so ``step`` with ``rhs_*`` and ``apply_dirichlet_*`` repeats a
+solve byte for byte.  The paper writes each sum as its interior part plus a
+boundary forcing term (F for u, G for v) that collects the first/last-column
 contributions with the convection coefficients frozen at the node value;
-``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The interior-plus-forcing RHS built on
-them is a test oracle (``tests/oracles.py``) that agrees with the full-sum
-route to rounding.
+``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The
+interior-plus-forcing RHS built on them is a test oracle
+(``tests/oracles.py``) that agrees with the full-sum route to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -210,26 +207,25 @@ def _zero_ring(D):
     D[..., ::D.shape[-1] - 1] = 0.0
 
 
-def _rhs_2d_kernel(w, nu, ax1, ax2, by1, by2, out=None, conv=None):
-    """``rhs_2d`` without its shape check and without zeroing the ring.
+def _fold_nu(nu, ax2, by1, by2):
+    """(nu ax2, by1, nu by2) for ``_rhs_2d_kernel``, y-matrices in F order.
 
-    The four batched products, the ``nu`` scaling of the diffusion sums
-    (skipped when ``nu`` is exactly 1.0, where the multiply is exact) and
-    the two convection terms, written into ``out``, of the state's shape,
-    and ``conv``, of shape ``(2, *w.shape)``: ``conv[0]`` takes the
-    y-diffusion sums, then the x-derivatives and ``conv[1]`` the
-    y-derivatives, which one multiply scales by U and V.  Buffers left None
-    are allocated.  The ring of the result holds its sums like any other
-    node; ``solve_2d`` calls this with ``nu`` folded into ``ax2`` and
-    ``by2``, binds buffers held for the solve and leaves the ring to the
-    driver.
+    F order makes ``by.T`` C-contiguous for the per-field y-products.  Each
+    matrix keeps its dtype: ``nu`` is cast to it, even a numpy scalar.
+    """
+    return (np.multiply(nu, ax2, dtype=ax2.dtype), np.asfortranarray(by1),
+            np.multiply(nu, by2, dtype=by2.dtype, order="F"))
+
+
+def _rhs_2d_kernel(w, ax1, ax2, by1, by2, out, conv):
+    """``rhs_2d`` on ``_fold_nu`` weights, ring unwritten, into given buffers.
+
+    ``out`` has the state's shape and ``conv`` shape ``(2, *w.shape)``:
+    ``conv[0]`` takes the y-diffusion sums, then the x-derivatives and
+    ``conv[1]`` the y-derivatives, which one multiply scales by U and V.
     """
     out = np.matmul(ax2, w, out=out)
-    if conv is None:
-        conv = np.empty((2,) + out.shape, out.dtype)
     np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
-    if nu != 1.0:
-        np.multiply(out, nu, out=out)
     np.matmul(ax1, w, out=conv[0])
     np.matmul(w, by1.T, out=conv[1])
     np.multiply(conv, w[:, None], out=conv)
@@ -244,12 +240,16 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     is one batched product over both fields, which computes the per-field
     products: the x-axis matrix applies down each column of constant y
     (``ax @ w``), the y-axis matrix along each row of constant x
-    (``w @ by.T``).  The boundary ring of the result is zero; its dtype
-    follows the state and the weights, which share one dtype (complex
-    inputs give a complex result).
+    (``w @ by.T``); ``prob.nu`` is folded into the weights as ``solve_2d``
+    folds it.  The boundary ring of the result is zero; its dtype follows
+    the state and the weights, which share one dtype (float32 inputs give a
+    float32 result, complex inputs a complex one).
     """
     _check_state(w, (2, ax1.shape[0], by1.shape[0]))
-    out = _rhs_2d_kernel(w, prob.nu, ax1, ax2, by1, by2)
+    ax2, by1, by2 = _fold_nu(prob.nu, ax2, by1, by2)
+    dtype = np.result_type(w, ax1, ax2, by1, by2)
+    out = _rhs_2d_kernel(w, ax1, ax2, by1, by2, np.empty(w.shape, dtype),
+                         np.empty((2,) + w.shape, dtype))
     _zero_ring(out)
     return out
 

@@ -8,8 +8,8 @@ Dirichlet traces at a column of times into rows of boundary values, and
 ``(2, *shape)`` state written into ``out``: the private kernel of ``rhs_1d``
 or ``rhs_2d``, bound to scratch buffers held for the solve.  Neither kernel
 zeroes the boundary nodes of its result, since the driver overwrites every
-one the right-hand side can reach; in 2D ``nu`` is folded into copies of
-the second-derivative weights once per solve.  The driver starts from the
+one the right-hand side can reach; in 2D the kernel takes the weights
+``_fold_nu`` gives, built once per solve.  The driver starts from the
 initial fields on the grid's ``coords`` and advances the state with the
 five-stage Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
 whose stacks and stage states are also held for the solve: each ``out`` is
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, _rhs_1d_kernel,
+from .burgers_rhs import (Problem1D, Problem2D, _fold_nu, _rhs_1d_kernel,
                           _rhs_2d_kernel, apply_dirichlet_1d,
                           apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
@@ -205,15 +205,11 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         )
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
-    # nu is folded into the second-derivative weights here, once per solve;
-    # F order makes ``by.T`` C-contiguous for the per-field y-products
-    ax2 = prob.nu * ax2
-    by1 = np.asfortranarray(by1)
-    by2 = np.multiply(prob.nu, by2, order="F")
+    ax2, by1, by2 = _fold_nu(prob.nu, ax2, by1, by2)  # once per solve
     conv = np.empty((2, 2, nx, ny))
 
     def rhs(w, t, out):
-        return _rhs_2d_kernel(w, 1.0, ax1, ax2, by1, by2, out, conv)
+        return _rhs_2d_kernel(w, ax1, ax2, by1, by2, out, conv)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
                                   t_end, t0, snapshots, observer))

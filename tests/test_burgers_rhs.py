@@ -171,16 +171,26 @@ def test_problem1d_coupling_is_derived_read_only_and_hidden():
     assert "coupling" not in repr(prob)
 
 
-def test_rhs_1d_result_dtype_follows_float32_inputs():
+def test_rhs_result_dtype_follows_float32_inputs():
+    # float32 states and weights give a float32 result in 1D, and in 2D
+    # whether nu is a Python float or a numpy float64: numpy scalars are
+    # strongly typed in promotion, Python floats weakly
     prob = problem1_asymmetric()
     g = Grid1D(prob.a, prob.b, 11)
-    w1, w2 = _weights_1d(g)
     w = np.array((prob.phi(g.x), prob.psi(g.x) + 0.5))
-    want = rhs_1d(w, 0.0, prob, w1, w2)
-    f32 = [a.astype(np.float32) for a in (w, w1, w2)]
-    got = rhs_1d(f32[0], 0.0, prob, *f32[1:])
-    assert got.dtype == np.float32
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+    cases = [(rhs_1d, prob, w, _weights_1d(g))]
+    prob = problem4()
+    g, weights = _grid_and_weights(prob, 9)
+    w = np.array((prob.phi(*g.coords), prob.psi(*g.coords)))
+    for nu in (prob.nu, np.float64(prob.nu)):
+        cases.append((rhs_2d, dataclasses.replace(prob, nu=nu), w, weights))
+    for rhs, prob, w, weights in cases:
+        want = rhs(w, 0.0, prob, *weights)
+        got = rhs(w.astype(np.float32), 0.0, prob,
+                  *(a.astype(np.float32) for a in weights))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +254,19 @@ def test_split_identity_2d():
 @pytest.mark.parametrize("nx, ny", [(9, 7), (7, 9)])
 def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
     # One product per matrix over both fields writes the same bits as eight
-    # products, one per field and matrix; on a non-square grid a swap of the
-    # x and y axes in the row view would show.
+    # products, one per field and matrix, with nu folded into the
+    # second-derivative weights as ``rhs_2d`` folds it; on a non-square grid
+    # a swap of the x and y axes in the row view would show.
     prob = build()
     g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(g)
+    nu_ax2, nu_by2 = prob.nu * ax2, prob.nu * by2
     rng = np.random.default_rng(nx * ny)
     states = [(prob.phi(*g.coords), prob.psi(*g.coords)),
               tuple(rng.standard_normal((2, nx, ny)))]
     for U, V in states:
-        nu = prob.nu
-        dU = nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
-        dV = nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
+        dU = (nu_ax2 @ U + U @ nu_by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
+        dV = (nu_ax2 @ V + V @ nu_by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
         for D in (dU, dV):
             D[0, :] = D[-1, :] = D[:, 0] = D[:, -1] = 0.0
         out = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
@@ -266,19 +277,20 @@ def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
 
 @pytest.mark.parametrize("nx, ny", [(17, 17), (65, 65), (17, 9)])
 def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
-    # solve_2d passes F-ordered copies of the y-matrices; the batched
-    # products still write the bits of one product per field and matrix, for
-    # the DQM weights and for random matrices in the same layout
+    # The kernel takes F-ordered copies of the y-matrices, nu folded into
+    # the second-derivative ones; the batched products still write the bits
+    # of one product per field and matrix in that layout, for the DQM weights
+    # and for random matrices
     prob = problem4()
     g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     rng = np.random.default_rng(nx * ny + 1)
     random = (*rng.standard_normal((2, nx, nx)), *rng.standard_normal((2, ny, ny)))
     for ax1, ax2, by1, by2 in (weights_2d(g), random):
-        by1, by2 = np.asfortranarray(by1), np.asfortranarray(by2)
+        nu_ax2 = prob.nu * ax2
+        f_by1, nu_by2 = np.asfortranarray(by1), np.asfortranarray(prob.nu * by2)
         U, V = rng.standard_normal((2, nx, ny))
-        nu = prob.nu
-        dU = nu * (ax2 @ U + U @ by2.T) - U * (ax1 @ U) - V * (U @ by1.T)
-        dV = nu * (ax2 @ V + V @ by2.T) - U * (ax1 @ V) - V * (V @ by1.T)
+        dU = (nu_ax2 @ U + U @ nu_by2.T) - U * (ax1 @ U) - V * (U @ f_by1.T)
+        dV = (nu_ax2 @ V + V @ nu_by2.T) - U * (ax1 @ V) - V * (V @ f_by1.T)
         for D in (dU, dV):
             D[0, :] = D[-1, :] = D[:, 0] = D[:, -1] = 0.0
         out = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)

@@ -16,6 +16,7 @@ from burgers_dqm import (
     problem2,
     problem3,
     problem4,
+    rhs_1d,
     rhs_2d,
     second_order_weights,
     solve_1d,
@@ -535,13 +536,15 @@ def test_solve_2d_matches_split_reference(trace_time):
 
 
 # ---------------------------------------------------------------------------
-# the 2D solver's right-hand side: nu folded into its weights, ring unwritten
+# the 2D solver's right-hand side: rhs_2d's arithmetic, ring unwritten
 # ---------------------------------------------------------------------------
 
-TWO_D_CASES = pytest.mark.parametrize("build, nx, ny", [
+TWO_D = [
     (lambda: problem2(re=80.0), 9, 7), (lambda: problem2(re=80.0), 17, 17),
     (problem3, 9, 7), (problem3, 17, 17), (problem4, 9, 7), (problem4, 17, 17),
-], ids=["p2-9x7", "p2-17", "p3-9x7", "p3-17", "p4-9x7", "p4-17"])
+]
+TWO_D_IDS = ["p2-9x7", "p2-17", "p3-9x7", "p3-17", "p4-9x7", "p4-17"]
+TWO_D_CASES = pytest.mark.parametrize("build, nx, ny", TWO_D, ids=TWO_D_IDS)
 
 
 @TWO_D_CASES
@@ -592,35 +595,49 @@ def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
         assert ug.tobytes() == uw.tobytes() and vg.tobytes() == vw.tobytes()
 
 
-def _rhs_2d_reference_run(prob, nx, ny, dt, steps):
-    """``step`` on the public ``rhs_2d``, nu applied per call, with each
-    stage's traces imposed at the stage's own time."""
-    grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
-    weights = weights_2d(grid)
+def _public_rhs_reference_run(prob, nx, ny, dt, steps):
+    """``step`` on the public ``rhs_1d`` (``ny`` None) or ``rhs_2d``, with
+    each stage's traces imposed at the stage's own time by the public
+    ``apply_dirichlet_1d`` or ``_2d``."""
+    grid = Grid1D(prob.a, prob.b, nx)
+    if ny is None:
+        w1 = first_order_weights(grid)
+        weights = w1, second_order_weights(w1, grid)
+        dirichlet, public_rhs = apply_dirichlet_1d, rhs_1d
+    else:
+        grid = Grid2D(grid, Grid1D(prob.c, prob.d, ny))
+        weights = weights_2d(grid)
+        dirichlet, public_rhs = apply_dirichlet_2d, rhs_2d
 
     def rhs(w, t):
         w = w.copy()
-        apply_dirichlet_2d(w[0], w[1], t, prob, grid)
-        return rhs_2d(w, t, prob, *weights)
+        dirichlet(w[0], w[1], t, prob, grid)
+        return public_rhs(w, t, prob, *weights)
 
     w = np.array([np.broadcast_to(f(*grid.coords), grid.ring.shape)
                   for f in (prob.phi, prob.psi)], dtype=float)
-    apply_dirichlet_2d(w[0], w[1], 0.0, prob, grid)
+    dirichlet(w[0], w[1], 0.0, prob, grid)
     for m in range(steps):
         w = step(w, m * dt, dt, rhs)
-        apply_dirichlet_2d(w[0], w[1], (m + 1) * dt, prob, grid)
+        dirichlet(w[0], w[1], (m + 1) * dt, prob, grid)
     return w[0], w[1]
 
 
-@TWO_D_CASES
+@pytest.mark.parametrize("build, nx, ny", TWO_D + [
+    (problem1, 41, None), (problem1, 121, None), (problem1_asymmetric, 41, None),
+], ids=TWO_D_IDS + ["p1-41", "p1-121", "p1-asymmetric-41"])
 def test_solve_2d_as_with_the_public_rhs_oracle(build, nx, ny):
-    # nu folded into the weights sums the diffusion terms with other
-    # roundings than nu times the sums, so a whole run moves by rounding only
+    # The solvers run the public right-hand sides' kernels on the weights
+    # those fold, so the public building blocks repeat a whole run byte for
+    # byte, in 2D and (ny None) in 1D
     prob, dt, steps = build(), 1e-3, 200
-    sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
-    _assert_rel_close((sol.u, sol.v),
-                      _rhs_2d_reference_run(prob, nx, ny, dt, steps),
-                      rtol=1e-13)
+    if ny is None:
+        sol = solve_1d(prob, nx, dt, steps * dt)
+    else:
+        sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)
+    u, v = _public_rhs_reference_run(prob, nx, ny, dt, steps)
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.v.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
