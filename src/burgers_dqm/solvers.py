@@ -8,8 +8,10 @@ Dirichlet traces at a column of times into rows of boundary values, and
 ``(2, *shape)`` state written into ``out``: the private kernel of ``rhs_1d``
 or ``rhs_2d``, bound to scratch buffers held for the solve.  Neither kernel
 zeroes the boundary nodes of its result, since the driver overwrites every
-one the right-hand side can reach; in 2D the kernel takes the weights
-``_fold_nu`` gives, built once per solve.  The driver starts from the
+one the right-hand side can reach.  Each kernel takes weights built once
+per solve: in 1D the stack ``(w1.T, w2.T)`` and ``[I | -coupling]`` that
+``_fold_coupling`` gives, with the views of one (8, n) work buffer, in 2D
+the weights ``_fold_nu`` gives.  The driver starts from the
 initial fields on the grid's ``coords`` and advances the state with the
 five-stage Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
 whose stacks and stage states are also held for the solve: each ``out`` is
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, _fold_nu, _rhs_1d_kernel,
-                          _rhs_2d_kernel, apply_dirichlet_1d,
-                          apply_dirichlet_2d)
+from .burgers_rhs import (Problem1D, Problem2D, _fold_coupling, _fold_nu,
+                          _rhs_1d_kernel, _rhs_2d_kernel, _work_1d,
+                          apply_dirichlet_1d, apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
 from .ssprk54 import ABSCISSAE, _stacked_stepper, num_steps
@@ -177,12 +179,11 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
         raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
     grid = Grid1D(prob.a, prob.b, n)
     weights = _grid_weights(grid)
-    w1, w2, coupling = weights.w1, weights.w2, prob.coupling
-    wx, conv = np.empty((2, n)), np.empty((2, n))
-    prod = np.empty((2, 2, n))
+    lhs, wt = _fold_coupling(prob.coupling, weights.w1, weights.w2)
+    work = _work_1d(np.empty((8, n)))  # views built once per solve
 
     def rhs(w, t, out):
-        return _rhs_1d_kernel(w, coupling, w1, w2, out, wx, prod, conv)
+        return _rhs_1d_kernel(w, lhs, wt, out, *work)
 
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
                                   t_end, t0, snapshots, observer))

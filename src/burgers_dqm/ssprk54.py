@@ -150,9 +150,11 @@ def _stacked_stepper(u, dt):
     and then one of four held stage-state arrays, which it may write (the
     solvers write each stage's traces there).  Stage state k + 1, or the
     result after k = 4, is then one ``np.dot`` of its coefficient row over
-    rows 0..k + 1 of the stack.  The stacks, the stage states, the
-    coefficient rows (views of one dt-scaled ``[1 | INCREMENTS]`` table)
-    and every view a step uses are made here, once.
+    rows 0..k + 1 of the stack.  The stacks, the stage states and the
+    dt-scaled ``[1 | INCREMENTS]`` table are made here, once; a stack's
+    plan, every view a step from it uses (its coefficient rows among them),
+    is made once too, by the first ``advance`` from that stack, so that a
+    one-shot ``step`` builds only the plan it runs.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
@@ -168,16 +170,20 @@ def _stacked_stepper(u, dt):
     # ``...`` keeps a 0-d state's rows views rather than scalars
     heads = (stacks[0, 0, ...], stacks[1, 0, ...])
     states = [stages[k, ...] for k in range(4)]
-    plans = {}
-    for s in (0, 1):
+    plans = dict.fromkeys(map(id, heads))  # built by a stack's first step
+
+    def build(s):
         xs = (heads[s], *states)
         targets = (*stages.reshape(4, -1), flat[1 - s, 0])
-        plans[id(heads[s])] = heads[1 - s], tuple(
+        return heads[1 - s], tuple(
             (k, xs[k], stacks[s, k + 1, ...], offsets[k], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
     def advance(w, t, stage):
-        result, plan = plans[id(w)]
+        entry = plans[id(w)]
+        if entry is None:
+            entry = plans[id(w)] = build(int(w is heads[1]))
+        result, plan = entry
         for k, x, row, offset, c, prefix, target in plan:
             stage(k, x, t + offset, row)
             np.dot(c, prefix, out=target)

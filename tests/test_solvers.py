@@ -388,7 +388,8 @@ def _long_double_run(prob, grid, impose, rhs, dt, steps):
 
 
 def _long_double_case(case):
-    """(solve, long-double run) of p4 at 8x8 or p1 at 41 nodes."""
+    """(solve, long-double run) of p4 at 8x8, or of p1 or its asymmetric
+    variant at 41 nodes."""
     L = np.longdouble
     if case == "p4-8":
         prob, dt, steps = problem4(), 1e-4, 400
@@ -405,7 +406,8 @@ def _long_double_case(case):
         sol = solve_2d(prob, 8, dt, steps * dt)
         return sol, _long_double_run(prob, grid, apply_dirichlet_2d, rhs, dt,
                                      steps)
-    prob, dt, steps = problem1(), 1e-3, 400
+    build = problem1_asymmetric if case == "p1-asymmetric-41" else problem1
+    prob, dt, steps = build(), 1e-3, 400
     grid = Grid1D(prob.a, prob.b, 41)
     w1 = first_order_weights(grid)
     w2, w1, coupling = (np.asarray(a, L) for a in (
@@ -422,13 +424,15 @@ def _long_double_case(case):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is float64 on this platform, so it "
                            "gives no more precise reference")
-@pytest.mark.parametrize("case", ["p4-8", "p1-41"])
+@pytest.mark.parametrize("case", ["p4-8", "p1-41", "p1-asymmetric-41"])
 def test_a_solve_stays_near_a_long_double_run_of_its_system(case):
     # The increment form's weight on u is exactly 1, so the roundings of
     # u's multiples do not pile up over a run.  After 400 steps the relative
-    # distance reads 2.8e-15 (p4) and 8.2e-16 (p1); stepping in Shu-Osher
-    # form with the published C2, whose weights on u sum to 1 + 1e-15,
-    # read 3.9e-13 and 3.8e-13.  The bound is 3.6x the larger measured value.
+    # distance reads 2.8e-15 (p4), 9.7e-16 (p1) and 6.6e-16 (p1-asymmetric,
+    # whose four distinct coefficients reach every entry of the 1D
+    # ``[I | -coupling]`` matrix); stepping in Shu-Osher form with the
+    # published C2, whose weights on u sum to 1 + 1e-15, read 3.9e-13 (p4)
+    # and 3.8e-13 (p1).  The bound is 3.6x the largest measured value.
     sol, want = _long_double_case(case)
     got = np.array((sol.u, sol.v))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -438,14 +442,15 @@ def test_a_solve_stays_near_a_long_double_run_of_its_system(case):
                                       (problem1_asymmetric, 41)],
                          ids=["p1-41", "p1-121", "p1-asymmetric-41"])
 def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
-    # the coupling product sums the convection terms in another order than
-    # the per-field expressions, so a whole run may move by rounding only
+    # the ``[I | -coupling]`` product sums the diffusion and convection
+    # terms in another order than the per-field expressions, so a whole run
+    # may move by rounding only
     prob, calls = build(), []
     got = solve_1d(prob, n, 1e-3, 1.0)
 
-    def reference(w, coupling, w1, w2, out, *bufs):
+    def reference(w, lhs, wt, out, *bufs):
         calls.append(1)
-        out[...] = rhs_1d_reference(w, None, prob, w1, w2)
+        out[...] = rhs_1d_reference(w, None, prob, wt[0].T, wt[1].T)
         return out
 
     monkeypatch.setattr(solvers, "_rhs_1d_kernel", reference)
