@@ -14,23 +14,24 @@ stacked the same way in a new array, and apply each weight matrix to both
 fields in one product.  In 1D one product takes both fields through both
 weight matrices at once, stacked as ``(w1.T, w2.T)``, and the second
 derivatives and the four quadratic convection terms enter both fields
-through one product with the (2, 6) matrix ``[I | -Problem1D.coupling]``
-(``_fold_coupling``), so the kernel makes 3 numpy calls; in 2D ``nu`` is
-folded into copies of the second-derivative weights (``_fold_nu``).  The
-1D route sums its terms in another order than one expression per term, so
-it agrees with that form to rounding (over a whole run of problem 1 at 121
-nodes, 1.5e-15 relative to the largest value); the 2D route is bitwise
-the per-field products on the folded weights.  Each is a shape check, a
-private kernel that writes into buffers it is given, and zeroed boundary
-nodes.  The solvers run the same kernels on buffers held for the solve and
-leave the boundary nodes to the driver, so ``step`` with ``rhs_*`` and
-``apply_dirichlet_*`` repeats a solve byte for byte.  The paper writes each
-sum as its interior part plus a boundary forcing term (F for u, G for v)
-that collects the first/last-column contributions with the convection
-coefficients frozen at the node value; ``boundary_forcing_*`` compute those
-terms on separate (u, v) fields.  The interior-plus-forcing RHS built on
-them is a test oracle (``tests/oracles.py``) that agrees with the full-sum
-route to rounding.
+through one product with the (2, 6) matrix ``[I | -Problem1D.coupling]``,
+so a call makes 3 numpy calls; in 2D ``nu`` is folded into copies of the
+second-derivative weights.  The 1D route sums its terms in another order
+than one expression per term, so it agrees with that form to rounding
+(over a whole run of problem 1 at 121 nodes, 1.5e-15 relative to the
+largest value); the 2D route is bitwise the per-field products on the
+folded weights.  Each public function is a shape check, one call of a
+private binding (``_bind_1d``/``_bind_2d``: the folded weights and work
+buffers, and ``rhs(w, t, out)``, which leaves the boundary nodes
+unwritten) and zeroed boundary nodes.  The solvers hold the same binding
+for a solve and leave the boundary nodes to the driver, so ``step`` with
+``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
+paper writes each sum as its interior part plus a boundary forcing term
+(F for u, G for v) that collects the first/last-column contributions with
+the convection coefficients frozen at the node value;
+``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The
+interior-plus-forcing RHS built on them is a test oracle
+(``tests/oracles.py``) that agrees with the full-sum route to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -146,40 +147,44 @@ def apply_dirichlet_2d(U, V, t, prob, grid):
     V[ring] = prob.bc_v(grid.ring_x, grid.ring_y, t)
 
 
-def _fold_coupling(coupling, w1, w2):
-    """(lhs, wt) for ``_rhs_1d_kernel``, in the weights' dtype.
+def _axis(*weights):
+    """The node count of an axis whose weight matrices are ``weights``.
 
-    ``lhs`` is the (2, 6) matrix ``[I | -coupling]`` and ``wt`` the
-    C-contiguous (2, n, n) stack ``(w1.T, w2.T)``; the coefficients are
-    cast to the weights' dtype, as ``_fold_nu`` casts nu.
+    Every matrix must be square and of the first one's size.
     """
+    n = weights[0].shape[0]
+    for m in weights:
+        if m.shape != (n, n):
+            raise ShapeMismatch(f"weight matrix shape {m.shape} does not "
+                                f"match ({n}, {n})")
+    return n
+
+
+def _bind_1d(coupling, w1, w2, dtype):
+    """``rhs(w, t, out)``: the 1D right-hand side of a ``(2, n)`` state
+    written into ``out``, its ends unwritten.
+
+    The weights are folded once, in their own dtype: ``wt`` is the
+    C-contiguous (2, n, n) stack ``(w1.T, w2.T)`` and ``lhs`` the (2, 6)
+    matrix ``[I | -coupling]``.  One (8, n) work buffer in ``dtype`` holds
+    the first then the second derivatives of both fields (rows 0-3) and the
+    products (u u_x, u v_x, v u_x, v v_x) (rows 4-7).  A call makes one
+    product through both weight matrices, one multiply for the four
+    products, and one product of ``lhs`` over rows 2-7, which writes ``out``.
+    """
+    n = _axis(w1, w2)
     wt = np.array((w1.T, w2.T))
-    return np.concatenate((np.eye(2), -coupling), 1, dtype=wt.dtype), wt
+    lhs = np.concatenate((np.eye(2), -coupling), 1, dtype=wt.dtype)
+    work = np.empty((8, n), dtype)
+    derivs, wx = work[:4].reshape(2, 2, n), work[:2]
+    prods, terms = work[4:].reshape(2, 2, n), work[2:]
 
+    def rhs(w, t, out):
+        np.matmul(w, wt, out=derivs)
+        np.multiply(w[:, None], wx, out=prods)
+        return np.matmul(lhs, terms, out=out)
 
-def _work_1d(work):
-    """The views of an (8, n) work buffer that ``_rhs_1d_kernel`` writes.
-
-    ``derivs`` (2, 2, n) holds the first then the second derivatives of
-    both fields (rows 0-3), ``wx`` is its first half, ``prods`` (2, 2, n)
-    takes the four products (rows 4-7) and ``terms`` is rows 2-7.
-    """
-    n = work.shape[-1]
-    return work[:4].reshape(2, 2, n), work[:2], work[4:].reshape(2, 2, n), \
-        work[2:]
-
-
-def _rhs_1d_kernel(w, lhs, wt, out, derivs, wx, prods, terms):
-    """``rhs_1d`` on ``_fold_coupling`` weights, ends unwritten, into given
-    buffers: ``out`` of the state's shape and the ``_work_1d`` views.
-
-    One product takes both fields through both weight matrices, one
-    multiply forms (u u_x, u v_x, v u_x, v v_x), and one product of ``lhs``
-    over the second derivatives and those products writes the result.
-    """
-    np.matmul(w, wt, out=derivs)
-    np.multiply(w[:, None], wx, out=prods)
-    return np.matmul(lhs, terms, out=out)
+    return rhs
 
 
 def rhs_1d(w, t, prob, w1, w2):
@@ -195,10 +200,9 @@ def rhs_1d(w, t, prob, w1, w2):
     """
     n = w1.shape[0]
     _check_state(w, (2, n))
-    lhs, wt = _fold_coupling(prob.coupling, w1, w2)
     dtype = np.result_type(w, w1, w2)
-    out = _rhs_1d_kernel(w, lhs, wt, np.empty((2, n), dtype),
-                         *_work_1d(np.empty((8, n), dtype)))
+    out = np.empty((2, n), dtype)
+    _bind_1d(prob.coupling, w1, w2, dtype)(w, t, out)
     out[:, ::n - 1] = 0.0  # both ends in one strided write
     return out
 
@@ -237,30 +241,33 @@ def _zero_ring(D):
     D[..., ::D.shape[-1] - 1] = 0.0
 
 
-def _fold_nu(nu, ax2, by1, by2):
-    """(nu ax2, by1, nu by2) for ``_rhs_2d_kernel``, y-matrices in F order.
+def _bind_2d(nu, ax1, ax2, by1, by2, dtype):
+    """``rhs(w, t, out)``: the 2D right-hand side of a ``(2, nx, ny)``
+    state written into ``out``, its ring unwritten.
 
-    F order makes ``by.T`` C-contiguous for the per-field y-products.  Each
-    matrix keeps its dtype: ``nu`` is cast to it, even a numpy scalar.
+    ``nu`` is folded once into copies of ``ax2`` and ``by2``, each in its
+    own dtype (``nu`` is cast to it, even a numpy scalar), and the
+    y-matrices are taken in F order, so ``by.T`` is C-contiguous for the
+    per-field y-products.  A (2, 2, nx, ny) stack ``conv`` in ``dtype``
+    takes the y-diffusion sums, then the x-derivatives (``conv[0]``) and
+    the y-derivatives (``conv[1]``), which one multiply scales by U and V.
     """
-    return (np.multiply(nu, ax2, dtype=ax2.dtype), np.asfortranarray(by1),
-            np.multiply(nu, by2, dtype=by2.dtype, order="F"))
+    nx, ny = _axis(ax1, ax2), _axis(by1, by2)
+    ax2 = np.multiply(nu, ax2, dtype=ax2.dtype)
+    by1 = np.asfortranarray(by1)
+    by2 = np.multiply(nu, by2, dtype=by2.dtype, order="F")
+    conv = np.empty((2, 2, nx, ny), dtype)
 
+    def rhs(w, t, out):
+        out = np.matmul(ax2, w, out=out)
+        np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
+        np.matmul(ax1, w, out=conv[0])
+        np.matmul(w, by1.T, out=conv[1])
+        np.multiply(conv, w[:, None], out=conv)
+        np.subtract(out, conv[0], out=out)
+        return np.subtract(out, conv[1], out=out)
 
-def _rhs_2d_kernel(w, ax1, ax2, by1, by2, out, conv):
-    """``rhs_2d`` on ``_fold_nu`` weights, ring unwritten, into given buffers.
-
-    ``out`` has the state's shape and ``conv`` shape ``(2, *w.shape)``:
-    ``conv[0]`` takes the y-diffusion sums, then the x-derivatives and
-    ``conv[1]`` the y-derivatives, which one multiply scales by U and V.
-    """
-    out = np.matmul(ax2, w, out=out)
-    np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
-    np.matmul(ax1, w, out=conv[0])
-    np.matmul(w, by1.T, out=conv[1])
-    np.multiply(conv, w[:, None], out=conv)
-    np.subtract(out, conv[0], out=out)
-    return np.subtract(out, conv[1], out=out)
+    return rhs
 
 
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
@@ -276,10 +283,9 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     float32 result, complex inputs a complex one).
     """
     _check_state(w, (2, ax1.shape[0], by1.shape[0]))
-    ax2, by1, by2 = _fold_nu(prob.nu, ax2, by1, by2)
     dtype = np.result_type(w, ax1, ax2, by1, by2)
-    out = _rhs_2d_kernel(w, ax1, ax2, by1, by2, np.empty(w.shape, dtype),
-                         np.empty((2,) + w.shape, dtype))
+    out = np.empty(w.shape, dtype)
+    _bind_2d(prob.nu, ax1, ax2, by1, by2, dtype)(w, t, out)
     _zero_ring(out)
     return out
 

@@ -5,15 +5,13 @@ from the per-process memo of ``dqm_weights``, then hand one shared driver
 the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and
 ``rhs(w, t, out)``, the full-sum right-hand side of the stacked
-``(2, *shape)`` state written into ``out``: the private kernel of ``rhs_1d``
-or ``rhs_2d``, bound to scratch buffers held for the solve.  Neither kernel
-zeroes the boundary nodes of its result, since the driver overwrites every
-one the right-hand side can reach.  Each kernel takes weights built once
-per solve: in 1D the stack ``(w1.T, w2.T)`` and ``[I | -coupling]`` that
-``_fold_coupling`` gives, with the views of one (8, n) work buffer, in 2D
-the weights ``_fold_nu`` gives.  The driver starts from the
-initial fields on the grid's ``coords`` and advances the state with the
-five-stage Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
+``(2, *shape)`` state written into ``out``: the binding ``_bind_1d`` or
+``_bind_2d`` that ``rhs_1d`` and ``rhs_2d`` call, which folds the weights
+and holds its work buffers for the solve.  A binding leaves the boundary
+nodes of its result unwritten, since the driver overwrites every one the
+right-hand side can reach.  The driver starts from the initial fields on
+the grid's ``coords`` and advances the state with the five-stage
+Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
 whose stacks and stage states are also held for the solve: each ``out`` is
 a row of a stack, and each stage state one product over it.  Every stage
 state carries the traces at its own time, so time-varying traces keep the
@@ -29,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, _fold_coupling, _fold_nu,
-                          _rhs_1d_kernel, _rhs_2d_kernel, _work_1d,
+from .burgers_rhs import (Problem1D, Problem2D, _bind_1d, _bind_2d,
                           apply_dirichlet_1d, apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
@@ -179,12 +176,7 @@ def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
         raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
     grid = Grid1D(prob.a, prob.b, n)
     weights = _grid_weights(grid)
-    lhs, wt = _fold_coupling(prob.coupling, weights.w1, weights.w2)
-    work = _work_1d(np.empty((8, n)))  # views built once per solve
-
-    def rhs(w, t, out):
-        return _rhs_1d_kernel(w, lhs, wt, out, *work)
-
+    rhs = _bind_1d(prob.coupling, weights.w1, weights.w2, float)
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
                                   t_end, t0, snapshots, observer))
 
@@ -205,12 +197,6 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
             "t_end=%r beyond problem horizon %r" % (t_end, prob.horizon)
         )
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
-    ax1, ax2, by1, by2 = weights_2d(grid)
-    ax2, by1, by2 = _fold_nu(prob.nu, ax2, by1, by2)  # once per solve
-    conv = np.empty((2, 2, nx, ny))
-
-    def rhs(w, t, out):
-        return _rhs_2d_kernel(w, ax1, ax2, by1, by2, out, conv)
-
+    rhs = _bind_2d(prob.nu, *weights_2d(grid), float)
     return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
                                   t_end, t0, snapshots, observer))

@@ -113,6 +113,12 @@ def test_shape_mismatch_rejected():
     for shape in ((11,), (2, 10), (3, 11)):
         with pytest.raises(ShapeMismatch):
             rhs_1d(np.zeros(shape), 0.0, prob, w1, w2)
+    # weights that are not square or not of one size, checked once on
+    # binding, before any product runs
+    other = _weights_1d(Grid1D(0.0, 1.0, 12))[1]
+    for pair in ((w1, other), (w1, w2[:, :10]), (w1[:, :10], w2)):
+        with pytest.raises(ShapeMismatch, match="weight matrix"):
+            rhs_1d(np.zeros((2, 11)), 0.0, prob, *pair)
 
 
 def test_apply_dirichlet_1d_sets_traces():
@@ -277,7 +283,7 @@ def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
 
 @pytest.mark.parametrize("nx, ny", [(17, 17), (65, 65), (17, 9)])
 def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
-    # The kernel takes F-ordered copies of the y-matrices, nu folded into
+    # The binding takes F-ordered copies of the y-matrices, nu folded into
     # the second-derivative ones; the batched products still write the bits
     # of one product per field and matrix in that layout, for the DQM weights
     # and for random matrices
@@ -465,3 +471,8 @@ def test_rhs_2d_shape_mismatch():
     for shape in ((2, 9, 6), (2, 7, 9), (9, 7), (3, 9, 7)):
         with pytest.raises(ShapeMismatch):
             rhs_2d(np.zeros(shape), 0.0, prob, ax1, ax2, by1, by2)
+    # a weight matrix of the other axis, or not square
+    for weights in ((ax1, by1, by1, by2), (ax1, ax2, by1, ax2),
+                    (ax1, ax2, by1, by2[:, :6]), (ax1[:, :8], ax2, by1, by2)):
+        with pytest.raises(ShapeMismatch, match="weight matrix"):
+            rhs_2d(np.zeros((2, 9, 7)), 0.0, prob, *weights)

@@ -3,10 +3,12 @@ cannot move.
 
 One step each of problem 4 at 17x17 and 65x65 and of problem 1 at n = 121
 is counted: the right-hand-side calls per step, the matrix products,
-elementwise ufunc calls and item writes (the ring writes) of one solver
-right-hand-side call, the numpy calls (ufuncs and ``np.dot``) a step of the
-solvers' stepper, ``ssprk54._stacked_stepper``, makes through its ``np``,
-and the peak ``tracemalloc`` bytes of one step.  The numpy calls of one
+elementwise ufunc calls and item writes (the ring writes) of one call of
+the solver's right-hand-side binding (every ufunc it calls through
+``burgers_rhs``'s ``np``, on its held buffers too), the numpy calls
+(ufuncs and ``np.dot``) a step of the solvers' stepper,
+``ssprk54._stacked_stepper``, makes through its ``np``, and the peak
+``tracemalloc`` bytes of one step.  The numpy calls of one
 public ``ssprk54.step`` on the problem 1 state at n = 121 are counted too,
 so that a second evaluation of the scheme beside the stepper shows.  Each
 figure is pinned as an upper bound at its current value: a change that
@@ -26,9 +28,9 @@ import tracemalloc
 
 import numpy as np
 
-from burgers_dqm import (first_order_weights, problem1, problem4, rhs_1d,
-                         second_order_weights, solve_1d, solve_2d, solvers,
-                         ssprk54)
+from burgers_dqm import (burgers_rhs, first_order_weights, problem1, problem4,
+                         rhs_1d, second_order_weights, solve_1d, solve_2d,
+                         solvers, ssprk54)
 
 _COUNTS = collections.Counter()
 
@@ -69,17 +71,39 @@ class _CountingCall:
         return self._fn(*args, **kwargs)
 
     def __getattr__(self, name):
-        return _CountingCall(getattr(self._fn, name))
+        return type(self)(getattr(self._fn, name))
+
+
+def _counted(x):
+    if isinstance(x, tuple):
+        return tuple(map(_counted, x))
+    return x.view(_Counted) if isinstance(x, np.ndarray) else x
+
+
+class _CountedArgs(_CountingCall):
+    """A ufunc, or one of its methods, that sees every array it is given,
+    ``out`` too, as ``_Counted``, so that ``_Counted`` counts the call once
+    even when all its arrays are buffers a binding holds; ``np.dot``, which
+    ``_Counted`` cannot see, counts as a product here."""
+
+    def __call__(self, *args, **kwargs):
+        if self._fn is np.dot:
+            _COUNTS["products"] += 1
+        return self._fn(*map(_counted, args),
+                        **{k: _counted(v) for k, v in kwargs.items()})
 
 
 class _CountingNumpy:
-    """Stands in for ``ssprk54``'s ``np``: ufuncs and ``np.dot`` come back
-    counting."""
+    """Stands in for a module's ``np``: ufuncs and ``np.dot`` come back
+    wrapped in ``call``."""
+
+    def __init__(self, call):
+        self._call = call
 
     def __getattr__(self, name):
         attr = getattr(np, name)
         if isinstance(attr, np.ufunc) or attr is np.dot:
-            return _CountingCall(attr)
+            return self._call(attr)
         return attr
 
 
@@ -101,7 +125,7 @@ CASES = {
 # form, and makes the stepper's 6.  The 1D kernel takes both derivative
 # orders in one product and writes its result with one ``[I | -coupling]``
 # product: 3 products and 2 elementwise calls became 2 and 1, its peak
-# unchanged, as the kernel's buffer views are built once per solve.
+# unchanged, as the binding's buffer views are built once per solve.
 BOUNDS = {
     "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
               "item_writes": 0, "step_numpy_calls": 6,
@@ -124,11 +148,18 @@ def _costs(run):
     on the same input: once counting calls, once tracing memory.
     """
     real_drive, real_stepper = solvers._drive, solvers._stacked_stepper
-    rhs_seen, per_step = [], []
+    real_binds = solvers._bind_1d, solvers._bind_2d
+    rhs_seen, bound, per_step = [], [], []
 
     def drive(prob, grid, impose, rhs, *args):
         rhs_seen.append(rhs)
         return real_drive(prob, grid, impose, rhs, *args)
+
+    def recording(bind):
+        def record(*args):
+            bound.append(bind(*args))
+            return bound[-1]
+        return record
 
     def stepper(u, dt):
         state, advance = real_stepper(u, dt)
@@ -141,7 +172,7 @@ def _costs(run):
                 return stage(*args)
 
             _COUNTS.clear()
-            ssprk54.np = _CountingNumpy()
+            ssprk54.np = _CountingNumpy(_CountingCall)
             try:
                 advance(w, t, counted_stage)
             finally:
@@ -160,33 +191,27 @@ def _costs(run):
         return state, counted_advance
 
     solvers._drive, solvers._stacked_stepper = drive, stepper
+    solvers._bind_1d, solvers._bind_2d = map(recording, real_binds)
     try:
         sol = run()
     finally:
         solvers._drive, solvers._stacked_stepper = real_drive, real_stepper
+        solvers._bind_1d, solvers._bind_2d = real_binds
     assert len(per_step) == 2, "the step routine was not called"
+    assert len(bound) == 1 and rhs_seen == bound, \
+        "the driver was not handed the binding"
 
-    # the solver's right-hand side writes into buffers it holds, so its
-    # kernel is handed ``_Counted`` views of every array argument
-    costs, kernels = per_step[-1], []
-
-    def counting(kernel):
-        def counted(*args):
-            kernels.append(kernel)
-            return kernel(*(a.view(_Counted) if isinstance(a, np.ndarray)
-                            else a for a in args))
-        return counted
-
-    real_kernels = solvers._rhs_1d_kernel, solvers._rhs_2d_kernel
-    solvers._rhs_1d_kernel, solvers._rhs_2d_kernel = map(counting,
-                                                         real_kernels)
+    # the binding writes into buffers it holds, so every numpy call it makes
+    # through ``burgers_rhs.np`` sees its arrays as ``_Counted``; the state
+    # and ``out`` are ``_Counted`` too, which counts their item writes
+    costs = per_step[-1]
+    w = np.array((sol.u, sol.v)).view(_Counted)
+    _COUNTS.clear()
+    burgers_rhs.np = _CountingNumpy(_CountedArgs)
     try:
-        _COUNTS.clear()
-        w = np.array((sol.u, sol.v))
-        rhs_seen[0](w, sol.t, np.empty_like(w))
+        bound[0](w, sol.t, np.empty_like(w))
     finally:
-        solvers._rhs_1d_kernel, solvers._rhs_2d_kernel = real_kernels
-    assert len(kernels) == 1, "the kernel was not called"
+        burgers_rhs.np = np
     for name in ("products", "elementwise", "item_writes"):
         costs[name] = _COUNTS[name]
     return costs
@@ -201,7 +226,7 @@ def _public_step_numpy_calls():
     w2 = second_order_weights(w1, sol.grid)
     w = np.array((sol.u, sol.v))
     _COUNTS.clear()
-    ssprk54.np = _CountingNumpy()
+    ssprk54.np = _CountingNumpy(_CountingCall)
     try:
         ssprk54.step(w, sol.t, 1e-3, lambda x, t: rhs_1d(x, t, prob, w1, w2))
     finally:

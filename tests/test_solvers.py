@@ -238,6 +238,18 @@ def test_fractional_node_count_rejected():
         solve_2d(problem4(), 9, 1e-3, 1e-2, ny=7.5)
 
 
+@pytest.mark.parametrize("run, counts", [
+    (lambda n: solve_1d(problem1(), *n, 1e-3, 0.02, snapshots=(0.01,)),
+     (41,)),
+    (lambda n: solve_2d(problem4(), n[0], 1e-3, 0.02, ny=n[1],
+                        snapshots=(0.01,)), (9, 7)),
+], ids=["1d", "2d"])
+def test_whole_number_float_node_counts_solve_as_integers(run, counts):
+    # the grid accepts a whole-number float; the solve sizes every buffer
+    # from the grid's weights, so the run is the integer one, bit for bit
+    _same_bits(run([float(n) for n in counts]), run(counts))
+
+
 def test_2d_snapshots():
     prob = problem4()
     sol = solve_2d(prob, 9, 0.01, 0.04, snapshots=(0.02, 0.04))
@@ -448,12 +460,15 @@ def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
     prob, calls = build(), []
     got = solve_1d(prob, n, 1e-3, 1.0)
 
-    def reference(w, lhs, wt, out, *bufs):
-        calls.append(1)
-        out[...] = rhs_1d_reference(w, None, prob, wt[0].T, wt[1].T)
-        return out
+    def bind_reference(coupling, w1, w2, dtype):
+        def reference(w, t, out):
+            calls.append(1)
+            out[...] = rhs_1d_reference(w, None, prob, w1, w2)
+            return out
 
-    monkeypatch.setattr(solvers, "_rhs_1d_kernel", reference)
+        return reference
+
+    monkeypatch.setattr(solvers, "_bind_1d", bind_reference)
     want = solve_1d(prob, n, 1e-3, 1.0)
     assert len(calls) == 5 * 1000
     assert got.t == want.t
@@ -555,8 +570,8 @@ TWO_D_CASES = pytest.mark.parametrize("build, nx, ny", TWO_D, ids=TWO_D_IDS)
 @TWO_D_CASES
 def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
                                                        monkeypatch):
-    # The kernel leaves its ring unwritten; the driver overwrites every ring
-    # it can reach.  A kernel that writes garbage there changes no bit.
+    # The binding leaves its ring unwritten; the driver overwrites every
+    # ring it can reach.  A binding that writes garbage there changes no bit.
     prob, dt, steps = build(), 1e-3, 60
     snaps = (0.0, 0.02, steps * dt)
 
@@ -580,15 +595,20 @@ def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ring = grid.ring
     want = run()
-    kernel, calls = solvers._rhs_2d_kernel, []
+    bind, calls = solvers._bind_2d, []
 
-    def garbage(*args):
-        out = kernel(*args)
-        out[:, ring] = 7.0
-        calls.append(1)
-        return out
+    def bind_garbage(*args):
+        rhs = bind(*args)
 
-    monkeypatch.setattr(solvers, "_rhs_2d_kernel", garbage)
+        def garbage(w, t, out):
+            out = rhs(w, t, out)
+            out[:, ring] = 7.0
+            calls.append(1)
+            return out
+
+        return garbage
+
+    monkeypatch.setattr(solvers, "_bind_2d", bind_garbage)
     got = run()
     assert len(calls) == 5 * steps
     assert got.t == want.t
@@ -632,9 +652,9 @@ def _public_rhs_reference_run(prob, nx, ny, dt, steps):
     (problem1, 41, None), (problem1, 121, None), (problem1_asymmetric, 41, None),
 ], ids=TWO_D_IDS + ["p1-41", "p1-121", "p1-asymmetric-41"])
 def test_solve_2d_as_with_the_public_rhs_oracle(build, nx, ny):
-    # The solvers run the public right-hand sides' kernels on the weights
-    # those fold, so the public building blocks repeat a whole run byte for
-    # byte, in 2D and (ny None) in 1D
+    # The solvers run the bindings the public right-hand sides call, so
+    # the public building blocks repeat a whole run byte for byte, in 2D
+    # and (ny None) in 1D
     prob, dt, steps = build(), 1e-3, 200
     if ny is None:
         sol = solve_1d(prob, nx, dt, steps * dt)
@@ -654,8 +674,8 @@ def test_solve_2d_as_with_the_public_rhs_oracle(build, nx, ny):
     (problem1_asymmetric, 41),
 ], ids=["p1-41", "p1-121", "p1-moved-41", "p1-asymmetric-41"])
 def test_ends_of_the_1d_rhs_never_reach_the_solution(build, n, monkeypatch):
-    # The kernel leaves the ends of its result unwritten; the driver
-    # overwrites every end it can reach.  A kernel that writes garbage
+    # The binding leaves the ends of its result unwritten; the driver
+    # overwrites every end it can reach.  A binding that writes garbage
     # there changes no bit.
     prob, dt, steps = build(), 1e-3, 60
     snaps = (0.0, 0.02, steps * dt)
@@ -676,15 +696,20 @@ def test_ends_of_the_1d_rhs_never_reach_the_solution(build, n, monkeypatch):
         return sol
 
     want = run()
-    kernel, calls = solvers._rhs_1d_kernel, []
+    bind, calls = solvers._bind_1d, []
 
-    def garbage(*args):
-        out = kernel(*args)
-        out[:, [0, -1]] = 7.0
-        calls.append(1)
-        return out
+    def bind_garbage(*args):
+        rhs = bind(*args)
 
-    monkeypatch.setattr(solvers, "_rhs_1d_kernel", garbage)
+        def garbage(w, t, out):
+            out = rhs(w, t, out)
+            out[:, [0, -1]] = 7.0
+            calls.append(1)
+            return out
+
+        return garbage
+
+    monkeypatch.setattr(solvers, "_bind_1d", bind_garbage)
     got = run()
     assert len(calls) == 5 * steps
     assert got.t == want.t
