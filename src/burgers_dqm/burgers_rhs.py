@@ -72,6 +72,7 @@ class Problem1D:
     exact_v: Optional[Callable] = None
     name: str = "custom-1d"
     coupling: np.ndarray = field(init=False, repr=False, compare=False)
+    nu = 1.0  # the 1D equations' viscosity: a class constant, not a field
 
     def __post_init__(self):
         c = np.array([[self.eta, self.alpha, self.alpha, 0.0],

@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .burgers_rhs import Problem2D
 from .dqm_weights import Grid1D, _grid_weights, dump_weights_csv
 from .exceptions import (
     ConfigError,
@@ -49,7 +48,7 @@ from .problems import (
     problem3,
     problem4,
 )
-from .solvers import solve_1d, solve_2d
+from .solvers import _solve
 from .stability import FrozenParams, analyze
 
 
@@ -201,7 +200,7 @@ def _comma_ints(text):
 
 
 # ---------------------------------------------------------------------------
-# problems, solves and grids
+# problems
 
 def _build_problem(args):
     builder = PROBLEM_BUILDERS[args.problem]
@@ -210,15 +209,6 @@ def _build_problem(args):
     if args.problem == "p1":
         raise ConfigError("re applies to the 2D problems only")
     return builder(re=args.re)
-
-
-def _solve(prob, n, dt, t_end, ny=None, **kwargs):
-    """``solve_2d`` for a 2D problem, ``solve_1d`` for a 1D one."""
-    if isinstance(prob, Problem2D):
-        return solve_2d(prob, n, dt, t_end, ny=ny, **kwargs)
-    if ny is not None:
-        raise ConfigError("ny applies to the 2D problems only")
-    return solve_1d(prob, n, dt, t_end, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +265,10 @@ def run_solve(args):
 
     if args.stability_check:
         manifest.start("stability")
-        if isinstance(prob, Problem2D):
-            grid, nu = sol.grid.xgrid, prob.nu
-        else:
-            grid, nu = sol.grid, 1.0  # the 1D equations have unit viscosity
         params = FrozenParams(tau0=float(np.abs(prob.phi(*coords)).max()),
                               kappa0=float(np.abs(prob.psi(*coords)).max()),
-                              nu=nu)
-        report = analyze(grid, params, [dt])
+                              nu=prob.nu)
+        report = analyze(Grid1D(prob.a, prob.b, args.nx), params, [dt])
         inside, max_abs_r = report.all_inside[0], report.max_abs_r[0]
         print("stability check: max|R(z)| = %.6f (%s), "
               "lambda1 max|Re|/max|Im| = %.3e"

@@ -1,8 +1,9 @@
 """Time-stepping drivers for the 1D and 2D coupled Burgers' problems.
 
-``solve_1d`` and ``solve_2d`` build the grid, read its quadrature weights
-from the per-process memo of ``dqm_weights``, then hand one shared driver
-the problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
+``_solve``, the one dimension dispatch of ``solve_1d``, ``solve_2d`` and
+the command line, builds the grid, reads its quadrature weights from the
+per-process memo of ``dqm_weights``, then hands one shared driver the
+problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and
 ``rhs(w, t, out)``, the full-sum right-hand side of the stacked
 ``(2, *shape)`` state written into ``out``: the binding ``_bind_1d`` or
@@ -19,16 +20,15 @@ scheme's fourth order.  Every time a run needs traces at is known before
 its first step, so each field's traces are evaluated once per block of
 steps, over a ``(steps, 5, 1)`` array of the block's stage and result
 times: they receive an array ``t`` and must broadcast over it (a scalar
-return is allowed).
+return is allowed).  ``t_end`` and each snapshot meet ``num_steps``' rule.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burgers_rhs import (Problem1D, Problem2D, _bind_1d, _bind_2d,
-                          apply_dirichlet_1d, apply_dirichlet_2d)
+from .burgers_rhs import (Problem2D, _bind_1d, _bind_2d, apply_dirichlet_1d,
+                          apply_dirichlet_2d)
 from .dqm_weights import Grid1D, Grid2D, _grid_weights, weights_2d
 from .exceptions import ConfigError, DomainError
 from .ssprk54 import ABSCISSAE, _stacked_stepper, num_steps
@@ -40,9 +40,6 @@ _TRACE_OFFSETS = np.array(ABSCISSAE[1:] + (1.0,))[:, None]
 # fit, so small grids share one call among many steps while large grids
 # keep the call's temporaries in cache.
 TRACE_BUDGET = 8192
-
-# Relative slack when matching a requested snapshot time to a step multiple.
-SNAP_TOL = 1e-9
 
 
 @dataclass
@@ -60,19 +57,12 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     """Map requested snapshot times to step indices, validating alignment."""
     table = {}
     for s in snapshots:
-        s = float(s)
-        if not math.isfinite(s):
-            raise ConfigError("snapshot time %r is not finite" % s)
-        k = int(round((s - t0) / dt))
-        if abs(t0 + k * dt - s) > SNAP_TOL * max(dt, abs(s), 1e-300):
-            raise ConfigError(
-                "snapshot time %r is not a multiple of dt=%r" % (s, dt)
-            )
-        if k < 0 or k > steps:
+        k = num_steps(t0, s, dt)
+        if k > steps:
             raise ConfigError(
                 "snapshot time %r outside [%r, %r]" % (s, t0, t0 + steps * dt)
             )
-        table[k] = s
+        table[k] = float(s)
     return table
 
 
@@ -164,21 +154,46 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     return t0 + steps * dt, w[0].copy(), w[1].copy(), collected
 
 
+def _solve(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
+           observer=None):
+    """Integrate a problem of either dimension; returns its ``Solution``.
+
+    A ``Problem2D`` runs on an nx-by-ny grid (``ny`` defaults to ``nx``),
+    any other problem on an nx-node line.  The Dirichlet writers are looked
+    up at call time, so a caller that rebinds them is seen.
+    """
+    if isinstance(prob, Problem2D):
+        if prob.horizon is not None and t_end > prob.horizon + 1e-12:
+            raise DomainError(
+                "t_end=%r beyond problem horizon %r" % (t_end, prob.horizon)
+            )
+        grid = Grid2D(Grid1D(prob.a, prob.b, nx),
+                      Grid1D(prob.c, prob.d, nx if ny is None else ny))
+        impose = apply_dirichlet_2d
+        rhs = _bind_2d(prob.nu, *weights_2d(grid), float)
+    elif ny is not None:
+        raise ConfigError("ny applies to the 2D problems only")
+    else:
+        grid = Grid1D(prob.a, prob.b, nx)
+        weights = _grid_weights(grid)
+        impose = apply_dirichlet_1d
+        rhs = _bind_1d(prob.coupling, weights.w1, weights.w2, float)
+    return Solution(grid, *_drive(prob, grid, impose, rhs, dt, t_end, t0,
+                                  snapshots, observer))
+
+
 def solve_1d(prob, n, dt, t_end, t0=0.0, snapshots=(), observer=None):
     """Integrate a 1D problem to ``t_end`` on an ``n``-node uniform grid.
 
-    ``snapshots`` is an iterable of output times (each must be a step
-    multiple); the state at those times is collected on the returned
-    ``Solution``.  ``observer(step_index, t, u, v)`` is called after every
-    step with read-only views of the state, Dirichlet data already applied.
+    ``snapshots`` is an iterable of output times, each on the step grid by
+    the rule ``t_end`` obeys; the state at those times is collected on the
+    returned ``Solution``.  ``observer(step_index, t, u, v)`` is called after
+    every step with read-only views of the state, Dirichlet data applied.
     """
     if isinstance(prob, Problem2D):
         raise ConfigError("solve_1d takes a 1D problem; use solve_2d")
-    grid = Grid1D(prob.a, prob.b, n)
-    weights = _grid_weights(grid)
-    rhs = _bind_1d(prob.coupling, weights.w1, weights.w2, float)
-    return Solution(grid, *_drive(prob, grid, apply_dirichlet_1d, rhs, dt,
-                                  t_end, t0, snapshots, observer))
+    return _solve(prob, n, dt, t_end, t0=t0, snapshots=snapshots,
+                  observer=observer)
 
 
 def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
@@ -188,15 +203,6 @@ def solve_2d(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
     ``ny`` defaults to ``nx``.  Snapshot and observer semantics match
     ``solve_1d``; fields are returned with shape (nx, ny), first axis x.
     """
-    if isinstance(prob, Problem1D):
+    if not isinstance(prob, Problem2D):
         raise ConfigError("solve_2d takes a 2D problem; use solve_1d")
-    if ny is None:
-        ny = nx
-    if prob.horizon is not None and t_end > prob.horizon + 1e-12:
-        raise DomainError(
-            "t_end=%r beyond problem horizon %r" % (t_end, prob.horizon)
-        )
-    grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
-    rhs = _bind_2d(prob.nu, *weights_2d(grid), float)
-    return Solution(grid, *_drive(prob, grid, apply_dirichlet_2d, rhs, dt,
-                                  t_end, t0, snapshots, observer))
+    return _solve(prob, nx, dt, t_end, ny, t0, snapshots, observer)

@@ -194,14 +194,14 @@ def _stacked_stepper(u, dt):
 
 
 def num_steps(t0, t_end, dt):
-    """Step count for a fixed-dt integration; dt must divide the interval."""
+    """Step count from t0 to t_end or a snapshot time; dt must divide it."""
     if not all(math.isfinite(x) for x in (t0, t_end, dt)):
         raise ConfigError(
-            f"t0={t0!r}, t_end={t_end!r} and dt={dt!r} must all be finite")
+            f"t0={t0!r}, time {t_end!r} and dt={dt!r} must all be finite")
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt!r}")
     if t_end < t0:
-        raise ConfigError(f"t_end={t_end!r} precedes t0={t0!r}")
+        raise ConfigError(f"time {t_end!r} precedes t0={t0!r}")
     steps = round((t_end - t0) / dt)
     if abs(t0 + steps * dt - t_end) > 1e-9 * dt:
         raise ConfigError(f"dt={dt!r} does not divide [{t0!r}, {t_end!r}]")

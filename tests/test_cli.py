@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from burgers_dqm import cli, dqm_weights, load_reference_table, problem1
+from burgers_dqm import (FrozenParams, Grid1D, Grid2D, analyze, cli,
+                         dqm_weights, load_reference_table, problem1,
+                         problem4)
 from burgers_dqm.cli import main
 
 
@@ -172,6 +174,31 @@ def test_solve_with_stability_check(tmp_path, capsys):
                "--t-end", "0.01", "--stability-check", "--out", str(out)])
     assert rc == 0
     assert "stability" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("problem, build, nu, nx, ny", [
+    ("p1", problem1, 1.0, 21, None),
+    ("p4", problem4, 1.0 / 100.0, 9, 7),
+], ids=["1d", "2d"])
+def test_solve_stability_check_verdict(tmp_path, problem, build, nu, nx, ny):
+    # the check freezes the largest initial |u| and |v| on the solve's grid
+    # and the problem's viscosity, and analyses the solve's x grid
+    out = tmp_path / "run"
+    sizes = ["--nx", str(nx)] + ([] if ny is None else ["--ny", str(ny)])
+    assert main(["solve", "--problem", problem, *sizes, "--dt", "0.001",
+                 "--t-end", "0.01", "--stability-check", "--out", str(out)]) == 0
+    prob = build()
+    xgrid = Grid1D(prob.a, prob.b, nx)
+    coords = xgrid.coords
+    if ny is not None:
+        coords = Grid2D(xgrid, Grid1D(prob.c, prob.d, ny)).coords
+    params = FrozenParams(float(abs(prob.phi(*coords)).max()),
+                          float(abs(prob.psi(*coords)).max()), nu)
+    report = analyze(xgrid, params, [0.001])
+    verdict = json.loads((out / "manifest.json").read_text())["config"][
+        "stability_verdict"]
+    assert verdict == {"all_inside": bool(report.all_inside[0]),
+                       "max_abs_r": float(report.max_abs_r[0])}
 
 
 # ---------------------------------------------------------------------------

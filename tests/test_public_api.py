@@ -4,17 +4,21 @@
 resolve, and the names the benchmark workloads read from the top level must
 be among them, so trimming the surface cannot silently break a workload.
 Every per-layer metric of the traced benchmark run must keep a package
-function to be computed from, or the run's result line reads NaN.  The
+function to be computed from, or the run's result line reads NaN, and a
+traced solve must still reach the trace fields, Dirichlet writers and
+solver that the run wraps.  The
 README's count of those names must match too, and library calls must write
 nothing to stdout.
 """
 
+import collections
 import importlib.util
 import re
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import burgers_dqm
 
@@ -47,16 +51,43 @@ def test_benchmark_workload_names_are_exported():
     assert used <= set(burgers_dqm.__all__)
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_metric_keeps_a_function():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    tracer = _load("bench_tracing", TRACING).Tracer()
     try:
         tracer.install()
         assert tracer.missing_metrics() == set()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("workload, build, solve, dirichlet, sizes", [
+    ("P1Solve", "problem1", "solve_1d", "apply_dirichlet_1d", {"n": 11}),
+    ("P4Solve", "problem4", "solve_2d", "apply_dirichlet_2d",
+     {"nx": 9, "ny": 7}),
+], ids=["1d", "2d"])
+def test_traced_solve_sees_traces_and_dirichlet_layer(workload, build, solve,
+                                                       dirichlet, sizes):
+    # The traced run wraps a problem's trace fields and rebinds the solver
+    # and the Dirichlet writers it times; a solve must still reach each.
+    tracer = _load("bench_tracing", TRACING).Tracer()
+    fields = getattr(_load("bench_workloads", WORKLOADS), workload).trace_fields
+    try:
+        tracer.install()
+        prob = tracer.wrap_problem(getattr(burgers_dqm, build)(), fields)
+        getattr(burgers_dqm, solve)(prob, dt=1e-3, t_end=5e-3, **sizes)
+    finally:
+        tracer.uninstall()
+    counts = collections.Counter(span[0] for span in tracer.spans)
+    assert counts["problems.trace"] >= len(fields)
+    assert counts["burgers_rhs." + dirichlet] >= 1
+    assert counts["solvers." + solve] == 1
 
 
 def test_readme_states_the_export_count():

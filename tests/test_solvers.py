@@ -67,6 +67,13 @@ def test_misaligned_snapshot_rejected():
         solve_1d(prob, 21, 0.05, 0.2, snapshots=(0.07,))
     with pytest.raises(ConfigError):
         solve_1d(prob, 21, 0.05, 0.2, snapshots=(0.3,))
+    # a snapshot meets the step-grid rule of t_end: 5e-10 off the grid at
+    # dt = 1e-2 is off it for both
+    for kwargs in ({"t_end": 1.0 + 5e-10}, {"snapshots": (1.0 + 5e-10,)}):
+        with pytest.raises(ConfigError, match="does not divide"):
+            solve_1d(prob, 11, 1e-2, **{"t_end": 2.0, **kwargs})
+    with pytest.raises(ConfigError, match="0.05 precedes t0=0.1"):
+        solve_1d(prob, 21, 0.05, 0.2, t0=0.1, snapshots=(0.05,))
 
 
 def test_dt_must_divide_interval():
