@@ -20,9 +20,11 @@ second-derivative weights.  The 1D route sums its terms in another order
 than one expression per term, so it agrees with that form to rounding
 (over a whole run of problem 1 at 121 nodes, 1.5e-15 relative to the
 largest value); the 2D route is bitwise the per-field products on the
-folded weights.  Each public function is a shape check, one call of a
-private binding (``_bind_1d``/``_bind_2d``: the folded weights and work
-buffers, and ``rhs(w, t, out)``, which leaves the boundary nodes
+folded weights.  ``rhs_*`` and ``boundary_forcing_*`` check their inputs
+alike: every weight matrix square and of its axis' size, every field of
+the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check, one
+call of a private binding (``_bind_1d``/``_bind_2d``: the folded weights
+and work buffers, and ``rhs(w, t, out)``, which leaves the boundary nodes
 unwritten) and zeroed boundary nodes.  The solvers hold the same binding
 for a solve and leave the boundary nodes to the driver, so ``step`` with
 ``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
@@ -112,15 +114,11 @@ class Problem2D:
         return 1.0 / self.nu
 
 
-def _check_state(w, shape):
-    if w.shape != shape:
-        raise ShapeMismatch(f"state shape {w.shape} does not match {shape}")
-
-
-def _check_1d(u, v, w1):
-    n = w1.shape[0]
-    if u.shape != (n,) or v.shape != (n,):
-        raise ShapeMismatch(f"state shapes {u.shape}, {v.shape} do not match n={n}")
+def _check_state(shape, *fields):
+    for w in fields:
+        if w.shape != shape:
+            raise ShapeMismatch(f"state shape {w.shape} does not match "
+                                f"{shape}")
 
 
 def apply_dirichlet_1d(u, v, t, prob, grid):
@@ -199,8 +197,8 @@ def rhs_1d(w, t, prob, w1, w2):
     follows the state and the weights, which share one dtype (float32
     inputs give a float32 result, complex inputs a complex one).
     """
-    n = w1.shape[0]
-    _check_state(w, (2, n))
+    n = _axis(w1, w2)
+    _check_state((2, n), w)
     dtype = np.result_type(w, w1, w2)
     out = np.empty((2, n), dtype)
     _bind_1d(prob.coupling, w1, w2, dtype)(w, t, out)
@@ -214,7 +212,7 @@ def boundary_forcing_1d(u, v, prob, w1, w2):
     The convection coefficients are frozen per node (eta_i = eta*u_i and so
     on), as in the published formula.
     """
-    _check_1d(u, v, w1)
+    _check_state((_axis(w1, w2),), u, v)
     a1l, a1r = w1[:, 0], w1[:, -1]
     a2l, a2r = w2[:, 0], w2[:, -1]
     ub = a1l * u[0] + a1r * u[-1]  # boundary part of sum a1[i,l] u_l
@@ -224,12 +222,6 @@ def boundary_forcing_1d(u, v, prob, w1, w2):
     g = (a2l * v[0] + a2r * v[-1]) - (prob.xi * v) * vb \
         - (prob.beta * u) * vb - (prob.beta * v) * ub
     return f, g
-
-
-def _check_2d(U, V, ax1, by1):
-    shape = (ax1.shape[0], by1.shape[0])
-    if U.shape != shape or V.shape != shape:
-        raise ShapeMismatch(f"state shapes {U.shape}, {V.shape} do not match {shape}")
 
 
 def _zero_ring(D):
@@ -283,7 +275,7 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     the state and the weights, which share one dtype (float32 inputs give a
     float32 result, complex inputs a complex one).
     """
-    _check_state(w, (2, ax1.shape[0], by1.shape[0]))
+    _check_state((2, _axis(ax1, ax2), _axis(by1, by2)), w)
     dtype = np.result_type(w, ax1, ax2, by1, by2)
     out = np.empty(w.shape, dtype)
     _bind_2d(prob.nu, ax1, ax2, by1, by2, dtype)(w, t, out)
@@ -293,7 +285,7 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
 
 def boundary_forcing_2d(U, V, prob, ax1, ax2, by1, by2):
     """2D boundary forcing (F, G): first/last row and column contributions."""
-    _check_2d(U, V, ax1, by1)
+    _check_state((_axis(ax1, ax2), _axis(by1, by2)), U, V)
     nu = prob.nu
 
     def forcing(W, conv_x, conv_y):

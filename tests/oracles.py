@@ -10,8 +10,9 @@ forcing term (F for u, G for v) that collects the first/last-column
 contributions with the convection coefficients frozen at the node value.
 ``rhs_1d_split``/``rhs_2d_split`` assemble the RHS that way on separate
 (u, v) fields, from the package's ``boundary_forcing_1d``/``_2d`` (which
-also check the state shapes).  The solvers use the full-sum route instead;
-the tests hold the two routes equal to rounding.
+check the weight and state shapes as ``rhs_1d``/``rhs_2d`` do).  The
+solvers use the full-sum route instead; the tests hold the two routes equal
+to rounding.
 
 ``step_reference`` is the SSP-RK54 step written as one expression per
 stage, in the Shu-Osher form of Spiteri & Ruuth.  The package evaluates the
@@ -48,7 +49,7 @@ def problem1_asymmetric():
 
 def rhs_1d_reference(w, t, prob, w1, w2):
     """Full-sum 1D RHS, one expression per field; equals rhs_1d to rounding."""
-    _check_state(w, (2, w1.shape[0]))
+    _check_state((2, w1.shape[0]), w)
     u, v = w[0], w[1]
     wx = w @ w1.T
     ux, vx = wx[0], wx[1]

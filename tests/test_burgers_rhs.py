@@ -11,6 +11,8 @@ from burgers_dqm import (
     Grid1D,
     Grid2D,
     Problem1D,
+    boundary_forcing_1d,
+    boundary_forcing_2d,
     first_order_weights,
     second_order_weights,
     weights_2d,
@@ -107,18 +109,25 @@ def test_rhs_is_quadratic_in_amplitude():
 
 
 def test_shape_mismatch_rejected():
+    # rhs_1d and boundary_forcing_1d check their inputs alike
     prob = _zero_problem()
     g = Grid1D(0.0, 1.0, 11)
     w1, w2 = _weights_1d(g)
     for shape in ((11,), (2, 10), (3, 11)):
         with pytest.raises(ShapeMismatch):
             rhs_1d(np.zeros(shape), 0.0, prob, w1, w2)
-    # weights that are not square or not of one size, checked once on
-    # binding, before any product runs
+    z = np.zeros(11)
+    for u, v in ((np.zeros(10), z), (z, np.zeros(12)), (z[None], z)):
+        with pytest.raises(ShapeMismatch):
+            boundary_forcing_1d(u, v, prob, w1, w2)
+    # weights that are not square or not of one size, checked before any
+    # product runs
     other = _weights_1d(Grid1D(0.0, 1.0, 12))[1]
     for pair in ((w1, other), (w1, w2[:, :10]), (w1[:, :10], w2)):
         with pytest.raises(ShapeMismatch, match="weight matrix"):
             rhs_1d(np.zeros((2, 11)), 0.0, prob, *pair)
+        with pytest.raises(ShapeMismatch, match="weight matrix"):
+            boundary_forcing_1d(z, z, prob, *pair)
 
 
 def test_apply_dirichlet_1d_sets_traces():
@@ -471,8 +480,15 @@ def test_rhs_2d_shape_mismatch():
     for shape in ((2, 9, 6), (2, 7, 9), (9, 7), (3, 9, 7)):
         with pytest.raises(ShapeMismatch):
             rhs_2d(np.zeros(shape), 0.0, prob, ax1, ax2, by1, by2)
+    # boundary_forcing_2d checks its inputs as rhs_2d does
+    z = np.zeros((9, 7))
+    for U, V in ((np.zeros((9, 6)), z), (z, z.T), (z[None], z)):
+        with pytest.raises(ShapeMismatch):
+            boundary_forcing_2d(U, V, prob, ax1, ax2, by1, by2)
     # a weight matrix of the other axis, or not square
     for weights in ((ax1, by1, by1, by2), (ax1, ax2, by1, ax2),
                     (ax1, ax2, by1, by2[:, :6]), (ax1[:, :8], ax2, by1, by2)):
         with pytest.raises(ShapeMismatch, match="weight matrix"):
             rhs_2d(np.zeros((2, 9, 7)), 0.0, prob, *weights)
+        with pytest.raises(ShapeMismatch, match="weight matrix"):
+            boundary_forcing_2d(z, z, prob, *weights)

@@ -28,6 +28,7 @@ def test_grid_nodes_and_spacing():
     assert g.n == 11
     assert g.h == pytest.approx(0.1)
     np.testing.assert_allclose(g.x, np.linspace(0.0, 1.0, 11), atol=1e-15)
+    assert repr(g) == "Grid1D(a=0.0, b=1.0, n=11)"
 
 
 def test_grid_rejects_bad_input():

@@ -327,6 +327,12 @@ def test_max_stable_dt_kept_by_boundary_closure():
         assert max_stable_dt(g, UNIT) >= 0.9 * unclosed
 
 
+def test_max_stable_dt_caps_a_zero_operator():
+    # a zero operator is stable at every dt, so the search returns its cap
+    g = Grid1D(0.0, 1.0, 9)
+    assert max_stable_dt(g, FrozenParams(0.0, 0.0, 0.0)) == 10.0
+
+
 def test_max_stable_dt_no_stable_step(monkeypatch):
     g = Grid1D(-math.pi, math.pi, 11)
     always_two = lambda z: np.full_like(np.asarray(z, dtype=complex), 2.0)
@@ -347,6 +353,14 @@ def test_kronecker_spectrum_is_pairwise_sums():
     assert mismatch <= 1e-6
     assert len(spectrum) == (7 - 2) * (6 - 2)
     assert len(pair_sums) == len(spectrum)
+
+
+def test_kronecker_check_of_a_zero_operator():
+    # a zero operator has norm 0, so the mismatch is taken unscaled
+    p = FrozenParams(tau0=0.0, kappa0=0.0, nu=0.0)
+    mismatch, _, _ = kronecker_spectrum_check(Grid1D(0.0, 1.0, 9),
+                                              Grid1D(0.0, 1.0, 7), p)
+    assert mismatch == 0.0
 
 
 def test_kronecker_check_rejects_large_grids():
