@@ -10,8 +10,9 @@ table         rerun a published benchmark table and compare side by side
 
 All numeric CSV output uses 17 significant digits so doubles round-trip
 exactly; identical configurations produce byte-identical CSV bodies.  Every
-run writes a ``manifest.json`` recording the configuration, per-phase wall
-times, and a checksum per output file.
+run writes its files through the one ``Manifest`` that ``main`` hands it,
+then a ``manifest.json`` recording the configuration, per-phase wall times,
+and a checksum per output file (``table`` writes nothing without ``--out``).
 
 Config files are flat ``key = value`` text (``#`` comments).  Each key is a
 flag of the subcommand spelled with ``_`` (``t_end`` for ``--t-end``); the
@@ -86,12 +87,13 @@ def sha256_of(path):
 class Manifest:
     """Collects config echo, phase timings, and output-file checksums.
 
-    Output files and ``manifest.json`` go to ``out_dir``.
+    Output files and ``manifest.json`` go to ``out_dir``; with ``out_dir``
+    None nothing is written.
     """
 
     def __init__(self, config, out_dir):
         self.config = config
-        self.out_dir = Path(out_dir)
+        self.out_dir = None if out_dir is None else Path(out_dir)
         self.phases = {}
         self.files = {}
         self._t0 = None
@@ -118,16 +120,23 @@ class Manifest:
 
     def path(self, name):
         """Path of output file ``name``; creates the output directory."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("unusable output directory: %s" % exc) from None
         return self.out_dir / name
 
     def write_csv(self, name, header, rows):
+        if self.out_dir is None:
+            return
         path = self.path(name)
         write_csv(path, header, rows)
         self.add_file(path)
 
     def write(self):
         self.finish()
+        if self.out_dir is None:
+            return
         payload = {
             "version": __version__,
             "config": self.config,
@@ -159,7 +168,10 @@ def _config_tokens(path, defaults):
     if not path.is_file():
         raise ConfigError("config file not found: %s" % path)
     tokens = []
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file %s is not UTF-8: %s" % (path, exc)) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -180,10 +192,6 @@ def _config_tokens(path, defaults):
         else:
             tokens.append(flag + "=" + value)
     return tokens
-
-
-def _config_echo(args):
-    return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
 
 
 def _comma_floats(text):
@@ -232,13 +240,12 @@ def _solution_rows(coords, u, v, exact):
     return header, zip(*(np.broadcast_to(c, u.shape).ravel() for c in cols))
 
 
-def run_solve(args):
+def run_solve(args, manifest):
     """Integrate one problem and write solution/error CSVs."""
     prob = _build_problem(args)
     dt, t_end = args.dt, args.t_end
     snapshots = sorted(set(args.snapshots or [t_end]))
 
-    manifest = Manifest(_config_echo(args), args.out)
     manifest.start("integrate")
     sol = _solve(prob, args.nx, dt, t_end, ny=args.ny, snapshots=snapshots)
     coords = sol.grid.coords
@@ -276,9 +283,6 @@ def run_solve(args):
                  report.ratio_re_im))
         manifest.config["stability_verdict"] = {"all_inside": inside,
                                                 "max_abs_r": max_abs_r}
-
-    manifest.write()
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,17 @@ def _sweep(spec, refs=()):
     return rows
 
 
-def run_convergence(args):
+def _report(title, spec, refs, csv_name, manifest):
+    """Solve ``spec``'s grids, print the rows beside ``refs``, write the CSV."""
+    manifest.start("integrate")
+    rows = _sweep(spec, refs)
+    manifest.start("output")
+    header = [c.partition("=")[0] for c in spec.columns]
+    _print_comparison(title, header, rows, spec.notes)
+    manifest.write_csv(csv_name, header, rows)
+
+
+def run_convergence(args, manifest):
     """Grid-refinement study: solve on each grid, estimate two-grid orders."""
     prob = _build_problem(args)
     if prob.exact_u is None:
@@ -382,20 +396,8 @@ def run_convergence(args):
             )
     spec = TableSpec(prob, n_list, args.dt, (args.t_end,),
                      ("n", "l2", "r_l2", "linf", "r_linf"), field="u")
-
-    manifest = Manifest(_config_echo(args), args.out)
-    manifest.start("integrate")
-    rows = _sweep(spec)
-
-    manifest.start("output")
-    print("%6s  %13s  %6s  %13s  %6s" % ("N", "L2", "R", "Linf", "R"))
-    for n, l2, r_l2, linf, r_linf in rows:
-        print("%6d  %13.6e  %6s  %13.6e  %6s"
-              % (n, l2, "-" if r_l2 is None else "%.2f" % r_l2,
-                 linf, "-" if r_linf is None else "%.2f" % r_linf))
-    manifest.write_csv("convergence.csv", spec.columns, rows)
-    manifest.write()
-    return 0
+    _report("convergence %s: error of u and two-grid orders" % args.problem,
+            spec, (), "convergence.csv", manifest)
 
 
 _ORDER_COLUMNS = ("l2", "l2_pub", "l2_ratio", "r_l2", "r_l2_pub",
@@ -449,53 +451,48 @@ def _print_comparison(title, header, rows, notes=()):
         print("note: %s" % note)
 
 
+def _table(args, manifest, **overrides):
+    key = args.table
+    _report("table %s: computed vs published" % key,
+            replace(TABLES[key], **overrides), load_reference_table(key)[1],
+            "table_%s_comparison.csv" % key.replace(".", "_"), manifest)
+
+
 def run_table(key, out=None, **overrides):
     """Recompute one published table and print computed vs published values.
 
-    ``overrides`` replace ``TableSpec`` fields (``n_values``, ``dt``,
-    ``times``) to shrink the parameter set for quick runs.  The defaults
-    reproduce the published setup exactly.
+    As ``table key --out out``; ``overrides`` replace ``TableSpec`` fields
+    (``n_values``, ``dt``, ``times``) to shrink the parameter set for quick
+    runs.  The defaults reproduce the published setup exactly.
     """
     if key not in TABLES:
         raise ConfigError(
             "unknown table %r; available: %s"
             % (key, ", ".join(TABLES))
         )
-    spec = replace(TABLES[key], **overrides)
-    rows = _sweep(spec, load_reference_table(key)[1])
-    header = [c.partition("=")[0] for c in spec.columns]
-    _print_comparison("table %s: computed vs published" % key, header, rows,
-                      spec.notes)
-    if out is not None:
-        manifest = Manifest({"table": key, "out": str(out)}, out)
-        manifest.start("output")
-        manifest.write_csv("table_%s_comparison.csv" % key.replace(".", "_"),
-                           header, rows)
-        manifest.write()
-    return 0
+    return _run(argparse.Namespace(
+        table=key, out=out,
+        func=lambda args, manifest: _table(args, manifest, **overrides)))
 
 
 # ---------------------------------------------------------------------------
 # stability
 
-def run_stability(args):
+def run_stability(args, manifest):
     """Spectra of the frozen-coefficient operator plus per-dt verdicts."""
     dt_list = args.dt_list
     if not dt_list:
         raise ConfigError("dt_list is required")
     grid = Grid1D(args.a, args.b, args.nx)
 
-    manifest = Manifest(_config_echo(args), args.out)
     manifest.start("analyze")
     report = analyze(grid, FrozenParams(tau0=args.tau0, kappa0=args.kappa0,
                                         nu=args.nu), dt_list)
 
     manifest.start("output")
-    spec_rows = []
-    for name, spectrum in (("lambda1", report.lambda1),
-                           ("lambda2", report.lambda2)):
-        for idx, lam in enumerate(spectrum, start=1):
-            spec_rows.append([name, idx, lam.real, lam.imag])
+    spec_rows = [[name, idx, lam.real, lam.imag]
+                 for name in ("lambda1", "lambda2")
+                 for idx, lam in enumerate(getattr(report, name), start=1)]
     manifest.write_csv("spectra.csv", ["matrix", "index", "re", "im"], spec_rows)
     asm_rows = [[idx, lam.real, lam.imag]
                 for idx, lam in enumerate(report.assembled, start=1)]
@@ -507,31 +504,21 @@ def run_stability(args):
     print("lambda1 max|Re|/max|Im| = %.6e" % report.ratio_re_im)
     manifest.write_csv("stability.csv", ["dt", "all_inside", "max_abs_r"],
                        verdict_rows)
-    manifest.write()
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # weights dump
 
-def run_weights_dump(args):
+def run_weights_dump(args, manifest):
     """Dump first/second derivative weight matrices as (row, col, value)."""
-    grid = Grid1D(args.a, args.b, args.nx)
-
-    manifest = Manifest(_config_echo(args), args.out)
-    manifest.start("weights")
-    weights = _grid_weights(grid)
-    w1 = weights.w1  # w2 is built only when read
-    w2 = weights.w2 if args.order in (None, 2) else None
-
-    manifest.start("output")
-    for order, w in ((1, w1), (2, w2)):
-        if args.order in (None, order):
-            path = manifest.path("weights_order%d.csv" % order)
-            dump_weights_csv(w, path)
-            manifest.add_file(path)
-    manifest.write()
-    return 0
+    weights = _grid_weights(Grid1D(args.a, args.b, args.nx))
+    for order in (1, 2) if args.order is None else (args.order,):
+        manifest.start("weights")
+        w = getattr(weights, "w%d" % order)  # w2 is built only when read
+        manifest.start("output")
+        path = manifest.path("weights_order%d.csv" % order)
+        dump_weights_csv(w, path)
+        manifest.add_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +596,24 @@ def build_parser():
         "table",
         help="recompute a published benchmark table (may take minutes)",
     )
-    sp.add_argument("table_id", choices=tuple(TABLES))
+    sp.add_argument("table", choices=tuple(TABLES))
     sp.add_argument("--out", default=None,
                     help="also write the comparison as CSV here")
-    sp.set_defaults(func=lambda args: run_table(args.table_id, out=args.out))
+    sp.set_defaults(func=_table)
 
     return parser
+
+
+def _run(args):
+    """Hand ``args.func`` a manifest of the run's settings, then write it."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    manifest = Manifest(config, args.out)
+    # Blow-ups surface as a typed exception; the overflow warnings numpy
+    # emits on the way there are noise at the command line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        args.func(args, manifest)
+    manifest.write()
+    return 0
 
 
 def main(argv=None):
@@ -628,10 +627,7 @@ def main(argv=None):
             defaults = vars(parser.parse_args(argv[:at]))
             args = parser.parse_args(
                 argv[:at] + _config_tokens(args.config, defaults) + argv[at:])
-        # Blow-ups surface as a typed exception below; the overflow warnings
-        # numpy emits on the way there are noise at the command line.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return _run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ConfigError, DomainError) as exc:

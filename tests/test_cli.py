@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from burgers_dqm import (FrozenParams, Grid1D, Grid2D, analyze, cli,
-                         dqm_weights, load_reference_table, problem1,
+from burgers_dqm import (ConfigError, FrozenParams, Grid1D, Grid2D, analyze,
+                         cli, dqm_weights, load_reference_table, problem1,
                          problem4)
 from burgers_dqm.cli import main
 
@@ -274,6 +274,15 @@ def test_config_switch_false_and_missing_file(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "none.conf")]) == 2
 
 
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"nx = 11\n\xff\xfe = 3\n")
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(conf), "--out", str(out)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
@@ -294,6 +303,19 @@ def test_convergence_requires_doubling(tmp_path):
     rc = main(["convergence", "--problem", "p1", "--n-list", "10,30",
                "--dt", "0.01", "--t-end", "0.1", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-list", "10.5,21"], "argument --n-list"),
+    ([], "n_list is required"),
+], ids=["fractional", "missing"])
+def test_convergence_rejects_bad_n_list(tmp_path, capsys, flags, message):
+    out = tmp_path / "x"
+    rc = main(["convergence", "--problem", "p1", *flags, "--dt", "0.01",
+               "--t-end", "0.1", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_single_grid_has_empty_rates(tmp_path):
@@ -441,6 +463,22 @@ def test_csv_and_manifest_writers_ask_for_lf_on_every_platform(tmp_path,
         "stability.csv")]
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "p1", "--nx", "11", "--dt", "0.01",
+     "--t-end", "0.02"],
+    ["weights-dump", "--nx", "7"],
+], ids=["solve", "weights-dump"])
+def test_unusable_out_is_a_config_error(tmp_path, capsys, argv, under):
+    # an --out that is a file, or lies under one, cannot be a directory
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if under else taken
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "config error: unusable output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # table reproduction (quick overrides keep runtimes tiny)
 # ---------------------------------------------------------------------------
@@ -456,6 +494,20 @@ def test_run_table_quick_comparison(tmp_path, capsys):
     # computed errors land within an order of magnitude of the published ones
     ratio = float(rows[0][3])
     assert 0.1 <= ratio <= 10.0
+
+
+def test_table_manifest_times_the_solve(tmp_path, monkeypatch):
+    out = tmp_path / "t"
+    quick = {"n_values": [10], "times": (0.1,)}
+    assert cli.run_table("1.1", out=str(out), **quick) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["phases_seconds"]) == {"integrate", "output"}
+    assert manifest["config"] == {"table": "1.1", "out": str(out)}
+    # without --out the table is only printed
+    monkeypatch.chdir(out)
+    assert cli.run_table("1.1", **quick) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "table_1_1_comparison.csv"]
 
 
 def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, capsys):
@@ -514,6 +566,10 @@ def test_table_ratios_stay_in_band(key):
 def test_table_cli_rejects_unknown_key(tmp_path):
     rc = main(["table", "9.9", "--out", str(tmp_path / "x")])
     assert rc == 2
+    # argparse's choices stop the CLI; the library entry checks the key
+    with pytest.raises(ConfigError, match="unknown table '9.9'"):
+        cli.run_table("9.9", out=str(tmp_path / "y"))
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
 
 
 def test_version_flag(capsys):

@@ -106,7 +106,7 @@ def test_solvers_reject_the_other_dimensions_problem(solve, build):
         solve(build(), 3, 1e-3, 0.01)
 
 
-def test_stage_policy_runs_and_differs_from_base():
+def test_p1_and_p2_stay_near_exact_with_stage_time_traces():
     # Every stage state carries the traces at its own time, which keeps the
     # run accurate where the traces vary in time (p2) as well as where they
     # vanish to rounding (p1).
