@@ -9,10 +9,11 @@ weights-dump  derivative weight matrices as CSV
 table         rerun a published benchmark table and compare side by side
 
 All numeric CSV output uses 17 significant digits so doubles round-trip
-exactly; identical configurations produce byte-identical CSV bodies.  Every
-run writes its files through the one ``Manifest`` that ``main`` hands it,
-then a ``manifest.json`` recording the configuration, per-phase wall times,
-and a checksum per output file (``table`` writes nothing without ``--out``).
+exactly; identical configurations produce byte-identical CSV bodies.  A run
+writes every file through ``Manifest.add``, then ``manifest.json`` with the
+configuration, per-phase wall times and each file's checksum (``table``
+writes nothing without ``--out``).  An ``--out`` held by a file is refused
+before the run, and a failed write is a config error (exit 2).
 
 Config files are flat ``key = value`` text (``#`` comments).  Each key is a
 flag of the subcommand spelled with ``_`` (``t_end`` for ``--t-end``); the
@@ -23,6 +24,7 @@ so command-line flags override file values.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -79,16 +81,15 @@ def write_csv(path, header, rows):
 
 
 def sha256_of(path):
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class Manifest:
     """Collects config echo, phase timings, and output-file checksums.
 
-    Output files and ``manifest.json`` go to ``out_dir``; with ``out_dir``
-    None nothing is written.
+    Output files reach ``out_dir`` through ``add``, ``manifest.json`` through
+    ``write``; with ``out_dir`` None nothing is written.  An ``out_dir`` held
+    by a file is refused here, before the run, and nothing is made until then.
     """
 
     def __init__(self, config, out_dir):
@@ -98,6 +99,12 @@ class Manifest:
         self.files = {}
         self._t0 = None
         self._phase = None
+        if self.out_dir is not None:
+            # os.path reads a stat error as absence, where Path.exists may raise
+            held = next((p for p in (self.out_dir, *self.out_dir.parents)
+                         if os.path.exists(p)), None)
+            if held is not None and not os.path.isdir(held):
+                raise ConfigError("unusable output directory: %s is a file" % held)
 
     def start(self, phase):
         self.finish()
@@ -110,28 +117,23 @@ class Manifest:
             self.phases[self._phase] = self.phases.get(self._phase, 0.0) + elapsed
             self._phase = None
 
-    def add_file(self, path):
-        path = Path(path)
-        self.files[path.name] = {
-            "path": str(path),
-            "sha256": sha256_of(path),
-            "bytes": path.stat().st_size,
-        }
-
-    def path(self, name):
-        """Path of output file ``name``; creates the output directory."""
+    def _put(self, name, write, *args):
+        """Write ``name`` by ``write(path, *args)``, making ``out_dir`` first."""
+        path = self.out_dir / name
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
+            write(path, *args)
         except OSError as exc:
             raise ConfigError("unusable output directory: %s" % exc) from None
-        return self.out_dir / name
+        return path
 
-    def write_csv(self, name, header, rows):
+    def add(self, name, write, *args):
+        """Write output file ``name`` by ``write(path, *args)``; record its sha256."""
         if self.out_dir is None:
             return
-        path = self.path(name)
-        write_csv(path, header, rows)
-        self.add_file(path)
+        path = self._put(name, write, *args)
+        self.files[name] = {"path": str(path), "sha256": sha256_of(path),
+                            "bytes": path.stat().st_size}
 
     def write(self):
         self.finish()
@@ -143,10 +145,9 @@ class Manifest:
             "phases_seconds": self.phases,
             "files": self.files,
         }
-        self.path("manifest.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8", newline="",
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        self._put("manifest.json", lambda path: path.write_text(
+            text, encoding="utf-8", newline=""))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +223,6 @@ def _build_problem(args):
 # ---------------------------------------------------------------------------
 # solve
 
-def _time_token(t):
-    return ("%g" % t).replace("-", "m")
-
-
 def _solution_rows(coords, u, v, exact):
     """Header and rows of one snapshot, one row per node (x before y).
 
@@ -256,16 +253,16 @@ def run_solve(args, manifest):
         exact = None
         if prob.exact_u is not None:
             exact = (prob.exact_u(*coords, snap_t), prob.exact_v(*coords, snap_t))
-        manifest.write_csv("solution_t%s.csv" % _time_token(snap_t),
-                           *_solution_rows(coords, su, sv, exact))
+        name = "solution_t%s.csv" % ("%g" % snap_t).replace("-", "m")
+        manifest.add(name, write_csv, *_solution_rows(coords, su, sv, exact))
         if exact is not None:
             ru = error_norms(su, exact[0], sol.grid.measure)
             rv = error_norms(sv, exact[1], sol.grid.measure)
             error_rows.append([snap_t, args.nx, dt, ru.l2, ru.linf, rv.l2, rv.linf])
 
     if error_rows:
-        manifest.write_csv("errors.csv", ["t", "n", "dt", "l2_u", "linf_u",
-                                          "l2_v", "linf_v"], error_rows)
+        manifest.add("errors.csv", write_csv, ["t", "n", "dt", "l2_u", "linf_u",
+                                               "l2_v", "linf_v"], error_rows)
         for row in error_rows:
             print("t=%g  L2(u)=%.6e  Linf(u)=%.6e  L2(v)=%.6e  Linf(v)=%.6e"
                   % (row[0], row[3], row[4], row[5], row[6]))
@@ -377,7 +374,7 @@ def _report(title, spec, refs, csv_name, manifest):
     manifest.start("output")
     header = [c.partition("=")[0] for c in spec.columns]
     _print_comparison(title, header, rows, spec.notes)
-    manifest.write_csv(csv_name, header, rows)
+    manifest.add(csv_name, write_csv, header, rows)
 
 
 def run_convergence(args, manifest):
@@ -490,20 +487,20 @@ def run_stability(args, manifest):
                                         nu=args.nu), dt_list)
 
     manifest.start("output")
-    spec_rows = [[name, idx, lam.real, lam.imag]
-                 for name in ("lambda1", "lambda2")
-                 for idx, lam in enumerate(getattr(report, name), start=1)]
-    manifest.write_csv("spectra.csv", ["matrix", "index", "re", "im"], spec_rows)
-    asm_rows = [[idx, lam.real, lam.imag]
-                for idx, lam in enumerate(report.assembled, start=1)]
-    manifest.write_csv("assembled_spectrum.csv", ["index", "re", "im"], asm_rows)
+    manifest.add("spectra.csv", write_csv, ["matrix", "index", "re", "im"],
+                 [[name, idx, lam.real, lam.imag]
+                  for name in ("lambda1", "lambda2")
+                  for idx, lam in enumerate(getattr(report, name), start=1)])
+    manifest.add("assembled_spectrum.csv", write_csv, ["index", "re", "im"],
+                 [[idx, lam.real, lam.imag]
+                  for idx, lam in enumerate(report.assembled, start=1)])
 
     verdict_rows = list(zip(dt_list, report.all_inside, report.max_abs_r))
     for row in verdict_rows:
         print("dt=%-12g all_inside=%-5s max|R(z)|=%.9f" % row)
     print("lambda1 max|Re|/max|Im| = %.6e" % report.ratio_re_im)
-    manifest.write_csv("stability.csv", ["dt", "all_inside", "max_abs_r"],
-                       verdict_rows)
+    manifest.add("stability.csv", write_csv,
+                 ["dt", "all_inside", "max_abs_r"], verdict_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +513,8 @@ def run_weights_dump(args, manifest):
         manifest.start("weights")
         w = getattr(weights, "w%d" % order)  # w2 is built only when read
         manifest.start("output")
-        path = manifest.path("weights_order%d.csv" % order)
-        dump_weights_csv(w, path)
-        manifest.add_file(path)
+        manifest.add("weights_order%d.csv" % order,
+                     lambda path: dump_weights_csv(w, path))
 
 
 # ---------------------------------------------------------------------------

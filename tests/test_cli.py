@@ -1,20 +1,23 @@
 """End-to-end tests for the command-line interface.
 
 Every test drives cli.main(argv) directly and inspects the files it leaves
-behind; nothing here shells out.
+behind; only the check of ``python -m burgers_dqm.cli`` shells out.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from burgers_dqm import (ConfigError, FrozenParams, Grid1D, Grid2D, analyze,
-                         cli, dqm_weights, load_reference_table, problem1,
-                         problem4)
+from burgers_dqm import (ConfigError, FrozenParams, Grid1D, Grid2D, __version__,
+                         analyze, cli, dqm_weights, load_reference_table,
+                         problem1, problem4)
 from burgers_dqm.cli import main
 
 
@@ -479,6 +482,42 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys, argv, under):
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--problem", "p1", "--nx", "11", "--dt", "0.01",
+      "--t-end", "0.02"], "solution_t0.02.csv"),
+    (["stability", "--nx", "7", "--dt-list", "1e-3"], "stability.csv"),
+    (["weights-dump", "--nx", "7", "--order", "1"], "weights_order1.csv"),
+    (["weights-dump", "--nx", "7", "--order", "1"], "manifest.json"),
+], ids=["solve", "stability", "weights-dump", "manifest"])
+def test_output_name_held_by_a_directory_is_a_config_error(tmp_path, capsys,
+                                                           argv, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unusable output directory" in err
+    assert "Traceback" not in err
+    assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("argv, under", [
+    (["table", "2.1"], False),
+    (["solve", "--problem", "p1", "--nx", "11"], True),
+], ids=["table", "solve-under-file"])
+def test_out_is_judged_before_the_run(tmp_path, capsys, monkeypatch, argv,
+                                      under):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before --out was checked")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if under else taken
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "config error: unusable output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # table reproduction (quick overrides keep runtimes tiny)
 # ---------------------------------------------------------------------------
@@ -577,3 +616,12 @@ def test_version_flag(capsys):
     assert rc == 0
     assert "burgers-dqm" in capsys.readouterr().out
 
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run([sys.executable, "-m", "burgers_dqm.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "burgers-dqm %s" % __version__
