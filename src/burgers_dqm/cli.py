@@ -13,7 +13,8 @@ exactly; identical configurations produce byte-identical CSV bodies.  A run
 writes every file through ``Manifest.add``, then ``manifest.json`` with the
 configuration, per-phase wall times and each file's checksum (``table``
 writes nothing without ``--out``).  An ``--out`` held by a file is refused
-before the run, and a failed write is a config error (exit 2).
+before the run, and a failed write is a config error (exit 2) that removes
+the files the run wrote.
 
 Config files are flat ``key = value`` text (``#`` comments).  Each key is a
 flag of the subcommand spelled with ``_`` (``t_end`` for ``--t-end``); the
@@ -22,6 +23,8 @@ so command-line flags override file values.
 """
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -84,6 +87,15 @@ def sha256_of(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _stamp(path):
+    """What a write to ``path`` changes: size and times, None when absent."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 class Manifest:
     """Collects config echo, phase timings, and output-file checksums.
 
@@ -118,12 +130,25 @@ class Manifest:
             self._phase = None
 
     def _put(self, name, write, *args):
-        """Write ``name`` by ``write(path, *args)``, making ``out_dir`` first."""
+        """Write ``name`` by ``write(path, *args)``, making ``out_dir`` first.
+
+        A failed write removes the files this run recorded and what the
+        write left at ``path``, so no part of a failed run is left behind;
+        a directory, or a file the write did not change, is never removed.
+        """
         path = self.out_dir / name
+        before = _stamp(path)
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             write(path, *args)
         except OSError as exc:
+            written = [Path(f["path"]) for f in self.files.values()]
+            if _stamp(path) != before:
+                written.append(path)
+            for p in written:
+                if p.is_file():
+                    with contextlib.suppress(OSError):
+                        p.unlink()
             raise ConfigError("unusable output directory: %s" % exc) from None
         return path
 
@@ -541,7 +566,16 @@ def _add_output_flags(sp):
                     help="flat key=value config file; flags override it")
 
 
+@functools.cache
 def build_parser():
+    """The ``burgers-dqm`` argument parser, built once per process.
+
+    Every ``main`` call parses with this one parser; parsing leaves it
+    unchanged, so a call never sees an earlier call's flags.  Each
+    subcommand's handler (``run_solve`` and the rest) is bound when the
+    parser is built, so rebinding a handler's module name later does not
+    reach it.
+    """
     parser = argparse.ArgumentParser(
         prog="burgers-dqm",
         description="Spline-quadrature solver for coupled Burgers' equations",

@@ -15,6 +15,11 @@ The weights depend on the grid alone, so the solvers, the stability
 analysis and the CLI read them from one per-process memo keyed by the
 grid's (a, b, n) (``_grid_weights``), which saves a build whenever a grid
 comes back within one process; the public builders stay pure.
+
+``dump_weights_csv`` writes a matrix as (row, col, value) CSV.  Its cost is
+the ``%.17g`` conversion, so it formats each distinct value once: on the
+spline weights most entries repeat (at 121 nodes w1 holds 6372 distinct
+values among its 14641 entries).
 """
 
 import functools
@@ -199,13 +204,21 @@ def weights_2d(grid):
 def dump_weights_csv(w, path):
     """Write a weight matrix as (row, col, value) CSV, 17 significant digits.
 
-    Each row is formatted by one ``%``: its template is the column template
-    (``"j,%.17g\\n"`` for every column, built once) with the row's ``"i,"``
-    joined in ahead of each column.
+    Most entries repeat bit for bit (along the diagonals of the interior
+    rows), so each distinct float64 bit pattern is formatted once and every
+    entry looks its text up.  Keying by bits keeps ``-0.0`` apart from
+    ``0.0`` and writes every NaN as ``nan``, as formatting each entry would.
+    Each row is then one ``%``: the column template (``"j,%s\\n"`` for every
+    column, built once) with the row's ``"i,"`` joined in ahead of each
+    column.  The rows are streamed to the file, never joined into one text.
     """
-    cols = [""] + ["%d,%%.17g\n" % j for j in range(1, w.shape[1] + 1)]
-    lines = ["row,col,value\n"]
-    for i, row in enumerate(w.tolist(), start=1):
-        lines.append(("%d," % i).join(cols) % tuple(row))
+    w = np.asarray(w).astype(np.float64, casting="same_kind", copy=False)
+    bits, inverse = np.unique(w.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    cells = text[inverse.reshape(w.shape)].tolist()
+    cols = [""] + ["%d,%%s\n" % j for j in range(1, w.shape[1] + 1)]
     with open(path, "w", newline="") as f:
-        f.write("".join(lines))
+        f.write("row,col,value\n")
+        f.writelines(("%d," % i).join(cols) % tuple(row)
+                     for i, row in enumerate(cells, start=1))

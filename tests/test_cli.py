@@ -4,6 +4,7 @@ Every test drives cli.main(argv) directly and inspects the files it leaves
 behind; only the check of ``python -m burgers_dqm.cli`` shells out.
 """
 
+import errno
 import hashlib
 import json
 import math
@@ -26,6 +27,13 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def _script_env():
+    """The environment in which ``python -m burgers_dqm.cli`` finds ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +451,46 @@ def test_weights_dump_order_1_builds_no_second_order_weights(tmp_path,
 
 
 # ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_parser_is_reused_and_each_call_writes_what_a_fresh_process_does(
+        tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    conf = tmp_path / "run.conf"
+    conf.write_text("problem = p1\nnx = 11\ndt = 0.01\nt_end = 0.02\n"
+                    "snapshots = 0.01,0.02\nstability_check = true\n")
+    runs = {
+        "order1": ["weights-dump", "--nx", "7", "--order", "1"],
+        "both": ["weights-dump", "--nx", "7"],
+        "solve": ["solve", "--config", str(conf)],
+        "stability": ["stability", "--nx", "7", "--dt-list", "1e-3"],
+    }
+    env = _script_env()
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / "in" / name)]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "burgers_dqm.cli", *argv,
+             "--out", str(tmp_path / "fresh" / name)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    for name in runs:
+        shared, fresh = tmp_path / "in" / name, tmp_path / "fresh" / name
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in shared.iterdir()) == names
+        for csv in (n for n in names if n.endswith(".csv")):
+            assert (shared / csv).read_bytes() == (fresh / csv).read_bytes()
+        a, b = (json.loads((d / "manifest.json").read_text())
+                for d in (shared, fresh))
+        assert {k: f["sha256"] for k, f in a["files"].items()} == \
+            {k: f["sha256"] for k, f in b["files"].items()}
+        assert {**a["config"], "out": None} == {**b["config"], "out": None}
+    both = sorted(p.name for p in (tmp_path / "in" / "both").iterdir())
+    assert both == ["manifest.json", "weights_order1.csv", "weights_order2.csv"]
+
+
+# ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
 
@@ -498,6 +546,43 @@ def test_output_name_held_by_a_directory_is_a_config_error(tmp_path, capsys,
     assert "config error: unusable output directory" in err
     assert "Traceback" not in err
     assert (out / name).is_dir()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["weights-dump", "--nx", "7"], "manifest.json"),
+    (["solve", "--problem", "p1", "--nx", "11", "--dt", "0.01",
+      "--t-end", "0.02"], "errors.csv"),
+], ids=["weights-dump-manifest", "solve-errors"])
+def test_failed_write_removes_the_runs_files(tmp_path, capsys, argv, name):
+    # the run writes its CSVs before the file whose name a directory holds
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    (out / "earlier.csv").write_text("kept\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "config error: unusable output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "earlier.csv"])
+    assert (out / name).is_dir()
+    assert (out / "earlier.csv").read_text() == "kept\n"
+
+
+def test_failed_write_removes_what_it_changed_only(tmp_path):
+    def partial(path):
+        path.write_text("half")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def refused(path):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    for name in ("old.csv", "overwritten.csv"):
+        (tmp_path / name).write_text("earlier\n")
+    manifest = cli.Manifest({}, tmp_path)
+    with pytest.raises(ConfigError, match="Permission denied"):
+        manifest.add("old.csv", refused)
+    for name in ("new.csv", "overwritten.csv"):
+        with pytest.raises(ConfigError, match="No space left"):
+            manifest.add(name, partial)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+    assert (tmp_path / "old.csv").read_text() == "earlier\n"
 
 
 @pytest.mark.parametrize("argv, under", [
@@ -618,9 +703,7 @@ def test_version_flag(capsys):
 
 
 def test_module_runs_as_a_script():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env = _script_env()
     done = subprocess.run([sys.executable, "-m", "burgers_dqm.cli", "--version"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

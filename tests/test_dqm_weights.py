@@ -333,7 +333,7 @@ def _assert_dump_matches_oracle(tmp_path, w):
         (tmp_path / "by_entry.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [4, 5, 121])
+@pytest.mark.parametrize("n", [4, 5, 121, 161, 321])
 @pytest.mark.parametrize("order", [1, 2])
 def test_dump_weights_csv_matches_per_entry_oracle(tmp_path, order, n):
     g = Grid1D(0.0, 1.0, n)
@@ -347,6 +347,23 @@ def test_dump_weights_csv_matches_per_entry_oracle(tmp_path, order, n):
     np.arange(1.0, 7.0).reshape(2, 3) / 7.0,
     np.array([[-0.0, 5e-324, 1e-300, 1e308],
               [np.inf, -np.inf, np.nan, 1.0 / 3.0]]),
-], ids=["2x3", "edge-values"])
+    np.array([[0.0, -0.0, 0.0], [-0.0, 1.0, -0.0]]),
+    # quiet NaNs of two payloads and a negative one, beside both infinities
+    np.array([[0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
+              [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000001]],
+             dtype=np.uint64).view(np.float64),
+    np.array([[1.0 / 3.0, -0.0, 1e-40], [3e38, 1.0 / 3.0, -2.5]],
+             dtype=np.float32),
+    np.arange(-6, 6).reshape(3, 4),
+], ids=["2x3", "edge-values", "signed-zeros", "nan-payloads", "float32",
+        "int"])
 def test_dump_weights_csv_matches_oracle_on_other_matrices(tmp_path, w):
     _assert_dump_matches_oracle(tmp_path, w)
+
+
+def test_dump_weights_csv_matches_oracle_on_views_and_read_only_weights(
+        tmp_path):
+    weights = dqm_weights._grid_weights(Grid1D(-math.pi, math.pi, 41))
+    assert not weights.w1.flags.writeable
+    for w in (weights.w1, weights.w2, weights.w1.T, weights.w1[::2, ::3]):
+        _assert_dump_matches_oracle(tmp_path, w)
