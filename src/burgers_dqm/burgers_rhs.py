@@ -11,21 +11,24 @@
 Spatial derivatives are weighted sums over all grid nodes.  ``rhs_1d`` and
 ``rhs_2d`` take both fields stacked in one ``(2, *shape)`` array, return them
 stacked the same way in a new array, and apply each weight matrix to both
-fields in one product.  In 1D one product takes both fields through both
-weight matrices at once, stacked as ``(w1.T, w2.T)``, and the second
-derivatives and the four quadratic convection terms enter both fields
-through one product with the (2, 6) matrix ``[I | -Problem1D.coupling]``,
-so a call makes 3 numpy calls; in 2D ``nu`` is folded into copies of the
-second-derivative weights.  The 1D route sums its terms in another order
-than one expression per term, so it agrees with that form to rounding
-(over a whole run of problem 1 at 121 nodes, 1.5e-15 relative to the
-largest value); the 2D route is bitwise the per-field products on the
+fields in one product.  In 1D one BLAS product takes both fields through
+both weight matrices at once, set side by side as the (n, 2n) matrix
+``[w1.T | w2.T]``, and the second derivatives and the four quadratic
+convection terms enter both fields through one product with a (2, 7)
+matrix, ``[I | -Problem1D.coupling]`` with a zero column over v_x added so
+that the rows it reads are contiguous; a call makes 3 numpy calls.  Both
+products are ``np.dot``, so the 1D binding writes only into a C-contiguous
+``out`` of exactly the result dtype.  In 2D ``nu`` is folded into copies
+of the second-derivative weights.  The 1D route sums its terms in another
+order than one expression per term, so it agrees with that form to
+rounding (over a whole run of problem 1 at 121 nodes, 2.0e-15 relative to
+the largest value); the 2D route is bitwise the per-field products on the
 folded weights.  ``rhs_*`` and ``boundary_forcing_*`` check their inputs
 alike: every weight matrix square and of its axis' size, every field of
-the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check, one
-call of a private binding (``_bind_1d``/``_bind_2d``: the folded weights
-and work buffers, and ``rhs(w, t, out)``, which leaves the boundary nodes
-unwritten) and zeroed boundary nodes.  The solvers hold the same binding
+the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check,
+one call of a private binding (``_bind_1d``/``_bind_2d``: the folded
+weights and work buffers, and ``rhs(w, t, out)``, which leaves the
+boundary nodes unwritten) and zeroed boundary nodes.  The solvers hold the same binding
 for a solve and leave the boundary nodes to the driver, so ``step`` with
 ``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
 paper writes each sum as its interior part plus a boundary forcing term
@@ -164,24 +167,33 @@ def _bind_1d(coupling, w1, w2, dtype):
     written into ``out``, its ends unwritten.
 
     The weights are folded once, in their own dtype: ``wt`` is the
-    C-contiguous (2, n, n) stack ``(w1.T, w2.T)`` and ``lhs`` the (2, 6)
-    matrix ``[I | -coupling]``.  One (8, n) work buffer in ``dtype`` holds
-    the first then the second derivatives of both fields (rows 0-3) and the
-    products (u u_x, u v_x, v u_x, v v_x) (rows 4-7).  A call makes one
-    product through both weight matrices, one multiply for the four
-    products, and one product of ``lhs`` over rows 2-7, which writes ``out``.
+    C-contiguous (n, 2n) matrix ``[w1.T | w2.T]`` and ``lhs`` the (2, 7)
+    matrix ``[[1, 0, 0], [0, 0, 1]] | -coupling``.  One (8, n) work buffer
+    in ``dtype`` holds u_x, u_xx, v_x, v_xx (rows 0-3) and the products
+    (u u_x, u v_x, v u_x, v v_x) (rows 4-7).  A call makes one product of
+    the state through ``wt``, which writes rows 0-3 as a (2, 2n) view, one
+    multiply for the four products, which reads the first derivatives
+    through the strided view of rows 0 and 2, and one product of ``lhs``
+    over rows 1-7, which writes ``out``; the column of ``lhs`` over v_x is
+    zero, so that the rows it reads are contiguous.  Both products are
+    ``np.dot``, which writes only into a C-contiguous ``out`` of exactly
+    its result dtype: ``dtype`` must be ``np.result_type(w, w1, w2)`` and
+    ``out`` C-contiguous in it.  A state that is not C-contiguous may
+    round differently, as ``np.dot`` takes it by another BLAS path.
     """
     n = _axis(w1, w2)
-    wt = np.array((w1.T, w2.T))
-    lhs = np.concatenate((np.eye(2), -coupling), 1, dtype=wt.dtype)
+    wt = np.empty((n, 2 * n), np.result_type(w1, w2))
+    wt[:, :n], wt[:, n:] = w1.T, w2.T
+    lhs = np.concatenate(([[1, 0, 0], [0, 0, 1]], -coupling), 1,
+                         dtype=wt.dtype)
     work = np.empty((8, n), dtype)
-    derivs, wx = work[:4].reshape(2, 2, n), work[:2]
-    prods, terms = work[4:].reshape(2, 2, n), work[2:]
+    derivs, wx = work[:4].reshape(2, 2 * n), work[0:4:2]
+    prods, terms = work[4:].reshape(2, 2, n), work[1:]
 
     def rhs(w, t, out):
-        np.matmul(w, wt, out=derivs)
+        np.dot(w, wt, out=derivs)
         np.multiply(w[:, None], wx, out=prods)
-        return np.matmul(lhs, terms, out=out)
+        return np.dot(lhs, terms, out=out)
 
     return rhs
 
@@ -189,19 +201,22 @@ def _bind_1d(coupling, w1, w2, dtype):
 def rhs_1d(w, t, prob, w1, w2):
     """Full-sum semi-discrete RHS of the stacked ``(2, n)`` state (u, v).
 
-    Returns (du, dv) stacked the same way, in a new array.  One batched
-    product takes both fields through both weight matrices, and the second
-    derivatives and the four products (u u_x, u v_x, v u_x, v v_x) enter
-    both fields through one product with ``[I | -prob.coupling]``, as
-    ``solve_1d`` does.  Boundary entries of the result are zero; its dtype
-    follows the state and the weights, which share one dtype (float32
-    inputs give a float32 result, complex inputs a complex one).
+    Returns (du, dv) stacked the same way, in a new array.  One product
+    takes both fields through ``[w1.T | w2.T]``, and the second derivatives
+    and the four products (u u_x, u v_x, v u_x, v v_x) enter both fields
+    through one product with ``[I | -prob.coupling]``, as ``solve_1d``
+    does; a state of any memory layout gives the bytes of its C-ordered
+    copy.  Boundary entries of the result are zero; its dtype follows the
+    state and the weights, which share one dtype (float32 inputs give a
+    float32 result, complex inputs a complex one).
     """
     n = _axis(w1, w2)
     _check_state((2, n), w)
     dtype = np.result_type(w, w1, w2)
     out = np.empty((2, n), dtype)
-    _bind_1d(prob.coupling, w1, w2, dtype)(w, t, out)
+    # np.dot takes an F-ordered state by another BLAS path, which rounds
+    # differently; a C-ordered copy gives every layout the solvers' bytes
+    _bind_1d(prob.coupling, w1, w2, dtype)(np.ascontiguousarray(w), t, out)
     out[:, ::n - 1] = 0.0  # both ends in one strided write
     return out
 

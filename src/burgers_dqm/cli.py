@@ -55,7 +55,7 @@ from .problems import (
     problem4,
 )
 from .solvers import _solve
-from .stability import FrozenParams, analyze
+from .stability import FrozenParams, _check_eigen_size, analyze
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,8 @@ def run_solve(args, manifest):
     prob = _build_problem(args)
     dt, t_end = args.dt, args.t_end
     snapshots = sorted(set(args.snapshots or [t_end]))
+    if args.stability_check:  # judged on the nx-node line the check analyses
+        _check_eigen_size(args.nx - 2)
 
     manifest.start("integrate")
     sol = _solve(prob, args.nx, dt, t_end, ny=args.ny, snapshots=snapshots)

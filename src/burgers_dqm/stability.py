@@ -88,6 +88,18 @@ def interior_weight_matrix(w):
     return w[1:-1, 1:-1].copy()
 
 
+def _check_eigen_size(size):
+    """Raise DomainError when a matrix of this size exceeds MAX_EIGEN_SIZE.
+
+    The spectra paths judge a grid's interior size (n - 2) with it before
+    any weights are built, so an oversized grid fails at once.
+    """
+    if size > MAX_EIGEN_SIZE:
+        raise DomainError(
+            "matrix size %d exceeds limit %d" % (size, MAX_EIGEN_SIZE)
+        )
+
+
 def eigen_spectrum(m):
     """Eigenvalues of a dense, real, non-empty square matrix, with a residual
     spot-check.
@@ -110,10 +122,7 @@ def eigen_spectrum(m):
     if m.shape[0] == 0:
         raise DomainError("expected a non-empty matrix, got shape %s"
                           % (m.shape,))
-    if m.shape[0] > MAX_EIGEN_SIZE:
-        raise DomainError(
-            "matrix size %d exceeds limit %d" % (m.shape[0], MAX_EIGEN_SIZE)
-        )
+    _check_eigen_size(m.shape[0])
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
     try:
@@ -188,6 +197,7 @@ def analyze(grid, params, dts):
             raise DomainError("dt must be finite, got %r" % (dt,))
         if dt <= 0.0:
             raise DomainError("dt must be > 0, got %r" % (dt,))
+    _check_eigen_size(grid.n - 2)
     # one entry serves the spectra and the assembled operator, so a grid
     # above the memo's node cap is still built once
     weights = _grid_weights(grid)
@@ -219,6 +229,7 @@ def max_stable_dt(grid, params):
     bisection to relative width 1e-3.  Raises NoStableDt when
     even dt = 1e-9 falls outside.
     """
+    _check_eigen_size(grid.n - 2)
     lam_b = _spectra(_grid_weights(grid), params)[-1]
 
     def inside(dt):

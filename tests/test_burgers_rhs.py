@@ -145,10 +145,12 @@ def test_apply_dirichlet_1d_sets_traces():
 
 def test_rhs_1d_matches_per_field_products():
     # Two products over the stacked state give what four matrix-vector
-    # products, one per field and matrix, give, to rounding.
+    # products, one per field and matrix, give, to rounding; 501 and 707
+    # nodes are the edges of the size window where OpenBLAS takes the wide
+    # derivative product by another path than the n x n products.
     rng = np.random.default_rng(11)
     for prob, n in itertools.product((problem1(), problem1_asymmetric()),
-                                     (9, 21, 121)):
+                                     (9, 21, 121, 501, 707)):
         g = Grid1D(prob.a, prob.b, n)
         w1, w2 = _weights_1d(g)
         u, v = rng.standard_normal((2, n))
@@ -161,6 +163,38 @@ def test_rhs_1d_matches_per_field_products():
         scale = max(np.abs(du).max(), np.abs(dv).max(), 1.0)
         np.testing.assert_allclose(out[0], du, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(out[1], dv, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", [0, 1])
+def test_rhs_1d_is_non_finite_where_the_split_form_is(field, bad):
+    # a non-finite node reaches every derivative; the zero entries of the
+    # combine (v_x and v_xx in u's row, and the decoupled problem's zero
+    # coefficients) must neither drop it nor spread it further than the
+    # split form's arithmetic does
+    decoupled = dataclasses.replace(problem1(), alpha=0.0, beta=0.0)
+    for prob, node in itertools.product((problem1(), decoupled), (1, 5, 9)):
+        g = Grid1D(prob.a, prob.b, 11)
+        w1, w2 = _weights_1d(g)
+        w = np.array((prob.phi(g.x), prob.psi(g.x)))
+        w[field, node] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = rhs_1d(w, 0.0, prob, w1, w2)
+            want = np.array(rhs_1d_split(w[0], w[1], 0.0, prob, w1, w2))
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+
+
+def test_rhs_1d_of_a_strided_state_is_its_contiguous_result():
+    prob = problem1_asymmetric()
+    g = Grid1D(prob.a, prob.b, 21)
+    w1, w2 = _weights_1d(g)
+    w = np.array((prob.phi(g.x), prob.psi(g.x) + 0.5))
+    want = rhs_1d(w, 0.0, prob, w1, w2)
+    strided = np.zeros((4, 2 * g.n))[::2, ::2]
+    strided[...] = w
+    for state in (np.asfortranarray(w), strided):
+        assert not state.flags.c_contiguous
+        assert rhs_1d(state, 0.0, prob, w1, w2).tobytes() == want.tobytes()
 
 
 def test_problem1d_coupling_rows_hold_the_coefficients():
@@ -206,6 +240,22 @@ def test_rhs_result_dtype_follows_float32_inputs():
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-5 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("state, weights", [(np.int64, np.float64),
+                                            (np.float64, np.float32)])
+def test_rhs_1d_result_dtype_follows_mixed_inputs(state, weights):
+    # an integer state or float32 weights under a float64 state give a
+    # float64 result, which the binding's products write in place
+    prob = problem1_asymmetric()
+    g = Grid1D(prob.a, prob.b, 11)
+    w = np.rint(4.0 * np.array((prob.phi(g.x), prob.psi(g.x) + 0.5)))
+    w1, w2 = (a.astype(weights) for a in _weights_1d(g))
+    want = rhs_1d(w, 0.0, prob, *(a.astype(float) for a in (w1, w2)))
+    got = rhs_1d(w.astype(state), 0.0, prob, w1, w2)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-5 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------

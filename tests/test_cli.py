@@ -603,6 +603,26 @@ def test_out_is_judged_before_the_run(tmp_path, capsys, monkeypatch, argv,
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "p1", "--nx", "2003", "--dt", "1e-8",
+     "--t-end", "1e-8", "--stability-check"],
+    ["stability", "--nx", "2003", "--dt-list", "1e-4"],
+], ids=["solve", "stability"])
+def test_eigen_size_limit_is_judged_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, argv):
+    # 2003 nodes give a 2001-node interior block, one above the limit
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the size limit was checked")
+
+    monkeypatch.setattr(cli, "_solve", no_work)
+    monkeypatch.setattr(dqm_weights, "first_order_weights", no_work)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert ("config error: matrix size 2001 exceeds limit 2000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # table reproduction (quick overrides keep runtimes tiny)
 # ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ def test_eigen_spectrum_validation():
         eigen_spectrum(np.zeros((0, 0)))
 
 
+def test_spectra_paths_judge_the_size_limit_before_the_weights(monkeypatch):
+    def no_weights(grid):
+        raise AssertionError("weights built before the size limit was checked")
+
+    monkeypatch.setattr(dqm_weights, "first_order_weights", no_weights)
+    grid, params = Grid1D(0.0, 1.0, 2003), FrozenParams(1.0, 1.0, 1.0)
+    for call in (lambda: analyze(grid, params, [1e-4]),
+                 lambda: max_stable_dt(grid, params)):
+        with pytest.raises(DomainError, match="matrix size 2001 exceeds"):
+            call()
+
+
 def _count_svd(monkeypatch):
     """List that records the shape of every np.linalg.svd call from now."""
     true_svd = np.linalg.svd
