@@ -8,8 +8,6 @@ verifies the 2D spectrum is the Kronecker pairwise-sum of 1D spectra.
 
 import math
 
-import numpy as np
-
 from burgers_dqm import (
     FrozenParams,
     Grid1D,

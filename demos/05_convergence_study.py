@@ -8,8 +8,6 @@ rows of the first-derivative matrix, which come from the natural end
 condition of the modified basis -- see README "Testing" for the analysis.
 """
 
-import numpy as np
-
 from burgers_dqm import (
     convergence_order,
     error_norms,

@@ -427,7 +427,7 @@ def run_convergence(args, manifest):
 _ORDER_COLUMNS = ("l2", "l2_pub", "l2_ratio", "r_l2", "r_l2_pub",
                   "linf", "linf_pub", "linf_ratio", "r_linf", "r_linf_pub")
 
-# The published setups; ``run_table`` overrides shrink them for quick runs.
+# The published setups, each run as published by ``table KEY``.
 TABLES = {
     "1.1": TableSpec(problem1(), (10, 20, 40, 80, 160), 1e-3, (1.0,),
                      ("N=n",) + _ORDER_COLUMNS, field="u"),
@@ -475,28 +475,11 @@ def _print_comparison(title, header, rows, notes=()):
         print("note: %s" % note)
 
 
-def _table(args, manifest, **overrides):
+def _table(args, manifest):
     key = args.table
-    _report("table %s: computed vs published" % key,
-            replace(TABLES[key], **overrides), load_reference_table(key)[1],
+    _report("table %s: computed vs published" % key, TABLES[key],
+            load_reference_table(key)[1],
             "table_%s_comparison.csv" % key.replace(".", "_"), manifest)
-
-
-def run_table(key, out=None, **overrides):
-    """Recompute one published table and print computed vs published values.
-
-    As ``table key --out out``; ``overrides`` replace ``TableSpec`` fields
-    (``n_values``, ``dt``, ``times``) to shrink the parameter set for quick
-    runs.  The defaults reproduce the published setup exactly.
-    """
-    if key not in TABLES:
-        raise ConfigError(
-            "unknown table %r; available: %s"
-            % (key, ", ".join(TABLES))
-        )
-    return _run(argparse.Namespace(
-        table=key, out=out,
-        func=lambda args, manifest: _table(args, manifest, **overrides)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +645,8 @@ def main(argv=None):
         return _run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (ConfigError, DomainError) as exc:
+    # a grid whose arrays do not fit in memory is a setting out of range
+    except (ConfigError, DomainError, MemoryError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except NonFiniteState as exc:

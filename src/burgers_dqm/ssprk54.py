@@ -7,15 +7,16 @@ property.  Ten of the eleven coefficients are kept at full published
 precision; C2 is computed as ``1 - C3 - C4``, as the published
 C2 + C3 + C4 is 1 + 1e-15.
 
-Those coefficients only derive, at import, the stage abscissae and the
-increment (Butcher) table by which ``_stacked_stepper`` runs the scheme:
-stage state k is ``u + dt * sum_j INCREMENTS[k - 1, j] * L_j``, where L_j
-is the right-hand side at stage state j (stage state 0 is u), and row 4
-gives the result.  The coefficient on u is exactly 1, so a zero
-right-hand side leaves the state unchanged and the roundings of u's
-multiples do not pile up over a run.  The solvers hold one stepper for a
-whole run, ``step`` builds one per call, and ``amplification`` evaluates
-the stability polynomial whose coefficients the table gives.
+Those coefficients only derive, at import, the increment (Butcher) table
+by which ``_stacked_stepper`` runs the scheme: stage state k is
+``u + dt * sum_j INCREMENTS[k - 1, j] * L_j``, where L_j is the right-hand
+side at stage state j (stage state 0 is u), and row 4 gives the result.
+The stage abscissae are the sums of rows 0-3 (Butcher's c = A 1).  The
+coefficient on u is exactly 1, so a zero right-hand side leaves the state
+unchanged and the roundings of u's multiples do not pile up over a run.
+The solvers hold one stepper for a whole run, ``step`` builds one per
+call, and ``amplification`` evaluates the stability polynomial whose
+coefficients the table gives.
 """
 
 import cmath
@@ -46,15 +47,6 @@ C4 = 0.386708617503269
 D4 = 0.226007483236906
 C2 = 1.0 - C3 - C4  # published as 0.517231671970585
 
-# effective stage abscissae (fraction of dt at which each L argument lives),
-# derived from the combination weights
-_C1 = 0.0
-_C2 = B10
-_C3 = A21 * _C2 + B21
-_C4 = A32 * _C3 + B32
-_C5 = A43 * _C4 + B43
-ABSCISSAE = (_C1, _C2, _C3, _C4, _C5)
-
 
 def _increments():
     """Row k - 1: stage state k's weights on L(u), L(u1), ..., L(u4); row 4:
@@ -72,6 +64,9 @@ def _increments():
 
 
 INCREMENTS = _increments()
+
+# stage abscissae (fraction of dt at which each L argument lives)
+ABSCISSAE = (0.0, *INCREMENTS[:4].sum(axis=1).tolist())
 
 
 def _taylor():

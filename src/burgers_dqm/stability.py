@@ -91,8 +91,8 @@ def interior_weight_matrix(w):
 def _check_eigen_size(size):
     """Raise DomainError when a matrix of this size exceeds MAX_EIGEN_SIZE.
 
-    The spectra paths judge a grid's interior size (n - 2) with it before
-    any weights are built, so an oversized grid fails at once.
+    ``_spectra`` judges a grid's interior size (n - 2) with it before any
+    weights are built, so an oversized grid fails at once.
     """
     if size > MAX_EIGEN_SIZE:
         raise DomainError(
@@ -162,10 +162,16 @@ def operator_matrices(grid):
             interior_weight_matrix(weights.w2))
 
 
-def _block_spectra(weights):
-    """Read-only spectra of A1, sorted by imaginary part, and of A2, sorted
-    by real part (the other component breaking ties), kept in the grid's
-    memo entry ``weights``."""
+def _spectra(weights, params):
+    """The block spectra lambda1, lambda2 and lambda_B, which pairs them by
+    index, for the grid's memo entry ``weights``.
+
+    The grid's interior size is judged against MAX_EIGEN_SIZE first, before
+    any weights are read, so an oversized grid builds none.  lambda1 (sorted
+    by imaginary part) and lambda2 (by real part, the other component
+    breaking ties) are read-only and kept in ``weights``.
+    """
+    _check_eigen_size(weights.grid.n - 2)
     if weights.spectra is None:
         lam1 = eigen_spectrum(interior_weight_matrix(weights.w1))
         lam2 = eigen_spectrum(interior_weight_matrix(weights.w2))
@@ -173,13 +179,7 @@ def _block_spectra(weights):
         lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
         lam1.flags.writeable = lam2.flags.writeable = False
         weights.spectra = lam1, lam2
-    return weights.spectra
-
-
-def _spectra(weights, params):
-    """The block spectra lambda1, lambda2 and lambda_B, which pairs them by
-    index."""
-    lam1, lam2 = _block_spectra(weights)
+    lam1, lam2 = weights.spectra
     lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
     return lam1, lam2, lam_b
 
@@ -197,7 +197,6 @@ def analyze(grid, params, dts):
             raise DomainError("dt must be finite, got %r" % (dt,))
         if dt <= 0.0:
             raise DomainError("dt must be > 0, got %r" % (dt,))
-    _check_eigen_size(grid.n - 2)
     # one entry serves the spectra and the assembled operator, so a grid
     # above the memo's node cap is still built once
     weights = _grid_weights(grid)
@@ -229,7 +228,6 @@ def max_stable_dt(grid, params):
     bisection to relative width 1e-3.  Raises NoStableDt when
     even dt = 1e-9 falls outside.
     """
-    _check_eigen_size(grid.n - 2)
     lam_b = _spectra(_grid_weights(grid), params)[-1]
 
     def inside(dt):

@@ -623,12 +623,41 @@ def test_eigen_size_limit_is_judged_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "p1", "--nx", "41"],
+    ["weights-dump", "--nx", "13", "--a", "0.25", "--b", "1.75"],
+    ["stability", "--nx", "13", "--a", "0.25", "--b", "1.75",
+     "--dt-list", "1e-3"],
+], ids=["solve", "weights-dump", "stability"])
+def test_arrays_too_large_for_memory_exit_2(tmp_path, capsys, monkeypatch,
+                                            argv):
+    # stands in for a grid whose arrays cannot be allocated; the grid of
+    # weights-dump and stability is one no other test builds, so the
+    # per-process weight memo cannot serve it
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "_solve", no_memory)
+    monkeypatch.setattr(dqm_weights, "first_order_weights", no_memory)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: Unable to allocate 298. GiB for an array" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
-# table reproduction (quick overrides keep runtimes tiny)
+# table reproduction (tables shrunk in ``cli.TABLES`` keep runtimes tiny)
 # ---------------------------------------------------------------------------
 
-def test_run_table_quick_comparison(tmp_path, capsys):
-    rc = cli.run_table("1.1", out=str(tmp_path / "t"), n_values=[10, 20])
+def _shrink_table(monkeypatch, key, **fields):
+    monkeypatch.setitem(cli.TABLES, key, replace(cli.TABLES[key], **fields))
+
+
+def test_run_table_quick_comparison(tmp_path, capsys, monkeypatch):
+    _shrink_table(monkeypatch, "1.1", n_values=[10, 20])
+    rc = main(["table", "1.1", "--out", str(tmp_path / "t")])
     assert rc == 0
     output = capsys.readouterr().out
     assert "computed vs published" in output
@@ -642,22 +671,22 @@ def test_run_table_quick_comparison(tmp_path, capsys):
 
 def test_table_manifest_times_the_solve(tmp_path, monkeypatch):
     out = tmp_path / "t"
-    quick = {"n_values": [10], "times": (0.1,)}
-    assert cli.run_table("1.1", out=str(out), **quick) == 0
+    _shrink_table(monkeypatch, "1.1", n_values=[10], times=(0.1,))
+    assert main(["table", "1.1", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["phases_seconds"]) == {"integrate", "output"}
     assert manifest["config"] == {"table": "1.1", "out": str(out)}
     # without --out the table is only printed
     monkeypatch.chdir(out)
-    assert cli.run_table("1.1", **quick) == 0
+    assert main(["table", "1.1"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json", "table_1_1_comparison.csv"]
 
 
-def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, capsys):
+def test_table_4_1_orders_use_log2_of_mesh_labels(tmp_path, monkeypatch):
     # labels count intervals (5 and 9 nodes); the order divides by log 2
-    rc = cli.run_table("4.1", out=str(tmp_path / "t"), n_values=[4, 8],
-                       dt=1e-3, times=(0.1,))
+    _shrink_table(monkeypatch, "4.1", n_values=[4, 8], dt=1e-3, times=(0.1,))
+    rc = main(["table", "4.1", "--out", str(tmp_path / "t")])
     assert rc == 0
     header, rows = _read_csv(tmp_path / "t" / "table_4_1_comparison.csv")
     col = {name: k for k, name in enumerate(header)}
@@ -710,10 +739,7 @@ def test_table_ratios_stay_in_band(key):
 def test_table_cli_rejects_unknown_key(tmp_path):
     rc = main(["table", "9.9", "--out", str(tmp_path / "x")])
     assert rc == 2
-    # argparse's choices stop the CLI; the library entry checks the key
-    with pytest.raises(ConfigError, match="unknown table '9.9'"):
-        cli.run_table("9.9", out=str(tmp_path / "y"))
-    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_version_flag(capsys):

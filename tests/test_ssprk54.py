@@ -116,6 +116,8 @@ def test_stage_abscissae_derivation():
     assert c[0] == 0.0
     assert c[1] == ssprk54.B10
     assert c[2] == ssprk54.A21 * c[1] + ssprk54.B21
+    assert c[3] == ssprk54.A32 * c[2] + ssprk54.B32
+    assert c[4] == ssprk54.A43 * c[3] + ssprk54.B43
     assert all(0.0 <= ci <= 1.5 for ci in c)
 
 

@@ -8,7 +8,6 @@ import pytest
 from burgers_dqm import (
     Grid1D,
     first_order_weights,
-    second_order_weights,
     FrozenParams,
     analyze,
     max_stable_dt,
