@@ -9,37 +9,38 @@
     v_t = nu (v_xx + v_yy) - u v_x - v v_y
 
 Spatial derivatives are weighted sums over all grid nodes.  ``rhs_1d`` and
-``rhs_2d`` take both fields stacked in one ``(2, *shape)`` array, return them
-stacked the same way in a new array, and apply each weight matrix to both
-fields in one product.  In 1D one BLAS product takes both fields through
-both weight matrices at once, set side by side as the (n, 2n) matrix
+``rhs_2d`` take both fields stacked in one ``(2, *shape)`` array, return
+them stacked the same way in a new array, and apply each weight matrix to
+both fields in one product.  In 1D one BLAS product takes both fields
+through both weight matrices at once, set side by side as the (n, 2n) matrix
 ``[w1.T | w2.T]``, and the second derivatives and the four quadratic
-convection terms enter both fields through one product with a (2, 7)
-matrix, ``[I | -Problem1D.coupling]`` with a zero column over v_x added so
-that the rows it reads are contiguous; a call makes 3 numpy calls.  Both
+convection terms enter both fields through one product with a (2, 7) matrix
+of the coefficients, ``[I | -coupling]`` with a zero column over v_x added
+so that the rows it reads are contiguous; a call makes 3 numpy calls.  Both
 products are ``np.dot``, so the 1D binding writes only into a C-contiguous
-``out`` of exactly the result dtype.  In 2D ``nu`` is folded into copies
-of the second-derivative weights.  The 1D route sums its terms in another
-order than one expression per term, so it agrees with that form to
-rounding (over a whole run of problem 1 at 121 nodes, 2.0e-15 relative to
-the largest value); the 2D route is bitwise the per-field products on the
-folded weights.  ``rhs_*`` and ``boundary_forcing_*`` check their inputs
-alike: every weight matrix square and of its axis' size, every field of
-the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check,
-one call of a private binding (``_bind_1d``/``_bind_2d``: the folded
-weights and work buffers, and ``rhs(w, t, out)``, which leaves the
-boundary nodes unwritten) and zeroed boundary nodes.  The solvers hold the same binding
-for a solve and leave the boundary nodes to the driver, so ``step`` with
-``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
-paper writes each sum as its interior part plus a boundary forcing term
-(F for u, G for v) that collects the first/last-column contributions with
-the convection coefficients frozen at the node value;
-``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The
-interior-plus-forcing RHS built on them is a test oracle
-(``tests/oracles.py``) that agrees with the full-sum route to rounding.
+``out`` of exactly the result dtype.  In 2D ``nu`` is folded into copies of
+the second-derivative weights.  The 1D route sums its terms in another order
+than one expression per term, so it agrees with that form to rounding (over
+a whole run of problem 1 at 121 nodes, 2.0e-15 relative to the largest
+value); the 2D route is bitwise the per-field products on the folded
+weights.  ``rhs_*`` and ``boundary_forcing_*`` check their inputs alike:
+every weight matrix square and of its axis' size, every field of the grid's
+shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check, one call of a
+private binding (``_bind_1d``/``_bind_2d`` of the problem and the weights:
+the folded weights and work buffers, and ``rhs(w, out)``, which reads no
+time and leaves the boundary nodes unwritten) and zeroed boundary nodes;
+their ``t`` serves the ``step`` protocol only.  The solvers hold the same
+binding for a solve and leave the boundary nodes to the driver, so ``step``
+with ``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
+paper writes each sum as its interior part plus a boundary forcing term (F
+for u, G for v) that collects the first/last-column contributions with the
+convection coefficients frozen at the node value; ``boundary_forcing_*``
+compute those terms on separate (u, v) fields.  The interior-plus-forcing
+RHS built on them is a test oracle (``tests/oracles.py``) that agrees with
+the full-sum route to rounding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,11 +55,6 @@ class Problem1D:
     Traces ``g1..g4(t)`` must broadcast over an array ``t`` of times with a
     trailing axis of 1, such as the ``(steps, 5, 1)`` array of a block of
     solver steps (a scalar return is allowed).
-
-    ``coupling`` is built from the coefficients, not passed: the read-only
-    (2, 4) matrix ``[[eta, alpha, alpha, 0], [0, beta, beta, xi]]`` that
-    takes the products (u u_x, u v_x, v u_x, v v_x) to the convection terms
-    of u and v.  ``dataclasses.replace`` rebuilds it.
     """
 
     eta: float
@@ -76,14 +72,7 @@ class Problem1D:
     exact_u: Optional[Callable] = None  # (x, t)
     exact_v: Optional[Callable] = None
     name: str = "custom-1d"
-    coupling: np.ndarray = field(init=False, repr=False, compare=False)
     nu = 1.0  # the 1D equations' viscosity: a class constant, not a field
-
-    def __post_init__(self):
-        c = np.array([[self.eta, self.alpha, self.alpha, 0.0],
-                      [0.0, self.beta, self.beta, self.xi]])
-        c.flags.writeable = False
-        object.__setattr__(self, "coupling", c)
 
 
 @dataclass(frozen=True)
@@ -162,17 +151,19 @@ def _axis(*weights):
     return n
 
 
-def _bind_1d(coupling, w1, w2, dtype):
-    """``rhs(w, t, out)``: the 1D right-hand side of a ``(2, n)`` state
-    written into ``out``, its ends unwritten.
+def _bind_1d(prob, w1, w2, dtype):
+    """``rhs(w, out)``: the 1D right-hand side of a ``(2, n)`` state of
+    ``prob`` written into ``out``, its ends unwritten.
 
-    The weights are folded once, in their own dtype: ``wt`` is the
-    C-contiguous (n, 2n) matrix ``[w1.T | w2.T]`` and ``lhs`` the (2, 7)
-    matrix ``[[1, 0, 0], [0, 0, 1]] | -coupling``.  One (8, n) work buffer
-    in ``dtype`` holds u_x, u_xx, v_x, v_xx (rows 0-3) and the products
-    (u u_x, u v_x, v u_x, v v_x) (rows 4-7).  A call makes one product of
-    the state through ``wt``, which writes rows 0-3 as a (2, 2n) view, one
-    multiply for the four products, which reads the first derivatives
+    The weights and coefficients are folded once, in the weights' dtype:
+    ``wt`` is the C-contiguous (n, 2n) matrix ``[w1.T | w2.T]`` and ``lhs``
+    the (2, 7) matrix ``[[1, 0, 0], [0, 0, 1]] | -coupling``, where the
+    coupling ``[[eta, alpha, alpha, 0], [0, beta, beta, xi]]`` takes the
+    products (u u_x, u v_x, v u_x, v v_x) to the convection terms of u and
+    v.  One (8, n) work buffer in ``dtype`` holds u_x, u_xx, v_x, v_xx
+    (rows 0-3) and the four products (rows 4-7).  A call makes one product
+    of the state through ``wt``, which writes rows 0-3 as a (2, 2n) view,
+    one multiply for the four products, which reads the first derivatives
     through the strided view of rows 0 and 2, and one product of ``lhs``
     over rows 1-7, which writes ``out``; the column of ``lhs`` over v_x is
     zero, so that the rows it reads are contiguous.  Both products are
@@ -184,13 +175,15 @@ def _bind_1d(coupling, w1, w2, dtype):
     n = _axis(w1, w2)
     wt = np.empty((n, 2 * n), np.result_type(w1, w2))
     wt[:, :n], wt[:, n:] = w1.T, w2.T
+    coupling = np.array([[prob.eta, prob.alpha, prob.alpha, 0.0],
+                         [0.0, prob.beta, prob.beta, prob.xi]])
     lhs = np.concatenate(([[1, 0, 0], [0, 0, 1]], -coupling), 1,
                          dtype=wt.dtype)
     work = np.empty((8, n), dtype)
     derivs, wx = work[:4].reshape(2, 2 * n), work[0:4:2]
     prods, terms = work[4:].reshape(2, 2, n), work[1:]
 
-    def rhs(w, t, out):
+    def rhs(w, out):
         np.dot(w, wt, out=derivs)
         np.multiply(w[:, None], wx, out=prods)
         return np.dot(lhs, terms, out=out)
@@ -204,7 +197,7 @@ def rhs_1d(w, t, prob, w1, w2):
     Returns (du, dv) stacked the same way, in a new array.  One product
     takes both fields through ``[w1.T | w2.T]``, and the second derivatives
     and the four products (u u_x, u v_x, v u_x, v v_x) enter both fields
-    through one product with ``[I | -prob.coupling]``, as ``solve_1d``
+    through one product with ``[I | -coupling]``, as ``solve_1d``
     does; a state of any memory layout gives the bytes of its C-ordered
     copy.  Boundary entries of the result are zero; its dtype follows the
     state and the weights, which share one dtype (float32 inputs give a
@@ -216,7 +209,7 @@ def rhs_1d(w, t, prob, w1, w2):
     out = np.empty((2, n), dtype)
     # np.dot takes an F-ordered state by another BLAS path, which rounds
     # differently; a C-ordered copy gives every layout the solvers' bytes
-    _bind_1d(prob.coupling, w1, w2, dtype)(np.ascontiguousarray(w), t, out)
+    _bind_1d(prob, w1, w2, dtype)(np.ascontiguousarray(w), out)
     out[:, ::n - 1] = 0.0  # both ends in one strided write
     return out
 
@@ -249,24 +242,24 @@ def _zero_ring(D):
     D[..., ::D.shape[-1] - 1] = 0.0
 
 
-def _bind_2d(nu, ax1, ax2, by1, by2, dtype):
-    """``rhs(w, t, out)``: the 2D right-hand side of a ``(2, nx, ny)``
-    state written into ``out``, its ring unwritten.
+def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
+    """``rhs(w, out)``: the 2D right-hand side of a ``(2, nx, ny)`` state
+    of ``prob`` written into ``out``, its ring unwritten.
 
-    ``nu`` is folded once into copies of ``ax2`` and ``by2``, each in its
-    own dtype (``nu`` is cast to it, even a numpy scalar), and the
+    ``prob.nu`` is folded once into copies of ``ax2`` and ``by2``, each in
+    its own dtype (``nu`` is cast to it, even a numpy scalar), and the
     y-matrices are taken in F order, so ``by.T`` is C-contiguous for the
     per-field y-products.  A (2, 2, nx, ny) stack ``conv`` in ``dtype``
     takes the y-diffusion sums, then the x-derivatives (``conv[0]``) and
     the y-derivatives (``conv[1]``), which one multiply scales by U and V.
     """
     nx, ny = _axis(ax1, ax2), _axis(by1, by2)
-    ax2 = np.multiply(nu, ax2, dtype=ax2.dtype)
+    ax2 = np.multiply(prob.nu, ax2, dtype=ax2.dtype)
     by1 = np.asfortranarray(by1)
-    by2 = np.multiply(nu, by2, dtype=by2.dtype, order="F")
+    by2 = np.multiply(prob.nu, by2, dtype=by2.dtype, order="F")
     conv = np.empty((2, 2, nx, ny), dtype)
 
-    def rhs(w, t, out):
+    def rhs(w, out):
         out = np.matmul(ax2, w, out=out)
         np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
         np.matmul(ax1, w, out=conv[0])
@@ -293,7 +286,7 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     _check_state((2, _axis(ax1, ax2), _axis(by1, by2)), w)
     dtype = np.result_type(w, ax1, ax2, by1, by2)
     out = np.empty(w.shape, dtype)
-    _bind_2d(prob.nu, ax1, ax2, by1, by2, dtype)(w, t, out)
+    _bind_2d(prob, ax1, ax2, by1, by2, dtype)(w, out)
     _zero_ring(out)
     return out
 

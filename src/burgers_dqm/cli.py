@@ -267,6 +267,12 @@ def run_solve(args, manifest):
     prob = _build_problem(args)
     dt, t_end = args.dt, args.t_end
     snapshots = sorted(set(args.snapshots or [t_end]))
+    names = {}  # file name: snapshot time, in the order of sol.snapshots
+    for t in snapshots:
+        name = "solution_t%s.csv" % ("%g" % t).replace("-", "m")
+        if names.setdefault(name, t) != t:
+            raise ConfigError("snapshot times %r and %r would both write %s"
+                              % (names[name], t, name))
     if args.stability_check:  # judged on the nx-node line the check analyses
         _check_eigen_size(args.nx - 2)
 
@@ -276,11 +282,10 @@ def run_solve(args, manifest):
     manifest.start("output")
 
     error_rows = []
-    for snap_t, su, sv in sol.snapshots:
+    for name, (snap_t, su, sv) in zip(names, sol.snapshots):
         exact = None
         if prob.exact_u is not None:
             exact = (prob.exact_u(*coords, snap_t), prob.exact_v(*coords, snap_t))
-        name = "solution_t%s.csv" % ("%g" % snap_t).replace("-", "m")
         manifest.add(name, write_csv, *_solution_rows(coords, su, sv, exact))
         if exact is not None:
             ru = error_norms(su, exact[0], sol.grid.measure)

@@ -101,8 +101,8 @@ def problem2(re=80.0):
         b=0.5,
         c=0.0,
         d=0.5,
-        phi=lambda x, y: x + y,
-        psi=lambda x, y: x - y,
+        phi=lambda x, y: exact_u(x, y, 0.0),
+        psi=lambda x, y: exact_v(x, y, 0.0),
         bc_u=exact_u,
         bc_v=exact_v,
         exact_u=exact_u,
@@ -135,8 +135,8 @@ def problem3(re=50.0):
         b=0.5,
         c=0.0,
         d=0.5,
-        phi=lambda x, y: np.sin(math.pi * x) + np.cos(math.pi * y),
-        psi=lambda x, y: np.asarray(x + y, dtype=float),
+        phi=lambda x, y: trace_u(x, y, 0.0),
+        psi=lambda x, y: trace_v(x, y, 0.0),
         bc_u=trace_u,
         bc_v=trace_v,
         exact_u=None,

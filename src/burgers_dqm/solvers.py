@@ -4,23 +4,23 @@
 the command line, builds the grid, reads its quadrature weights from the
 per-process memo of ``dqm_weights``, then hands one shared driver the
 problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
-Dirichlet traces at a column of times into rows of boundary values, and
-``rhs(w, t, out)``, the full-sum right-hand side of the stacked
-``(2, *shape)`` state written into ``out``: the binding ``_bind_1d`` or
-``_bind_2d`` that ``rhs_1d`` and ``rhs_2d`` call, which folds the weights
-and holds its work buffers for the solve.  A binding leaves the boundary
-nodes of its result unwritten, since the driver overwrites every one the
-right-hand side can reach.  The driver starts from the initial fields on
-the grid's ``coords`` and advances the state with the five-stage
-Runge-Kutta step in increment form (``ssprk54._stacked_stepper``),
-whose stacks and stage states are also held for the solve: each ``out`` is
-a row of a stack, and each stage state one product over it.  Every stage
-state carries the traces at its own time, so time-varying traces keep the
-scheme's fourth order.  Every time a run needs traces at is known before
-its first step, so each field's traces are evaluated once per block of
-steps, over a ``(steps, 5, 1)`` array of the block's stage and result
-times: they receive an array ``t`` and must broadcast over it (a scalar
-return is allowed).  ``t_end`` and each snapshot meet ``num_steps``' rule.
+Dirichlet traces at a column of times into rows of boundary values, and the
+full-sum right-hand side ``rhs(w, out)`` that ``burgers_rhs._bind_1d`` or
+``_bind_2d`` binds for the solve.  It leaves the boundary nodes unwritten,
+since the driver overwrites every one it can reach.  The driver starts from
+the initial fields on the grid's ``coords`` and advances the state with the
+five-stage Runge-Kutta step in increment form
+(``ssprk54._stacked_stepper``), whose stacks and stage states are also held
+for the solve: each ``out`` is a row of a stack, and each stage state one
+product over it.  Time enters only through the traces, which the stage
+callback ``stage(k, x, out)`` writes into stage state x before it calls
+``rhs(x, out)``; so every stage state carries the traces at its own time,
+and time-varying traces keep the scheme's fourth order.  Every time a run
+needs traces at is known before its first step, so each field's traces are
+evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
+block's stage and result times: they receive an array ``t`` and must
+broadcast over it (a scalar return is allowed).  ``t_end`` and each
+snapshot meet ``num_steps``' rule.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +54,8 @@ class Solution:
 
 
 def _snapshot_steps(snapshots, t0, dt, steps):
-    """Map requested snapshot times to step indices, validating alignment."""
+    """Map requested snapshot times to step indices, validating alignment;
+    equal times collapse, distinct times on one step raise ``ConfigError``."""
     table = {}
     for s in snapshots:
         k = num_steps(t0, s, dt)
@@ -62,7 +63,10 @@ def _snapshot_steps(snapshots, t0, dt, steps):
             raise ConfigError(
                 "snapshot time %r outside [%r, %r]" % (s, t0, t0 + steps * dt)
             )
-        table[k] = float(s)
+        s = float(s)
+        if table.setdefault(k, s) != s:
+            raise ConfigError(
+                "snapshot times %r and %r fall on one step" % (table[k], s))
     return table
 
 
@@ -86,7 +90,7 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     that raises therefore raises before the observer sees the earlier steps
     of its block.
 
-    ``rhs(x, t, out)`` writes the right-hand side of x into ``out``; its
+    ``rhs(x, out)`` writes the right-hand side of x into ``out``; its
     return value is not read.  The stepper's two stacks and four stage
     states are allocated once per call, and the state alternates between
     row 0 of the two stacks.  ``observer(step_index, t, u, v)`` is called
@@ -121,12 +125,12 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
-    def stage(k, x, s, out):
+    def stage(k, x, out):
         # ``traces`` is the running step's row of ``flat``; stage 0 runs on
         # the state, which holds the traces at its time
         if k:
             x.reshape(-1)[nodes] = traces[k - 1]
-        rhs(x, s, out)
+        rhs(x, out)
 
     caller = np.geterr()
     for first in range(0, steps, block):
@@ -170,14 +174,14 @@ def _solve(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         grid = Grid2D(Grid1D(prob.a, prob.b, nx),
                       Grid1D(prob.c, prob.d, nx if ny is None else ny))
         impose = apply_dirichlet_2d
-        rhs = _bind_2d(prob.nu, *weights_2d(grid), float)
+        rhs = _bind_2d(prob, *weights_2d(grid), float)
     elif ny is not None:
         raise ConfigError("ny applies to the 2D problems only")
     else:
         grid = Grid1D(prob.a, prob.b, nx)
         weights = _grid_weights(grid)
         impose = apply_dirichlet_1d
-        rhs = _bind_1d(prob.coupling, weights.w1, weights.w2, float)
+        rhs = _bind_1d(prob, weights.w1, weights.w2, float)
     return Solution(grid, *_drive(prob, grid, impose, rhs, dt, t_end, t0,
                                   snapshots, observer))
 

@@ -14,9 +14,11 @@ side at stage state j (stage state 0 is u), and row 4 gives the result.
 The stage abscissae are the sums of rows 0-3 (Butcher's c = A 1).  The
 coefficient on u is exactly 1, so a zero right-hand side leaves the state
 unchanged and the roundings of u's multiples do not pile up over a run.
-The solvers hold one stepper for a whole run, ``step`` builds one per
-call, and ``amplification`` evaluates the stability polynomial whose
-coefficients the table gives.
+The stepper computes no stage times, as the solvers' right-hand sides read
+none; ``step`` evaluates its ``rhs(u, t)`` at ``t + ABSCISSAE[k] * dt``.
+The solvers hold one stepper for a whole run, ``step`` builds one per call,
+and ``amplification`` evaluates the stability polynomial whose coefficients
+the table gives.
 """
 
 import cmath
@@ -122,8 +124,9 @@ def step(u, t, dt, rhs):
     dtype = np.result_type(u, (B10 * dt) * l0)
     state, advance = _stacked_stepper(np.asarray(u, dtype), dt)
 
-    def stage(k, x, s, row):
-        np.copyto(row, rhs(x, s) if k else l0, casting="same_kind")
+    def stage(k, x, row):
+        np.copyto(row, rhs(x, t + ABSCISSAE[k] * dt) if k else l0,
+                  casting="same_kind")
 
     # a copy, so that the result does not keep the stepper's stacks alive
     return advance(state, t, stage).copy()[()]
@@ -137,19 +140,16 @@ def _stacked_stepper(u, dt):
     of two stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the
     right-hand sides L0..L4 of a step from that row.  ``advance(w, t,
     stage)`` steps w, which must be ``state`` or a result of ``advance``,
-    from t to t + dt and returns the result: row 0 of the other stack, so
-    that results alternate between two arrays and w is not written.  For
-    k = 0..4 it calls ``stage(k, x, t_k, row)``, which must write the
-    right-hand side of x at ``t_k = t + ABSCISSAE[k] * dt`` into ``row``,
-    the stack row of L_k; x is w for k = 0, which ``stage`` must not write,
-    and then one of four held stage-state arrays, which it may write (the
-    solvers write each stage's traces there).  Stage state k + 1, or the
-    result after k = 4, is then one ``np.dot`` of its coefficient row over
-    rows 0..k + 1 of the stack.  The stacks, the stage states and the
-    dt-scaled ``[1 | INCREMENTS]`` table are made here, once; a stack's
-    plan, every view a step from it uses (its coefficient rows among them),
-    is made once too, by the first ``advance`` from that stack, so that a
-    one-shot ``step`` builds only the plan it runs.
+    and returns the result: row 0 of the other stack, so that results
+    alternate between two arrays and w is not written; t only names a
+    failure.  For k = 0..4 it calls ``stage(k, x, row)``, which must write
+    the right-hand side of x into ``row``, the stack row of L_k; x is w for
+    k = 0, which ``stage`` must not write, and then one of four held
+    stage-state arrays, which it may write (the solvers write each stage's
+    traces there).  Stage state k + 1, or the result after k = 4, is then
+    one ``np.dot`` of its coefficient row over rows 0..k + 1 of the stack.
+    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table
+    and both stacks' plans (the views a step uses) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
@@ -159,28 +159,25 @@ def _stacked_stepper(u, dt):
     stacks[0, 0] = u
     stages = np.empty((4,) + u.shape, u.dtype)
     flat = stacks.reshape(2, 6, -1)
-    offsets = [c * dt for c in ABSCISSAE]
     coeffs = np.ones((5, 6), u.dtype)
     coeffs[:, 1:] = dt * INCREMENTS
     # ``...`` keeps a 0-d state's rows views rather than scalars
     heads = (stacks[0, 0, ...], stacks[1, 0, ...])
     states = [stages[k, ...] for k in range(4)]
-    plans = dict.fromkeys(map(id, heads))  # built by a stack's first step
 
     def build(s):
         xs = (heads[s], *states)
         targets = (*stages.reshape(4, -1), flat[1 - s, 0])
         return heads[1 - s], tuple(
-            (k, xs[k], stacks[s, k + 1, ...], offsets[k], coeffs[k, :k + 2],
+            (k, xs[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
+    plans = {id(heads[s]): build(s) for s in (0, 1)}
+
     def advance(w, t, stage):
-        entry = plans[id(w)]
-        if entry is None:
-            entry = plans[id(w)] = build(int(w is heads[1]))
-        result, plan = entry
-        for k, x, row, offset, c, prefix, target in plan:
-            stage(k, x, t + offset, row)
+        result, plan = plans[id(w)]
+        for k, x, row, c, prefix, target in plan:
+            stage(k, x, row)
             np.dot(c, prefix, out=target)
         _check_result(result, t, stages)
         return result

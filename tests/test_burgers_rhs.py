@@ -197,27 +197,13 @@ def test_rhs_1d_of_a_strided_state_is_its_contiguous_result():
         assert rhs_1d(state, 0.0, prob, w1, w2).tobytes() == want.tobytes()
 
 
-def test_problem1d_coupling_rows_hold_the_coefficients():
-    # row 0 takes (u u_x, u v_x, v u_x, v v_x) to u's convection, row 1 to v's
-    np.testing.assert_array_equal(problem1().coupling,
-                                  [[-2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, -2.0]])
-    np.testing.assert_array_equal(problem1_asymmetric().coupling,
-                                  [[0.3, 0.55, 0.55, 0.0], [0.0, 2.1, 2.1, -1.7]])
-
-
-def test_problem1d_coupling_is_derived_read_only_and_hidden():
+def test_problem1d_holds_only_the_fields_it_is_given():
+    # the coupling matrix is folded by the binding, not kept on the problem
     prob = problem1()
-    with pytest.raises(ValueError):
-        prob.coupling[0, 1] = 5.0
-    np.testing.assert_array_equal(
-        dataclasses.replace(prob, alpha=0.25).coupling,
-        [[-2.0, 0.25, 0.25, 0.0], [0.0, 1.0, 1.0, -2.0]])
-    fields = {f.name: getattr(prob, f.name)
-              for f in dataclasses.fields(prob) if f.init}
-    with pytest.raises(TypeError):
-        Problem1D(**fields, coupling=prob.coupling)
+    assert all(f.init for f in dataclasses.fields(Problem1D))
+    assert not hasattr(prob, "coupling")
+    fields = {f.name: getattr(prob, f.name) for f in dataclasses.fields(prob)}
     assert Problem1D(**fields) == prob
-    assert "coupling" not in repr(prob)
 
 
 def test_rhs_result_dtype_follows_float32_inputs():

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from burgers_dqm import (ConfigError, FrozenParams, Grid1D, Grid2D, __version__,
-                         analyze, cli, dqm_weights, load_reference_table,
-                         problem1, problem4)
+from burgers_dqm import (REFERENCE_TABLE_KEYS, ConfigError, FrozenParams,
+                         Grid1D, Grid2D, __version__, analyze, cli,
+                         dqm_weights, load_reference_table, problem1, problem4)
 from burgers_dqm.cli import main
 
 
@@ -603,6 +603,22 @@ def test_out_is_judged_before_the_run(tmp_path, capsys, monkeypatch, argv,
     assert taken.read_text() == "kept\n"
 
 
+def test_snapshot_names_that_collide_are_refused_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    # %g gives both times the name solution_t1000.csv
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the snapshot names were checked")
+
+    monkeypatch.setattr(cli, "_solve", no_solve)
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "p1", "--nx", "5", "--dt", "1e-3",
+                 "--t-end", "1000.001", "--snapshots", "1000,1000.001",
+                 "--out", str(out)]) == 2
+    assert ("config error: snapshot times 1000.0 and 1000.001 would both "
+            "write solution_t1000.csv" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "p1", "--nx", "2003", "--dt", "1e-8",
      "--t-end", "1e-8", "--stability-check"],
@@ -740,6 +756,14 @@ def test_table_cli_rejects_unknown_key(tmp_path):
     rc = main(["table", "9.9", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_cli_tables_are_the_reference_tables():
+    # ``table KEY`` runs each shipped reference table, in the same order
+    assert tuple(cli.TABLES) == REFERENCE_TABLE_KEYS
+    for key in cli.TABLES:
+        fields, rows = load_reference_table(key)
+        assert fields and rows
 
 
 def test_version_flag(capsys):

@@ -76,6 +76,16 @@ def test_misaligned_snapshot_rejected():
         solve_1d(prob, 21, 0.05, 0.2, t0=0.1, snapshots=(0.05,))
 
 
+def test_two_snapshot_times_on_one_step_are_refused():
+    # 1e-13 apart, both within 1e-9 dt of step 500: one would go unlabelled
+    with pytest.raises(ConfigError,
+                       match=r"0\.5 and 0\.5000000000001 fall on one step"):
+        solve_1d(problem1(), 11, 1e-3, 0.6, snapshots=(0.5, 0.5000000000001))
+    # equal times collapse to one snapshot
+    sol = solve_1d(problem1(), 11, 1e-3, 0.6, snapshots=(0.5, 0.6, 0.5))
+    assert [t for t, _, _ in sol.snapshots] == [0.5, 0.6]
+
+
 def test_dt_must_divide_interval():
     prob = problem1()
     with pytest.raises(ConfigError):
@@ -430,7 +440,9 @@ def _long_double_case(case):
     grid = Grid1D(prob.a, prob.b, 41)
     w1 = first_order_weights(grid)
     w2, w1, coupling = (np.asarray(a, L) for a in (
-        second_order_weights(w1, grid), w1, prob.coupling))
+        second_order_weights(w1, grid), w1,
+        [[prob.eta, prob.alpha, prob.alpha, 0.0],
+         [0.0, prob.beta, prob.beta, prob.xi]]))
 
     def rhs(x):
         return x @ w2.T - coupling @ (x[:, None] * (x @ w1.T)).reshape(4, -1)
@@ -467,8 +479,10 @@ def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
     prob, calls = build(), []
     got = solve_1d(prob, n, 1e-3, 1.0)
 
-    def bind_reference(coupling, w1, w2, dtype):
-        def reference(w, t, out):
+    def bind_reference(bound, w1, w2, dtype):
+        assert bound is prob
+
+        def reference(w, out):
             calls.append(1)
             out[...] = rhs_1d_reference(w, None, prob, w1, w2)
             return out
@@ -607,8 +621,8 @@ def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
     def bind_garbage(*args):
         rhs = bind(*args)
 
-        def garbage(w, t, out):
-            out = rhs(w, t, out)
+        def garbage(w, out):
+            out = rhs(w, out)
             out[:, ring] = 7.0
             calls.append(1)
             return out
@@ -708,8 +722,8 @@ def test_ends_of_the_1d_rhs_never_reach_the_solution(build, n, monkeypatch):
     def bind_garbage(*args):
         rhs = bind(*args)
 
-        def garbage(w, t, out):
-            out = rhs(w, t, out)
+        def garbage(w, out):
+            out = rhs(w, out)
             out[:, [0, -1]] = 7.0
             calls.append(1)
             return out

@@ -94,6 +94,9 @@ def test_step_evaluates_stages_at_their_abscissae():
     # quadratic u = t^2 exactly; at the base time alone u' = 2t gives 0
     out = step(np.array([0.0]), 0.0, 0.5, lambda u, t: np.array([2.0 * t]))
     assert abs(out[0] - 0.25) <= 1e-15
+    times = []
+    step(np.zeros(2), 0.5, 0.1, lambda u, t: times.append(t) or u)
+    assert times == [0.5 + c * 0.1 for c in ssprk54.ABSCISSAE]
 
 
 def test_time_dependent_rhs_converges_at_fourth_order():
@@ -225,16 +228,17 @@ def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
 # the solvers' step: increment form over a held stack
 # ---------------------------------------------------------------------------
 
-def _stage(rhs):
-    """The stage callback of ``_stacked_stepper`` for ``rhs(x, t)``."""
-    def stage(k, x, s, row):
-        row[...] = rhs(x, s)
+def _stage(rhs, t, dt):
+    """The stage callback of ``_stacked_stepper`` for ``rhs(x, t)`` on the
+    step from t, each stage at its abscissa, as ``step`` makes it."""
+    def stage(k, x, row):
+        row[...] = rhs(x, t + ssprk54.ABSCISSAE[k] * dt)
     return stage
 
 
 def _stacked_step(u, t, dt, rhs):
     state, advance = ssprk54._stacked_stepper(u, dt)
-    return advance(state, t, _stage(rhs))
+    return advance(state, t, _stage(rhs, t, dt))
 
 
 def test_increment_table_rows_sum_to_the_abscissae():
@@ -306,15 +310,15 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
     u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
     state, advance = ssprk54._stacked_stepper(u, 0.1)
     assert state.tobytes() == u.tobytes() and not np.shares_memory(state, u)
-    stage, times = _stage(_nonlinear_rhs), []
+    stage, ks = _stage(_nonlinear_rhs, 0.5, 0.1), []
 
-    def recorded(k, x, s, row):
-        times.append(s)
+    def recorded(k, x, row):
+        ks.append(k)
         assert (x is state) == (k == 0)
-        stage(k, x, s, row)
+        stage(k, x, row)
 
     first = advance(state, 0.5, recorded)
-    assert times == [0.5 + c * 0.1 for c in ssprk54.ABSCISSAE]
+    assert ks == [0, 1, 2, 3, 4]
     assert state.tobytes() == u.tobytes()
     again = advance(state, 0.5, stage)
     assert again is first
