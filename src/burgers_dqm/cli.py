@@ -100,11 +100,15 @@ class Manifest:
     """Collects config echo, phase timings, and output-file checksums.
 
     Output files reach ``out_dir`` through ``add``, ``manifest.json`` through
-    ``write``; with ``out_dir`` None nothing is written.  An ``out_dir`` held
-    by a file is refused here, before the run, and nothing is made until then.
+    ``write``; with ``out_dir`` None nothing is written.  An empty ``out_dir``
+    or one held by a file is refused here, before the run, and nothing is
+    made until then.
     """
 
     def __init__(self, config, out_dir):
+        if out_dir == "":  # Path("") would be the working directory
+            raise ConfigError("empty output directory; use . to write "
+                              "into the working directory")
         self.config = config
         self.out_dir = None if out_dir is None else Path(out_dir)
         self.phases = {}

@@ -5,11 +5,14 @@ Four standard test cases for the coupled viscous Burgers' solver:
 * ``problem1`` -- 1D on (-pi, pi) with exact solution u = v = exp(-t) sin x.
 * ``problem2`` -- 2D with the rational exact solution
   u = (x + y - 2xt)/(1 - 2t^2), v = (x - y - 2yt)/(1 - 2t^2), valid for
-  t < 1/sqrt(2).
+  |t| < 1/sqrt(2).
 * ``problem3`` -- 2D with trigonometric initial data and steady boundary
   traces; no closed-form solution (validated against published values).
 * ``problem4`` -- 2D traveling wave u = 3/4 - 1/(4(1+E)),
   v = 3/4 + 1/(4(1+E)) with E = exp((-4x + 4y - t) Re/32).
+
+Each 2D problem is its two traces u(x, y, t), v(x, y, t): its initial data
+at t = 0, its Dirichlet data and, where one exists, its exact solution.
 
 The error metrics follow the discrete norms used in the published tables:
 L2 = sqrt(h * sum e^2) with h the per-node measure (the spacing in 1D, the
@@ -26,8 +29,8 @@ import numpy as np
 from .burgers_rhs import Problem1D, Problem2D
 from .exceptions import DegenerateError, DomainError, ShapeMismatch
 
-# Latest time at which problem2's exact solution may be evaluated; the
-# closed form blows up at t = 1/sqrt(2).
+# Bound on |t| where problem2's exact solution may be evaluated; the
+# closed form blows up at t = +-1/sqrt(2).
 P2_TIME_LIMIT = 1.0 / math.sqrt(2.0) - 1e-6
 
 # Integration horizon for problem2 (published results stop at t = 0.5).
@@ -37,6 +40,27 @@ P2_HORIZON = 0.6
 def _check_re(re):
     if not 0.0 < re < math.inf:
         raise DomainError("re must be finite and positive, got %r" % (re,))
+
+
+def _on_square(name, re, side, u, v, horizon=None, exact=True):
+    """The problem on [0, side]^2 whose initial (t = 0), Dirichlet and, if
+    ``exact``, exact data are the traces ``u``, ``v``; nu = 1/re."""
+    _check_re(re)
+    return Problem2D(
+        nu=1.0 / re,
+        a=0.0,
+        b=side,
+        c=0.0,
+        d=side,
+        phi=lambda x, y: u(x, y, 0.0),
+        psi=lambda x, y: v(x, y, 0.0),
+        bc_u=u,
+        bc_v=v,
+        exact_u=u if exact else None,
+        exact_v=v if exact else None,
+        horizon=horizon,
+        name=name,
+    )
 
 
 def problem1():
@@ -70,21 +94,20 @@ def problem1():
 
 
 def problem2(re=80.0):
-    """2D problem with rational exact solution, singular at t = 1/sqrt(2).
+    """2D problem with rational exact solution, singular at t = +-1/sqrt(2).
 
     u = (x + y - 2xt)/(1 - 2t^2), v = (x - y - 2yt)/(1 - 2t^2).
 
     The solve domain is [0, 0.5]^2, where the published boundary traces are
-    complete.  Evaluating the exact solution at t beyond the validity limit
-    raises DomainError; the integration horizon is capped at 0.6.
+    complete.  The exact solution raises DomainError unless |t| is below the
+    validity limit (so at NaN too); the integration horizon is capped at 0.6.
     """
-    _check_re(re)
 
     def _guard(t):
-        if np.any(np.asarray(t) >= P2_TIME_LIMIT):
+        if not np.all(np.abs(np.asarray(t)) < P2_TIME_LIMIT):
             raise DomainError(
-                "exact solution invalid at t >= %.9f (singularity at 1/sqrt 2)"
-                % P2_TIME_LIMIT
+                "exact solution invalid at |t| >= %.9f or t = nan "
+                "(singularities at t = +-1/sqrt 2)" % P2_TIME_LIMIT
             )
 
     def exact_u(x, y, t):
@@ -95,21 +118,7 @@ def problem2(re=80.0):
         _guard(t)
         return (x - y - 2.0 * y * t) / (1.0 - 2.0 * t * t)
 
-    return Problem2D(
-        nu=1.0 / re,
-        a=0.0,
-        b=0.5,
-        c=0.0,
-        d=0.5,
-        phi=lambda x, y: exact_u(x, y, 0.0),
-        psi=lambda x, y: exact_v(x, y, 0.0),
-        bc_u=exact_u,
-        bc_v=exact_v,
-        exact_u=exact_u,
-        exact_v=exact_v,
-        horizon=P2_HORIZON,
-        name="p2",
-    )
+    return _on_square("p2", re, 0.5, exact_u, exact_v, horizon=P2_HORIZON)
 
 
 def problem3(re=50.0):
@@ -121,7 +130,6 @@ def problem3(re=50.0):
     and the t = 0 compatibility condition are automatic).  No closed-form
     solution; computed values are checked against the published table.
     """
-    _check_re(re)
 
     def trace_u(x, y, t):
         return np.sin(math.pi * x) + np.cos(math.pi * y)
@@ -129,21 +137,7 @@ def problem3(re=50.0):
     def trace_v(x, y, t):
         return np.asarray(x + y, dtype=float)
 
-    return Problem2D(
-        nu=1.0 / re,
-        a=0.0,
-        b=0.5,
-        c=0.0,
-        d=0.5,
-        phi=lambda x, y: trace_u(x, y, 0.0),
-        psi=lambda x, y: trace_v(x, y, 0.0),
-        bc_u=trace_u,
-        bc_v=trace_v,
-        exact_u=None,
-        exact_v=None,
-        horizon=None,
-        name="p3",
-    )
+    return _on_square("p3", re, 0.5, trace_u, trace_v, exact=False)
 
 
 def problem4(re=100.0):
@@ -153,7 +147,6 @@ def problem4(re=100.0):
     E = exp((-4x + 4y - t) Re/32); u + v = 3/2 identically.  All initial
     and boundary data come from the exact solution.
     """
-    _check_re(re)
 
     def _bump(x, y, t):
         e = np.exp((-4.0 * x + 4.0 * y - t) * re / 32.0)
@@ -165,21 +158,7 @@ def problem4(re=100.0):
     def exact_v(x, y, t):
         return 0.75 + _bump(x, y, t)
 
-    return Problem2D(
-        nu=1.0 / re,
-        a=0.0,
-        b=1.0,
-        c=0.0,
-        d=1.0,
-        phi=lambda x, y: exact_u(x, y, 0.0),
-        psi=lambda x, y: exact_v(x, y, 0.0),
-        bc_u=exact_u,
-        bc_v=exact_v,
-        exact_u=exact_u,
-        exact_v=exact_v,
-        horizon=None,
-        name="p4",
-    )
+    return _on_square("p4", re, 1.0, exact_u, exact_v)
 
 
 PROBLEM_BUILDERS = {
@@ -239,8 +218,8 @@ def convergence_order(coarse, fine):
     """Two-grid order estimate R = log(E_coarse/E_fine) / log(n_fine/n_coarse).
 
     The denominator uses the node-count ratio (log 2 under grid doubling),
-    matching the published R columns.  Raises DegenerateError when either
-    error is at rounding level (<= 1e-15), where the ratio is meaningless.
+    matching the published R columns.  Raises DegenerateError when an error
+    is not finite or is at rounding level (<= 1e-15): the ratio is meaningless.
     """
     if fine.n <= coarse.n:
         raise DomainError(
@@ -249,10 +228,10 @@ def convergence_order(coarse, fine):
     ratio = math.log(fine.n / coarse.n)
 
     def order(e_coarse, e_fine):
-        if e_coarse <= 1e-15 or e_fine <= 1e-15:
+        if not (1e-15 < e_coarse < math.inf and 1e-15 < e_fine < math.inf):
             raise DegenerateError(
-                "error at rounding level (%g, %g); order undefined"
-                % (e_coarse, e_fine)
+                "error not finite or at rounding level (%g, %g); order "
+                "undefined" % (e_coarse, e_fine)
             )
         return math.log(e_coarse / e_fine) / ratio
 

@@ -585,22 +585,31 @@ def test_failed_write_removes_what_it_changed_only(tmp_path):
     assert (tmp_path / "old.csv").read_text() == "earlier\n"
 
 
-@pytest.mark.parametrize("argv, under", [
-    (["table", "2.1"], False),
-    (["solve", "--problem", "p1", "--nx", "11"], True),
-], ids=["table", "solve-under-file"])
+_P1_RUN = ["solve", "--problem", "p1", "--nx", "11", "--dt", "1e-3",
+           "--t-end", "0.01"]
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["table", "2.1", "--out", "taken"], "unusable output directory"),
+    (_P1_RUN + ["--out", "taken/run"], "unusable output directory"),
+    # Path("") is the working directory, so an empty --out would write there
+    (_P1_RUN + ["--out", ""], "empty output directory"),
+    (_P1_RUN + ["--config", "run.cfg"], "empty output directory"),
+], ids=["table", "solve-under-file", "solve-empty", "solve-empty-config"])
 def test_out_is_judged_before_the_run(tmp_path, capsys, monkeypatch, argv,
-                                      under):
+                                      refusal):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before --out was checked")
 
     monkeypatch.setattr(cli, "_solve", no_solve)
+    monkeypatch.chdir(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
-    out = taken / "run" if under else taken
-    assert main(argv + ["--out", str(out)]) == 2
-    assert "config error: unusable output directory" in capsys.readouterr().err
+    (tmp_path / "run.cfg").write_text("out =\n")
+    assert main(argv) == 2
+    assert "config error: " + refusal in capsys.readouterr().err
     assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
 
 
 def test_snapshot_names_that_collide_are_refused_before_the_run(

@@ -15,6 +15,7 @@ from burgers_dqm import (
     convergence_order,
     load_reference_table,
     ErrorReport,
+    solve_2d,
 )
 from burgers_dqm.exceptions import DegenerateError, DomainError, ShapeMismatch
 from burgers_dqm.problems import P2_TIME_LIMIT
@@ -73,12 +74,19 @@ def test_p2_time_limit_guard():
     prob = problem2()
     limit = 1.0 / math.sqrt(2.0)
     assert P2_TIME_LIMIT == pytest.approx(limit, abs=1e-5)
+    # the closed form is singular at t = +-1/sqrt 2; NaN is no time either
+    for t in (limit, limit + 0.5, -limit, -0.7071066, -1.0, math.nan,
+              np.array([0.1, math.nan]), np.array([0.1, -limit])):
+        for exact in (prob.exact_u, prob.exact_v):
+            with pytest.raises(DomainError):
+                exact(0.1, 0.1, t)
+    # just inside the limit on either side is fine
+    for t in (limit - 1e-3, -limit + 1e-3):
+        assert math.isfinite(prob.exact_u(0.1, 0.1, t))
+        assert math.isfinite(prob.exact_v(0.1, 0.1, t))
+    # a solve started beyond the singularity is refused, not unstable
     with pytest.raises(DomainError):
-        prob.exact_u(0.1, 0.1, limit)
-    with pytest.raises(DomainError):
-        prob.exact_v(0.1, 0.1, limit + 0.5)
-    # just below the limit is fine
-    assert math.isfinite(prob.exact_u(0.1, 0.1, limit - 1e-3))
+        solve_2d(prob, 9, 1e-3, 0.0, t0=-0.75)
 
 
 def test_p2_viscosity_from_reynolds():
@@ -208,16 +216,21 @@ def test_initial_and_boundary_data_are_compatible():
     p1 = problem1()
     assert p1.g1(0.0) == pytest.approx(p1.phi(p1.a), abs=1e-12)
     assert p1.g2(0.0) == pytest.approx(p1.phi(p1.b), abs=1e-12)
-    # 2D: every edge trace at t=0 equals the initial data on that edge
-    for build in (problem2, problem3, problem4):
-        prob = build()
-        s = np.linspace(prob.a, prob.b, 11)
-        for w in s:
-            for edge_x, edge_y in ((w, prob.a), (w, prob.b), (prob.a, w), (prob.b, w)):
-                assert prob.bc_u(edge_x, edge_y, 0.0) == pytest.approx(
-                    prob.phi(edge_x, edge_y), abs=1e-12)
-                assert prob.bc_v(edge_x, edge_y, 0.0) == pytest.approx(
-                    prob.psi(edge_x, edge_y), abs=1e-12)
+    # 2D: the initial data are the traces at t = 0, bit for bit, on the
+    # whole square; where an exact solution exists, it is the traces
+    for build, res in ((problem2, (80.0, 1234.5)), (problem3, (50.0, 1234.5)),
+                       (problem4, (100.0, 1234.5))):
+        for re in res:
+            prob = build(re)
+            x, y = np.meshgrid(np.linspace(prob.a, prob.b, 13),
+                               np.linspace(prob.c, prob.d, 11), indexing="ij")
+            assert np.array_equal(prob.phi(x, y), prob.bc_u(x, y, 0.0))
+            assert np.array_equal(prob.psi(x, y), prob.bc_v(x, y, 0.0))
+            if build is problem3:
+                assert prob.exact_u is None and prob.exact_v is None
+            else:
+                assert prob.exact_u is prob.bc_u
+                assert prob.exact_v is prob.bc_v
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +306,15 @@ def test_convergence_order_degenerate_and_misordered():
     tiny = ErrorReport(l2=1e-16, linf=1e-16, n=20)
     with pytest.raises(DegenerateError):
         convergence_order(good, tiny)
+    # a non-finite error on either grid, in either norm, has no order
+    for bad in (math.nan, math.inf):
+        for coarse, fine in (
+                (good, ErrorReport(l2=bad, linf=1e-4, n=20)),
+                (good, ErrorReport(l2=1e-4, linf=bad, n=20)),
+                (ErrorReport(l2=bad, linf=1e-3, n=10),
+                 ErrorReport(l2=1e-4, linf=1e-4, n=20))):
+            with pytest.raises(DegenerateError):
+                convergence_order(coarse, fine)
     fine = ErrorReport(l2=1e-4, linf=1e-4, n=10)
     with pytest.raises(DomainError):
         convergence_order(good, fine)
