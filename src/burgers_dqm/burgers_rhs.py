@@ -248,25 +248,28 @@ def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
 
     ``prob.nu`` is folded once into copies of ``ax2`` and ``by2``, each in
     its own dtype (``nu`` is cast to it, even a numpy scalar), and the
-    y-matrices are taken in F order, so ``by.T`` is C-contiguous for the
-    per-field y-products.  A (2, 2, nx, ny) stack ``conv`` in ``dtype``
-    takes the y-diffusion sums, then the x-derivatives (``conv[0]``) and
-    the y-derivatives (``conv[1]``), which one multiply scales by U and V.
+    y-matrices are held as C-contiguous transposes ``by1t`` and ``by2t``
+    for the per-field y-products.  A (2, 2, nx, ny) stack ``conv`` in
+    ``dtype`` takes the y-diffusion sums, then the x-derivatives (plane
+    ``conv_x``) and the y-derivatives (plane ``conv_y``), which one
+    multiply scales by U and V.  These views are built once per binding,
+    so a call builds only ``w[:, None]`` and keeps no view of its ``w``.
     """
     nx, ny = _axis(ax1, ax2), _axis(by1, by2)
     ax2 = np.multiply(prob.nu, ax2, dtype=ax2.dtype)
-    by1 = np.asfortranarray(by1)
-    by2 = np.multiply(prob.nu, by2, dtype=by2.dtype, order="F")
+    by1t = np.ascontiguousarray(by1.T)
+    by2t = np.multiply(prob.nu, by2.T, dtype=by2.dtype, order="C")
     conv = np.empty((2, 2, nx, ny), dtype)
+    conv_x, conv_y = conv
 
     def rhs(w, out):
         out = np.matmul(ax2, w, out=out)
-        np.add(out, np.matmul(w, by2.T, out=conv[0]), out=out)
-        np.matmul(ax1, w, out=conv[0])
-        np.matmul(w, by1.T, out=conv[1])
+        np.add(out, np.matmul(w, by2t, out=conv_x), out=out)
+        np.matmul(ax1, w, out=conv_x)
+        np.matmul(w, by1t, out=conv_y)
         np.multiply(conv, w[:, None], out=conv)
-        np.subtract(out, conv[0], out=out)
-        return np.subtract(out, conv[1], out=out)
+        np.subtract(out, conv_x, out=out)
+        return np.subtract(out, conv_y, out=out)
 
     return rhs
 

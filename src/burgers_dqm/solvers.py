@@ -13,7 +13,8 @@ five-stage Runge-Kutta step in increment form
 (``ssprk54._stacked_stepper``), whose stacks and stage states are also held
 for the solve: each ``out`` is a row of a stack, and each stage state one
 product over it.  Time enters only through the traces, which the stage
-callback ``stage(k, x, out)`` writes into stage state x before it calls
+callback ``stage(k, x, xflat, out)`` writes into stage state x, through
+the flat view ``xflat`` the stepper holds for it, before it calls
 ``rhs(x, out)``; so every stage state carries the traces at its own time,
 and time-varying traces keep the scheme's fourth order.  Every time a run
 needs traces at is known before its first step, so each field's traces are
@@ -92,8 +93,11 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
 
     ``rhs(x, out)`` writes the right-hand side of x into ``out``; its
     return value is not read.  The stepper's two stacks and four stage
-    states are allocated once per call, and the state alternates between
-    row 0 of the two stacks.  ``observer(step_index, t, u, v)`` is called
+    states, and every view of them a step reads, are made once per call,
+    and the state alternates between row 0 of the two stacks; each stage
+    writes its traces through the flat view of its stage state that the
+    stepper hands it, so a step builds no view for its ring writes but
+    the result's.  ``observer(step_index, t, u, v)`` is called
     after every step, once the Dirichlet data are reimposed, with read-only
     views of the solver state; their memory is overwritten two steps later,
     so copy them to keep them past the call.  Snapshots and the returned
@@ -125,11 +129,11 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
-    def stage(k, x, out):
+    def stage(k, x, xflat, out):
         # ``traces`` is the running step's row of ``flat``; stage 0 runs on
         # the state, which holds the traces at its time
         if k:
-            x.reshape(-1)[nodes] = traces[k - 1]
+            xflat[nodes] = traces[k - 1]
         rhs(x, out)
 
     caller = np.geterr()

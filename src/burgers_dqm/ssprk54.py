@@ -124,7 +124,7 @@ def step(u, t, dt, rhs):
     dtype = np.result_type(u, (B10 * dt) * l0)
     state, advance = _stacked_stepper(np.asarray(u, dtype), dt)
 
-    def stage(k, x, row):
+    def stage(k, x, xflat, row):
         np.copyto(row, rhs(x, t + ABSCISSAE[k] * dt) if k else l0,
                   casting="same_kind")
 
@@ -142,14 +142,17 @@ def _stacked_stepper(u, dt):
     stage)`` steps w, which must be ``state`` or a result of ``advance``,
     and returns the result: row 0 of the other stack, so that results
     alternate between two arrays and w is not written; t only names a
-    failure.  For k = 0..4 it calls ``stage(k, x, row)``, which must write
-    the right-hand side of x into ``row``, the stack row of L_k; x is w for
-    k = 0, which ``stage`` must not write, and then one of four held
-    stage-state arrays, which it may write (the solvers write each stage's
-    traces there).  Stage state k + 1, or the result after k = 4, is then
-    one ``np.dot`` of its coefficient row over rows 0..k + 1 of the stack.
-    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table
-    and both stacks' plans (the views a step uses) are made here, once.
+    failure.  For k = 0..4 it calls ``stage(k, x, xflat, row)``, which
+    must write the right-hand side of x into ``row``, the stack row of L_k;
+    ``xflat`` is the 1D view of x's entries in C order.  x is w for k = 0,
+    which ``stage`` must not write, and then one of four held stage-state
+    arrays, which it may write, through either view (the solvers write
+    each stage's traces through ``xflat``).  Stage state k + 1, or the
+    result after k = 4, is then one ``np.dot`` of its coefficient row over
+    rows 0..k + 1 of the stack into that stage state's flat view, which the
+    next stage is handed as its ``xflat``.  The stacks, the stage states,
+    the dt-scaled ``[1 | INCREMENTS]`` table and both stacks' plans (every
+    view a step uses) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
@@ -168,16 +171,17 @@ def _stacked_stepper(u, dt):
     def build(s):
         xs = (heads[s], *states)
         targets = (*stages.reshape(4, -1), flat[1 - s, 0])
+        xflats = (flat[s, 0], *targets[:4])
         return heads[1 - s], tuple(
-            (k, xs[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
+            (k, xs[k], xflats[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
     plans = {id(heads[s]): build(s) for s in (0, 1)}
 
     def advance(w, t, stage):
         result, plan = plans[id(w)]
-        for k, x, row, c, prefix, target in plan:
-            stage(k, x, row)
+        for k, x, xflat, row, c, prefix, target in plan:
+            stage(k, x, xflat, row)
             np.dot(c, prefix, out=target)
         _check_result(result, t, stages)
         return result

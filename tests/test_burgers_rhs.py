@@ -23,7 +23,8 @@ from burgers_dqm import (
     problem3,
     problem4,
 )
-from burgers_dqm.burgers_rhs import apply_dirichlet_1d, apply_dirichlet_2d
+from burgers_dqm.burgers_rhs import (_bind_1d, _bind_2d, apply_dirichlet_1d,
+                                     apply_dirichlet_2d)
 from burgers_dqm.exceptions import ShapeMismatch
 from oracles import problem1_asymmetric, rhs_1d_split, rhs_2d_split
 
@@ -328,10 +329,10 @@ def test_rhs_2d_matches_per_field_products_bitwise(build, nx, ny):
 
 @pytest.mark.parametrize("nx, ny", [(17, 17), (65, 65), (17, 9)])
 def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
-    # The binding takes F-ordered copies of the y-matrices, nu folded into
-    # the second-derivative ones; the batched products still write the bits
-    # of one product per field and matrix in that layout, for the DQM weights
-    # and for random matrices
+    # The binding holds C-contiguous transposes of the y-matrices, nu folded
+    # into the second-derivative one; the batched products still write the
+    # bits of one product per field and matrix in that layout, for the DQM
+    # weights and for random matrices
     prob = problem4()
     g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     rng = np.random.default_rng(nx * ny + 1)
@@ -347,6 +348,32 @@ def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
         out = rhs_2d(np.array((U, V)), 0.0, prob, ax1, ax2, by1, by2)
         assert out[0].tobytes() == dU.tobytes()
         assert out[1].tobytes() == dV.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 17), (9, 7)])
+def test_a_held_2d_binding_keeps_no_view_of_a_state(nx, ny):
+    # a solve calls one binding on its two stack heads and four stage states
+    # in turn; a view held from one call would show in a later result
+    prob = problem4()
+    weights = weights_2d(Grid2D(Grid1D(prob.a, prob.b, nx),
+                                Grid1D(prob.c, prob.d, ny)))
+    held = _bind_2d(prob, *weights, float)
+    for w in np.random.default_rng(nx * ny + 2).standard_normal((6, 2, nx, ny)):
+        got, want = np.zeros((2, 2, nx, ny))
+        held(w, got)
+        _bind_2d(prob, *weights, float)(w, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_held_1d_binding_keeps_no_view_of_a_state():
+    prob = problem1()
+    w1, w2 = _weights_1d(Grid1D(prob.a, prob.b, 121))
+    held = _bind_1d(prob, w1, w2, float)
+    for w in np.random.default_rng(121).standard_normal((6, 2, 121)):
+        got, want = np.zeros((2, 2, 121))
+        held(w, got)
+        _bind_1d(prob, w1, w2, float)(w, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rhs_2d_matches_analytic_time_derivative():

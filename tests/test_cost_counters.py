@@ -10,10 +10,12 @@ the solver's right-hand-side binding (every ufunc it calls through
 ``ssprk54._stacked_stepper``, makes through its ``np``, and the peak
 ``tracemalloc`` bytes of one step.  The numpy calls of one
 public ``ssprk54.step`` on the problem 1 state at n = 121 are counted too,
-so that a second evaluation of the scheme beside the stepper shows.  Each
-figure is pinned as an upper bound at its current value: a change that
-lowers a count lowers its bound with it, and one that must raise a bound
-says why.
+so that a second evaluation of the scheme beside the stepper shows.  The
+counts are pinned exactly, so that a counter that stops seeing a call (a
+numpy function bound to a local name, out of reach of the patched ``np``)
+fails as surely as a step that makes one more; the peak bytes are pinned
+as an upper bound at their current value.  A change that lowers a figure
+lowers its pin with it, and one that must raise a figure says why.
 
 The counts repeat exactly in one process and in a fresh one; run this file
 as a script to print them as JSON.
@@ -113,7 +115,8 @@ CASES = {
     "p1-121": lambda: solve_1d(problem1(), 121, 1e-3, 2e-3),
 }
 
-# Upper bounds, each at its current value.  Holding every stage and
+# Each figure at its current value: the counts exactly, ``step_peak_bytes``
+# as an upper bound.  Holding every stage and
 # right-hand-side buffer for the whole solve took a step's peak from 48640,
 # 677856 and 31544 bytes to 10728, 1480 and 9176; scaling both 2D
 # convection stacks in one multiply took a 2D right-hand side from 5
@@ -126,7 +129,7 @@ CASES = {
 # orders in one product and writes its result with one ``[I | -coupling]``
 # product: 3 products and 2 elementwise calls became 2 and 1, its peak
 # unchanged, as the binding's buffer views are built once per solve.
-BOUNDS = {
+PINS = {
     "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
               "item_writes": 0, "step_numpy_calls": 6,
               "step_peak_bytes": 10592},
@@ -242,10 +245,11 @@ def measure():
 
 def test_cost_counters_within_bounds_and_repeatable():
     first = measure()
-    for name, bounds in BOUNDS.items():
-        over = {k: (first[name][k], bound) for k, bound in bounds.items()
-                if first[name][k] > bound}
-        assert not over, (name, over)
+    for name, pins in PINS.items():
+        off = {k: (first[name][k], pin) for k, pin in pins.items()
+               if (first[name][k] > pin if k == "step_peak_bytes"
+                   else first[name][k] != pin)}
+        assert not off, (name, off)
     assert measure() == first
 
     src = os.path.dirname(os.path.dirname(solvers.__file__))

@@ -231,7 +231,7 @@ def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
 def _stage(rhs, t, dt):
     """The stage callback of ``_stacked_stepper`` for ``rhs(x, t)`` on the
     step from t, each stage at its abscissa, as ``step`` makes it."""
-    def stage(k, x, row):
+    def stage(k, x, xflat, row):
         row[...] = rhs(x, t + ssprk54.ABSCISSAE[k] * dt)
     return stage
 
@@ -312,10 +312,10 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
     assert state.tobytes() == u.tobytes() and not np.shares_memory(state, u)
     stage, ks = _stage(_nonlinear_rhs, 0.5, 0.1), []
 
-    def recorded(k, x, row):
+    def recorded(k, x, xflat, row):
         ks.append(k)
         assert (x is state) == (k == 0)
-        stage(k, x, row)
+        stage(k, x, xflat, row)
 
     first = advance(state, 0.5, recorded)
     assert ks == [0, 1, 2, 3, 4]
@@ -327,6 +327,38 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
     assert not np.shares_memory(first, second)
     with pytest.raises(KeyError):
         advance(u, 0.5, stage)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 121), (2, 9, 7)])
+def test_each_stage_is_handed_the_flat_view_of_its_state(shape):
+    u = np.random.default_rng(sum(shape) + 3).uniform(-1.0, 1.0, shape)
+    state, advance = ssprk54._stacked_stepper(u, 0.1)
+    stage, seen = _stage(_nonlinear_rhs, 0.5, 0.1), []
+
+    def checked(k, x, xflat, row):
+        seen.append(k)
+        assert xflat.ndim == 1 and xflat.size == x.size
+        assert np.shares_memory(xflat, x)
+        if k == 0:
+            # a view of the state stepped from, not a copy of it
+            assert x is w
+            assert xflat.tobytes() == x.tobytes()
+        else:
+            # a stage state may be written; put each entry back after
+            for i in (0, x.size - 1):
+                kept = xflat[i]
+                xflat[i] = 7.0 + k
+                assert x.reshape(-1)[i] == 7.0 + k
+                xflat[i] = kept
+        stage(k, x, xflat, row)
+
+    # both stacks' plans: a step from ``state`` and one from its result
+    for w in (state, advance(state, 0.5, stage)):
+        seen.clear()
+        want = advance(w, 0.5, stage).copy()
+        got = advance(w, 0.5, checked)
+        assert seen == [0, 1, 2, 3, 4]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
