@@ -199,7 +199,7 @@ def _config_tokens(path, defaults):
         raise ConfigError("config file not found: %s" % path)
     tokens = []
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except UnicodeDecodeError as exc:
         raise ConfigError("config file %s is not UTF-8: %s" % (path, exc)) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -314,8 +314,10 @@ def run_solve(args, manifest):
               "lambda1 max|Re|/max|Im| = %.3e"
               % (max_abs_r, "inside" if inside else "OUTSIDE",
                  report.ratio_re_im))
-        manifest.config["stability_verdict"] = {"all_inside": inside,
-                                                "max_abs_r": max_abs_r}
+        # strict JSON has no inf: an overflowing R(z) is recorded as null
+        manifest.config["stability_verdict"] = {
+            "all_inside": inside,
+            "max_abs_r": max_abs_r if np.isfinite(max_abs_r) else None}
 
 
 # ---------------------------------------------------------------------------

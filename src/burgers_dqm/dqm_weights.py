@@ -42,6 +42,9 @@ class Grid1D:
             raise DomainError(f"node count must be a whole number, got n={n!r}")
         if n < 4:
             raise DomainError(f"need at least 4 nodes, got n={n}")
+        # linspace sizes its float64 node array in floating point
+        if float(n) * 8 > np.iinfo(np.intp).max:
+            raise DomainError(f"n={n} nodes are more than numpy can index")
         if not b > a:
             raise DomainError(f"empty interval [{a}, {b}]")
         self.a = float(a)

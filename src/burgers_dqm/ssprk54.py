@@ -198,7 +198,11 @@ def num_steps(t0, t_end, dt):
         raise ConfigError(f"dt must be positive, got {dt!r}")
     if t_end < t0:
         raise ConfigError(f"time {t_end!r} precedes t0={t0!r}")
-    steps = round((t_end - t0) / dt)
+    steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"dt={dt!r} gives an infinite step count over "
+                          f"[{t0!r}, {t_end!r}]")
+    steps = round(steps)
     if abs(t0 + steps * dt - t_end) > 1e-9 * dt:
         raise ConfigError(f"dt={dt!r} does not divide [{t0!r}, {t_end!r}]")
     return steps

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dqm_weights import _grid_weights
-from .exceptions import ConvergenceFailure, DomainError, NoStableDt
+from .exceptions import (ConvergenceFailure, DomainError, NoStableDt,
+                         NonFiniteState)
 from .ssprk54 import amplification
 
 # Slack on |R(z)| <= 1 membership to absorb roundoff on the region boundary.
@@ -65,8 +66,9 @@ class StabilityReport:
     ``assembled`` the exact spectrum of -(tau0+kappa0) A1 + 2 nu A2.
     ``ratio_re_im`` is max|Re lambda1| / max|Im lambda1|, an observability
     measure of how close the convection spectrum is to purely imaginary.
-    ``max_abs_r``/``all_inside`` hold max|R(lambda_b * dt)| and whether it
-    is <= 1 (up to roundoff), one entry per requested dt, in order.
+    ``max_abs_r``/``all_inside`` hold max|R(lambda_b * dt)| (inf where R
+    overflows) and whether it is <= 1 (up to roundoff), one entry per
+    requested dt, in order.
     """
 
     lambda1: np.ndarray
@@ -78,20 +80,11 @@ class StabilityReport:
     all_inside: tuple
 
 
-def interior_weight_matrix(w):
-    """Interior block of a weight matrix: boundary rows/columns removed."""
-    w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise DomainError("expected a square matrix, got shape %s" % (w.shape,))
-    if w.shape[0] < 4:
-        raise DomainError("need at least 4 nodes, got %d" % w.shape[0])
-    return w[1:-1, 1:-1].copy()
-
-
 def _check_eigen_size(size):
     """Raise DomainError when a matrix of this size exceeds MAX_EIGEN_SIZE.
 
-    ``_spectra`` judges a grid's interior size (n - 2) with it before any
+    ``_spectra`` judges a grid's interior size (n - 2), and
+    ``kronecker_spectrum_check`` its assembled size, with it before any
     weights are built, so an oversized grid fails at once.
     """
     if size > MAX_EIGEN_SIZE:
@@ -155,11 +148,15 @@ def eigen_spectrum(m):
     return lam
 
 
+def _interior_blocks(weights):
+    """Writable copies of the interior blocks (A1, A2) of a grid's memo
+    entry: the weight matrices without their boundary rows and columns."""
+    return tuple(w[1:-1, 1:-1].copy() for w in (weights.w1, weights.w2))
+
+
 def operator_matrices(grid):
     """Interior first- and second-derivative blocks (A1, A2) for a grid."""
-    weights = _grid_weights(grid)
-    return (interior_weight_matrix(weights.w1),
-            interior_weight_matrix(weights.w2))
+    return _interior_blocks(_grid_weights(grid))
 
 
 def _spectra(weights, params):
@@ -173,8 +170,7 @@ def _spectra(weights, params):
     """
     _check_eigen_size(weights.grid.n - 2)
     if weights.spectra is None:
-        lam1 = eigen_spectrum(interior_weight_matrix(weights.w1))
-        lam2 = eigen_spectrum(interior_weight_matrix(weights.w2))
+        lam1, lam2 = map(eigen_spectrum, _interior_blocks(weights))
         lam1 = lam1[np.lexsort((lam1.real, lam1.imag))]
         lam2 = lam2[np.lexsort((lam2.imag, lam2.real))]
         lam1.flags.writeable = lam2.flags.writeable = False
@@ -185,7 +181,17 @@ def _spectra(weights, params):
 
 
 def _max_abs_r(lam_b, dt):
-    return float(np.abs(amplification(lam_b * dt)).max())
+    """max|R(lambda_b * dt)|; inf when z or R(z) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return float(np.abs(amplification(lam_b * dt)).max())
+        except NonFiniteState:
+            return math.inf
+
+
+def _inside(max_abs_r):
+    """The membership test: |R(z)| <= 1 up to roundoff on the boundary."""
+    return max_abs_r <= 1.0 + MEMBERSHIP_TOL
 
 
 def analyze(grid, params, dts):
@@ -201,8 +207,7 @@ def analyze(grid, params, dts):
     # above the memo's node cap is still built once
     weights = _grid_weights(grid)
     lam1, lam2, lam_b = _spectra(weights, params)
-    a1 = interior_weight_matrix(weights.w1)
-    a2 = interior_weight_matrix(weights.w2)
+    a1, a2 = _interior_blocks(weights)
     speed = params.tau0 + params.kappa0
     assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
     im_max = float(np.abs(lam1.imag).max())
@@ -216,7 +221,7 @@ def analyze(grid, params, dts):
         assembled=assembled,
         ratio_re_im=ratio,
         max_abs_r=max_abs_r,
-        all_inside=tuple(r <= 1.0 + MEMBERSHIP_TOL for r in max_abs_r),
+        all_inside=tuple(map(_inside, max_abs_r)),
     )
 
 
@@ -231,7 +236,7 @@ def max_stable_dt(grid, params):
     lam_b = _spectra(_grid_weights(grid), params)[-1]
 
     def inside(dt):
-        return _max_abs_r(lam_b, dt) <= 1.0 + MEMBERSHIP_TOL
+        return _inside(_max_abs_r(lam_b, dt))
 
     lo = 1e-9
     if not inside(lo):
@@ -250,10 +255,6 @@ def max_stable_dt(grid, params):
     return lo
 
 
-# Size cap for the assembled-2D validation path (interior nodes per axis).
-MAX_KRONECKER_NODES = 12
-
-
 def kronecker_spectrum_check(gridx, gridy, params):
     """Validation path: assemble the full 2D frozen operator and compare.
 
@@ -262,13 +263,10 @@ def kronecker_spectrum_check(gridx, gridy, params):
     so its spectrum equals the pairwise sums {c_i + d_j} exactly.  Returns
     (mismatch, full_spectrum, pair_sums) where mismatch is the largest
     distance from a computed 2D eigenvalue to the pairwise-sum set, scaled
-    by the operator norm.  Only available on small grids.
+    by the operator norm.  The assembled size (nx - 2)(ny - 2) is judged
+    against MAX_EIGEN_SIZE before any weights are built.
     """
-    if gridx.n > MAX_KRONECKER_NODES or gridy.n > MAX_KRONECKER_NODES:
-        raise DomainError(
-            "validation path limited to grids with <= %d nodes per side"
-            % MAX_KRONECKER_NODES
-        )
+    _check_eigen_size((gridx.n - 2) * (gridy.n - 2))
     a1, a2 = operator_matrices(gridx)
     b1, b2 = operator_matrices(gridy)
     c = params.nu * a2 - params.tau0 * a1
@@ -278,9 +276,7 @@ def kronecker_spectrum_check(gridx, gridy, params):
     full = np.kron(c, iy) + np.kron(ix, d)
     spectrum = eigen_spectrum(full)
     pair_sums = (eigen_spectrum(c)[:, None] + eigen_spectrum(d)[None, :]).ravel()
-    scale = float(np.linalg.norm(full, 2))
-    if scale == 0.0:
-        scale = 1.0
+    scale = float(np.linalg.norm(full, 2)) or 1.0
     mismatch = 0.0
     for lam in spectrum:
         mismatch = max(mismatch, float(np.abs(pair_sums - lam).min()))

@@ -187,17 +187,21 @@ def test_solve_with_stability_check(tmp_path, capsys):
     assert "stability" in capsys.readouterr().out.lower()
 
 
-@pytest.mark.parametrize("problem, build, nu, nx, ny", [
-    ("p1", problem1, 1.0, 21, None),
-    ("p4", problem4, 1.0 / 100.0, 9, 7),
-], ids=["1d", "2d"])
-def test_solve_stability_check_verdict(tmp_path, problem, build, nu, nx, ny):
+@pytest.mark.parametrize("problem, build, nu, nx, ny, dt, t_end", [
+    ("p1", problem1, 1.0, 21, None, 0.001, 0.01),
+    ("p4", problem4, 1.0 / 100.0, 9, 7, 0.001, 0.01),
+    # R(z) overflows: the verdict is outside, its max|R| recorded as null
+    ("p1", problem1, 1.0, 11, None, 1e70, 0.0),
+], ids=["1d", "2d", "1d-overflow"])
+def test_solve_stability_check_verdict(tmp_path, problem, build, nu, nx, ny,
+                                       dt, t_end):
     # the check freezes the largest initial |u| and |v| on the solve's grid
     # and the problem's viscosity, and analyses the solve's x grid
     out = tmp_path / "run"
     sizes = ["--nx", str(nx)] + ([] if ny is None else ["--ny", str(ny)])
-    assert main(["solve", "--problem", problem, *sizes, "--dt", "0.001",
-                 "--t-end", "0.01", "--stability-check", "--out", str(out)]) == 0
+    assert main(["solve", "--problem", problem, *sizes, "--dt", str(dt),
+                 "--t-end", str(t_end), "--stability-check",
+                 "--out", str(out)]) == 0
     prob = build()
     xgrid = Grid1D(prob.a, prob.b, nx)
     coords = xgrid.coords
@@ -205,11 +209,13 @@ def test_solve_stability_check_verdict(tmp_path, problem, build, nu, nx, ny):
         coords = Grid2D(xgrid, Grid1D(prob.c, prob.d, ny)).coords
     params = FrozenParams(float(abs(prob.phi(*coords)).max()),
                           float(abs(prob.psi(*coords)).max()), nu)
-    report = analyze(xgrid, params, [0.001])
+    report = analyze(xgrid, params, [dt])
+    max_abs_r = float(report.max_abs_r[0])
     verdict = json.loads((out / "manifest.json").read_text())["config"][
         "stability_verdict"]
     assert verdict == {"all_inside": bool(report.all_inside[0]),
-                       "max_abs_r": float(report.max_abs_r[0])}
+                       "max_abs_r": max_abs_r if math.isfinite(max_abs_r)
+                       else None}
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +300,20 @@ def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    text = b"problem = p1\nnx = 11\ndt = 0.01\nt_end = 0.05\n"
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        conf = tmp_path / (name + ".conf")
+        conf.write_bytes(data)
+        assert main(["solve", "--config", str(conf),
+                     "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "plain").glob("*.csv"))
+    assert names == ["errors.csv", "solution_t0.05.csv"]
+    for name in names:
+        assert ((tmp_path / "bom" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
@@ -345,7 +365,7 @@ def test_convergence_single_grid_has_empty_rates(tmp_path):
 
 def test_stability_outputs_spectra_and_verdicts(tmp_path, capsys):
     out = tmp_path / "stab"
-    rc = main(["stability", "--nx", "11", "--dt-list", "1e-4,1e-2,10",
+    rc = main(["stability", "--nx", "11", "--dt-list", "1e-4,1e-2,10,1e100",
                "--out", str(out)])
     assert rc == 0
     header, rows = _read_csv(out / "spectra.csv")
@@ -356,9 +376,13 @@ def test_stability_outputs_spectra_and_verdicts(tmp_path, capsys):
     _, srows = _read_csv(out / "stability.csv")
     verdicts = [r[1] for r in srows]
     assert verdicts[0] == "true"
-    assert verdicts[-1] == "false"
+    assert verdicts[-2] == "false"
+    # R(z) overflows at dt=1e100: the step reads outside, and no error
+    assert srows[-1] == ["1e+100", "false", "inf"]
     assert (out / "assembled_spectrum.csv").exists()
-    assert "max|Re|/max|Im|" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "max|Re|/max|Im|" in stdout
+    assert "max|R(z)|=inf" in stdout
 
 
 def test_stability_dt_list_shares_one_analysis(tmp_path):
@@ -668,6 +692,28 @@ def test_arrays_too_large_for_memory_exit_2(tmp_path, capsys, monkeypatch,
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: Unable to allocate 298. GiB for an array" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["weights-dump", "--nx", "9223372036854775807"],
+     "n=9223372036854775807 nodes are more than numpy can index"),
+    (["stability", "--nx", "4611686018427387904", "--dt-list", "1e-3"],
+     "n=4611686018427387904 nodes are more than numpy can index"),
+    (["solve", "--problem", "p1", "--nx", "100000000000000000000"],
+     "n=100000000000000000000 nodes are more than numpy can index"),
+    (["convergence", "--problem", "p1", "--n-list", "1e19,2e19"],
+     "n=10000000000000000000 nodes are more than numpy can index"),
+    (["solve", "--problem", "p1", "--nx", "11", "--dt", "1e-310",
+      "--t-end", "1"], "dt=1e-310 gives an infinite step count"),
+], ids=["weights-dump", "stability", "solve", "convergence", "steps"])
+def test_sizes_numpy_cannot_represent_exit_2(tmp_path, capsys, argv, refusal):
+    # refused by the grid or the step count before anything is allocated
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " + refusal in err
     assert "Traceback" not in err
     assert not out.exists()
 

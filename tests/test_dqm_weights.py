@@ -45,6 +45,10 @@ def test_grid_rejects_bad_input():
     for n in (10.7, 10.5, math.nan, math.inf):
         with pytest.raises(DomainError):
             Grid1D(0.0, 1.0, n)
+    # node counts whose float64 node array numpy cannot index
+    for n in (2**63 - 1, 2**62, 10**20, 1e19):
+        with pytest.raises(DomainError, match="more than numpy can index"):
+            Grid1D(0.0, 1.0, n)
     assert Grid1D(0.0, 1.0, 10.0).n == 10
 
 

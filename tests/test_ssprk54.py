@@ -456,7 +456,8 @@ def test_num_steps_validation():
     with pytest.raises(ConfigError):
         num_steps(1.0, 0.0, 0.1)
     for bad in ((0.0, 1.0, float("nan")), (0.0, 1.0, float("inf")),
-                (0.0, float("inf"), 0.1), (float("nan"), 1.0, 0.1)):
+                (0.0, float("inf"), 0.1), (float("nan"), 1.0, 0.1),
+                (0.0, 1.0, 1e-310)):  # (t_end - t0) / dt overflows
         with pytest.raises(ConfigError):
             num_steps(*bad)
 

@@ -15,29 +15,12 @@ from burgers_dqm import (
 )
 from burgers_dqm import cli, dqm_weights, stability
 from burgers_dqm.exceptions import ConvergenceFailure, DomainError, NoStableDt
-from burgers_dqm.stability import (
-    eigen_spectrum,
-    interior_weight_matrix,
-    operator_matrices,
-)
+from burgers_dqm.stability import eigen_spectrum, operator_matrices
 
 
 # ---------------------------------------------------------------------------
 # interior blocks
 # ---------------------------------------------------------------------------
-
-def test_interior_weight_matrix_strips_boundary_ring():
-    w = np.arange(16.0).reshape(4, 4)
-    inner = interior_weight_matrix(w)
-    np.testing.assert_array_equal(inner, np.array([[5.0, 6.0], [9.0, 10.0]]))
-
-
-def test_interior_weight_matrix_rejects_small_or_nonsquare():
-    with pytest.raises(DomainError):
-        interior_weight_matrix(np.zeros((2, 2)))
-    with pytest.raises(DomainError):
-        interior_weight_matrix(np.zeros((4, 5)))
-
 
 def test_operator_matrices_shapes():
     g = Grid1D(-math.pi, math.pi, 11)
@@ -183,9 +166,12 @@ def test_analyze_small_dt_is_stable():
 
 def test_analyze_huge_dt_is_unstable():
     g = Grid1D(-math.pi, math.pi, 11)
-    rep = analyze(g, UNIT, [10.0])
-    assert rep.all_inside == (False,)
+    # at dt=1e100 R(z) overflows, at 1e308 z itself: the step is outside,
+    # with no error and no overflow warning
+    rep = analyze(g, UNIT, [10.0, 1e100, 1e308])
+    assert rep.all_inside == (False, False, False)
     assert rep.max_abs_r[0] > 1.0
+    assert rep.max_abs_r[1:] == (math.inf, math.inf)
 
 
 def test_analyze_first_derivative_spectrum_is_essentially_imaginary():
@@ -346,6 +332,9 @@ def test_max_stable_dt_caps_a_zero_operator():
 
 def test_max_stable_dt_no_stable_step(monkeypatch):
     g = Grid1D(-math.pi, math.pi, 11)
+    # parameters so large that R(z) overflows even at dt=1e-9
+    with pytest.raises(NoStableDt):
+        max_stable_dt(g, FrozenParams(1e300, 1e300, 1e300))
     always_two = lambda z: np.full_like(np.asarray(z, dtype=complex), 2.0)
     monkeypatch.setattr(stability, "amplification", always_two)
     with pytest.raises(NoStableDt):
@@ -357,13 +346,14 @@ def test_max_stable_dt_no_stable_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_kronecker_spectrum_is_pairwise_sums():
-    gx = Grid1D(0.0, 1.0, 7)
-    gy = Grid1D(0.0, 2.0, 6)
     p = FrozenParams(tau0=0.7, kappa0=0.4, nu=0.05)
-    mismatch, spectrum, pair_sums = kronecker_spectrum_check(gx, gy, p)
-    assert mismatch <= 1e-6
-    assert len(spectrum) == (7 - 2) * (6 - 2)
-    assert len(pair_sums) == len(spectrum)
+    for nx, ny in ((7, 6), (13, 13)):
+        gx = Grid1D(0.0, 1.0, nx)
+        gy = Grid1D(0.0, 2.0, ny)
+        mismatch, spectrum, pair_sums = kronecker_spectrum_check(gx, gy, p)
+        assert mismatch <= 1e-6
+        assert len(spectrum) == (nx - 2) * (ny - 2)
+        assert len(pair_sums) == len(spectrum)
 
 
 def test_kronecker_check_of_a_zero_operator():
@@ -374,12 +364,18 @@ def test_kronecker_check_of_a_zero_operator():
     assert mismatch == 0.0
 
 
-def test_kronecker_check_rejects_large_grids():
-    gx = Grid1D(0.0, 1.0, 13)
-    gy = Grid1D(0.0, 1.0, 13)
+def test_kronecker_check_rejects_large_grids(monkeypatch):
+    # 47x47 nodes assemble a 45**2 = 2025 operator, above MAX_EIGEN_SIZE;
+    # the size is judged before any weights or Kronecker products are built
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the size limit was checked")
+
+    monkeypatch.setattr(dqm_weights, "first_order_weights", no_work)
+    monkeypatch.setattr(np, "kron", no_work)
+    g = Grid1D(0.0, 1.0, 47)
     p = FrozenParams(tau0=1.0, kappa0=1.0, nu=0.05)
-    with pytest.raises(DomainError):
-        kronecker_spectrum_check(gx, gy, p)
+    with pytest.raises(DomainError, match="matrix size 2025 exceeds limit 2000"):
+        kronecker_spectrum_check(g, g, p)
 
 
 # ---------------------------------------------------------------------------
