@@ -19,17 +19,23 @@ of the coefficients, ``[I | -coupling]`` with a zero column over v_x added
 so that the rows it reads are contiguous; a call makes 3 numpy calls.  Both
 products are ``np.dot``, so the 1D binding writes only into a C-contiguous
 ``out`` of exactly the result dtype.  In 2D ``nu`` is folded into copies of
-the second-derivative weights.  The 1D route sums its terms in another order
-than one expression per term, so it agrees with that form to rounding (over
-a whole run of problem 1 at 121 nodes, 2.0e-15 relative to the largest
-value); the 2D route is bitwise the per-field products on the folded
-weights.  ``rhs_*`` and ``boundary_forcing_*`` check their inputs alike:
-every weight matrix square and of its axis' size, every field of the grid's
-shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check, one call of a
-private binding (``_bind_1d``/``_bind_2d`` of the problem and the weights:
-the folded weights and work buffers, and ``rhs(w, out)``, which reads no
-time and leaves the boundary nodes unwritten) and zeroed boundary nodes;
-their ``t`` serves the ``step`` protocol only.  The solvers hold the same
+the second-derivative weights, the x-matrices apply to both fields in one
+batched ``np.matmul`` each, and each y-matrix in one ``np.dot`` of the
+state's (2 nx, ny) row view, one GEMM over the rows of both fields.  The 1D
+route sums its terms in another order than one expression per term, so it
+agrees with that form to rounding (over a whole run of problem 1 at 121
+nodes, 2.0e-15 relative to the largest value).  The 2D route sums as the
+per-field products on the folded weights do, and on OpenBLAS has their bits
+on every interior node; the one GEMM blocks its rows otherwise than one
+product per field, so two ring entries, (0, nx - 1, ny - 1) and (1, nx - 2,
+ny - 1), may differ from them by rounding; the solvers overwrite both and
+``rhs_2d`` zeroes them.  ``rhs_*`` and ``boundary_forcing_*`` check their
+inputs alike: every weight matrix square and of its axis' size, every field
+of the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check,
+one call of a private binding (``_bind_1d``/``_bind_2d`` of the problem and
+the weights: the folded weights and work buffers, and ``rhs(w, out)``,
+which reads no time and leaves the boundary nodes unwritten) and zeroed
+boundary nodes; their ``t`` serves the ``step`` protocol only.  The solvers hold the same
 binding for a solve and leave the boundary nodes to the driver, so ``step``
 with ``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
 paper writes each sum as its interior part plus a boundary forcing term (F
@@ -247,26 +253,38 @@ def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
     of ``prob`` written into ``out``, its ring unwritten.
 
     ``prob.nu`` is folded once into copies of ``ax2`` and ``by2``, each in
-    its own dtype (``nu`` is cast to it, even a numpy scalar), and the
-    y-matrices are held as C-contiguous transposes ``by1t`` and ``by2t``
-    for the per-field y-products.  A (2, 2, nx, ny) stack ``conv`` in
-    ``dtype`` takes the y-diffusion sums, then the x-derivatives (plane
-    ``conv_x``) and the y-derivatives (plane ``conv_y``), which one
-    multiply scales by U and V.  These views are built once per binding,
-    so a call builds only ``w[:, None]`` and keeps no view of its ``w``.
+    its own dtype (``nu`` is cast to it, even a numpy scalar).  The
+    y-matrices are held as C-contiguous transposes ``by1t`` and ``by2t`` in
+    the weights' one dtype, ``np.result_type(ax1, ax2, by1, by2)``, so that
+    a y-product of the state has the result dtype ``dtype``, which must be
+    ``np.result_type(w, ax1, ax2, by1, by2)``.  A (2, 2, nx, ny) stack
+    ``conv`` in ``dtype`` takes the y-diffusion sums, then the
+    x-derivatives (plane ``conv_x``) and the y-derivatives (plane
+    ``conv_y``), which one multiply scales by U and V.  A call takes both
+    y-products first, each as one ``np.dot`` of the state's (2 nx, ny) row
+    view into the held row view of its plane, and drops the row view before
+    the multiply, so that it is not alive beside ``w[:, None]``; the
+    x-products stay batched ``np.matmul``.  The planes and their row views
+    are built once per binding, so a call builds only the row view of its
+    ``w`` and ``w[:, None]``.
     """
     nx, ny = _axis(ax1, ax2), _axis(by1, by2)
+    wdtype = np.result_type(ax1, ax2, by1, by2)
     ax2 = np.multiply(prob.nu, ax2, dtype=ax2.dtype)
-    by1t = np.ascontiguousarray(by1.T)
-    by2t = np.multiply(prob.nu, by2.T, dtype=by2.dtype, order="C")
+    by1t = np.array(by1.T, wdtype, order="C")
+    by2t = np.multiply(prob.nu, by2.T, dtype=by2.dtype).astype(wdtype, "C")
     conv = np.empty((2, 2, nx, ny), dtype)
     conv_x, conv_y = conv
+    xrows, yrows = conv.reshape(2, 2 * nx, ny)
 
     def rhs(w, out):
+        rows = w.reshape(2 * nx, ny)
+        np.dot(rows, by2t, out=xrows)
+        np.dot(rows, by1t, out=yrows)
+        del rows  # not alive beside ``w[:, None]``, a step's peak bytes
         out = np.matmul(ax2, w, out=out)
-        np.add(out, np.matmul(w, by2t, out=conv_x), out=out)
+        np.add(out, conv_x, out=out)
         np.matmul(ax1, w, out=conv_x)
-        np.matmul(w, by1t, out=conv_y)
         np.multiply(conv, w[:, None], out=conv)
         np.subtract(out, conv_x, out=out)
         return np.subtract(out, conv_y, out=out)
@@ -278,13 +296,16 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     """Full-sum 2D RHS of the stacked ``(2, nx, ny)`` state (U, V).
 
     Returns (dU, dV) stacked the same way, in a new array.  Each derivative
-    is one batched product over both fields, which computes the per-field
-    products: the x-axis matrix applies down each column of constant y
-    (``ax @ w``), the y-axis matrix along each row of constant x
-    (``w @ by.T``); ``prob.nu`` is folded into the weights as ``solve_2d``
-    folds it.  The boundary ring of the result is zero; its dtype follows
-    the state and the weights, which share one dtype (float32 inputs give a
-    float32 result, complex inputs a complex one).
+    is one product over both fields, which computes the per-field products:
+    the x-axis matrix applies down each column of constant y (``ax @ w``,
+    batched over the fields), the y-axis matrix along each row of constant
+    x (``w @ by.T``, one product of the state's (2 nx, ny) row view);
+    ``prob.nu`` is folded into the weights as ``solve_2d`` folds it.  A
+    state of any memory layout gives the bytes of its C-ordered copy.  The
+    boundary ring of the result is zero; its dtype is that of the
+    per-field expression, ``np.result_type`` of the state and the four
+    weights, for any mix of them (float32 inputs give a float32 result,
+    complex ones a complex one).
     """
     _check_state((2, _axis(ax1, ax2), _axis(by1, by2)), w)
     dtype = np.result_type(w, ax1, ax2, by1, by2)

@@ -96,8 +96,9 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     states, and every view of them a step reads, are made once per call,
     and the state alternates between row 0 of the two stacks; each stage
     writes its traces through the flat view of its stage state that the
-    stepper hands it, so a step builds no view for its ring writes but
-    the result's.  ``observer(step_index, t, u, v)`` is called
+    stepper hands it, and the step's result through the flat view that
+    ``advance`` returns with it, so a step builds no view for its ring
+    writes.  ``observer(step_index, t, u, v)`` is called
     after every step, once the Dirichlet data are reimposed, with read-only
     views of the solver state; their memory is overwritten two steps later,
     so copy them to keep them past the call.  Snapshots and the returned
@@ -149,8 +150,8 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
             for j in range(size):
                 k = first + j + 1
                 traces = flat[j]
-                w = advance(w, base[j], stage)
-                w.reshape(-1)[nodes] = traces[-1]
+                w, wflat = advance(w, base[j], stage)
+                wflat[nodes] = traces[-1]
                 if observer is not None:
                     ro = w.view()
                     ro.flags.writeable = False

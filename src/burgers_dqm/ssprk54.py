@@ -129,7 +129,7 @@ def step(u, t, dt, rhs):
                   casting="same_kind")
 
     # a copy, so that the result does not keep the stepper's stacks alive
-    return advance(state, t, stage).copy()[()]
+    return advance(state, t, stage)[0].copy()[()]
 
 
 def _stacked_stepper(u, dt):
@@ -139,20 +139,24 @@ def _stacked_stepper(u, dt):
     ``state`` is a copy of the array u, in u's dtype.  It is row 0 of one
     of two stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the
     right-hand sides L0..L4 of a step from that row.  ``advance(w, t,
-    stage)`` steps w, which must be ``state`` or a result of ``advance``,
-    and returns the result: row 0 of the other stack, so that results
-    alternate between two arrays and w is not written; t only names a
-    failure.  For k = 0..4 it calls ``stage(k, x, xflat, row)``, which
-    must write the right-hand side of x into ``row``, the stack row of L_k;
-    ``xflat`` is the 1D view of x's entries in C order.  x is w for k = 0,
-    which ``stage`` must not write, and then one of four held stage-state
-    arrays, which it may write, through either view (the solvers write
-    each stage's traces through ``xflat``).  Stage state k + 1, or the
+    stage)`` steps w, which must be ``state`` or the result of an
+    ``advance``, and returns the pair ``(result, rflat)``: the result is
+    row 0 of the other stack, so that results alternate between two arrays
+    and w is not written, and ``rflat`` the 1D view of its entries in C
+    order, through which a caller may write it (the solvers write the
+    result's traces); t only names a failure.  For k = 0..4 it calls
+    ``stage(k, x, xflat, row)``, which must write the right-hand side of x
+    into ``row``, the stack row of L_k; ``xflat`` is the 1D view of x's
+    entries in C order.  x is w for k = 0, which ``stage`` must not write,
+    and then one of four held stage-state arrays, which it may write,
+    through either view (the solvers write each stage's traces through
+    ``xflat``).  Stage state k + 1, or the
     result after k = 4, is then one ``np.dot`` of its coefficient row over
     rows 0..k + 1 of the stack into that stage state's flat view, which the
-    next stage is handed as its ``xflat``.  The stacks, the stage states,
-    the dt-scaled ``[1 | INCREMENTS]`` table and both stacks' plans (every
-    view a step uses) are made here, once.
+    next stage is handed as its ``xflat`` (the result's is ``rflat``).
+    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table
+    and both stacks' plans (every view a step uses, and the pair it
+    returns) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
@@ -172,19 +176,19 @@ def _stacked_stepper(u, dt):
         xs = (heads[s], *states)
         targets = (*stages.reshape(4, -1), flat[1 - s, 0])
         xflats = (flat[s, 0], *targets[:4])
-        return heads[1 - s], tuple(
+        return (heads[1 - s], targets[4]), tuple(
             (k, xs[k], xflats[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
     plans = {id(heads[s]): build(s) for s in (0, 1)}
 
     def advance(w, t, stage):
-        result, plan = plans[id(w)]
+        done, plan = plans[id(w)]
         for k, x, xflat, row, c, prefix, target in plan:
             stage(k, x, xflat, row)
             np.dot(c, prefix, out=target)
-        _check_result(result, t, stages)
-        return result
+        _check_result(done[0], t, stages)
+        return done
 
     return heads[0], advance
 

@@ -176,7 +176,9 @@ def _spectra(weights, params):
         lam1.flags.writeable = lam2.flags.writeable = False
         weights.spectra = lam1, lam2
     lam1, lam2 = weights.spectra
-    lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
+    # an overflow here reads as a z outside the region (``_max_abs_r``)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_b = 2.0 * params.nu * lam2 - (params.tau0 + params.kappa0) * lam1
     return lam1, lam2, lam_b
 
 
@@ -194,6 +196,32 @@ def _inside(max_abs_r):
     return max_abs_r <= 1.0 + MEMBERSHIP_TOL
 
 
+def _frozen_operator(a1, a2, params):
+    """The assembled operator -(tau0 + kappa0) A1 + 2 nu A2.
+
+    Finite parameters can still overflow it; then a DomainError names the
+    parameters of each term that is not finite (tau0 and kappa0 for the
+    convection term, nu for the diffusion term, all three when only their
+    sum overflows), rather than leaving ``eigen_spectrum`` to refuse a
+    matrix that no input names.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        convection = -(params.tau0 + params.kappa0) * a1
+        diffusion = 2.0 * params.nu * a2
+        op = convection + diffusion
+    if np.isfinite(op).all():
+        return op
+    names = ()
+    if not np.isfinite(convection).all():
+        names += ("tau0", "kappa0")
+    if not np.isfinite(diffusion).all():
+        names += ("nu",)
+    names = names or ("tau0", "kappa0", "nu")
+    raise DomainError(
+        "frozen operator -(tau0 + kappa0) A1 + 2 nu A2 overflows for %s"
+        % ", ".join("%s=%r" % (name, getattr(params, name)) for name in names))
+
+
 def analyze(grid, params, dts):
     """Stability report for one grid, one set of frozen parameters and each
     candidate step in ``dts`` (each finite and > 0)."""
@@ -207,9 +235,8 @@ def analyze(grid, params, dts):
     # above the memo's node cap is still built once
     weights = _grid_weights(grid)
     lam1, lam2, lam_b = _spectra(weights, params)
-    a1, a2 = _interior_blocks(weights)
-    speed = params.tau0 + params.kappa0
-    assembled = eigen_spectrum(-speed * a1 + 2.0 * params.nu * a2)
+    assembled = eigen_spectrum(_frozen_operator(*_interior_blocks(weights),
+                                                params))
     im_max = float(np.abs(lam1.imag).max())
     re_max = float(np.abs(lam1.real).max())
     ratio = re_max / im_max if im_max > 0.0 else math.inf

@@ -350,6 +350,65 @@ def test_rhs_2d_matches_per_field_products_in_the_solvers_layout(nx, ny):
         assert out[1].tobytes() == dV.tobytes()
 
 
+@pytest.mark.parametrize("nx, ny", [(9, 7), (17, 17)])
+def test_rhs_2d_of_a_strided_state_is_its_contiguous_result(nx, ny):
+    # the y-products read the state's (2 nx, ny) row view: a state of any
+    # layout gives the bytes of its C-ordered copy
+    prob = problem4()
+    g = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
+    weights = weights_2d(g)
+    w = np.random.default_rng(nx * ny + 3).standard_normal((2, nx, ny))
+    want = rhs_2d(w, 0.0, prob, *weights)
+    strided = np.zeros((2, 2 * nx, 3 * ny))[:, ::2, ::3]
+    strided[...] = w
+    transposed = w.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    for state in (np.asfortranarray(w), strided, transposed):
+        assert not state.flags.c_contiguous
+        assert rhs_2d(state, 0.0, prob, *weights).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, dtype", [
+    ("float32 state", np.float64),
+    ("complex state", np.complex128),
+    ("float32 weights", np.float64),
+    ("all float32", np.float32),
+    ("complex x-weights", np.complex128),
+    ("complex y-weights", np.complex128),
+])
+def test_rhs_2d_result_dtype_follows_mixed_inputs(case, dtype):
+    # every mix of state and per-axis weight dtypes gives the result dtype
+    # of the per-field expression, whose values it takes; the y-products
+    # are ``np.dot``, which writes only into an ``out`` of exactly its
+    # result dtype, so the binding holds the y-matrices in the weights' one
+    # dtype
+    prob = problem4()
+    g = Grid2D(Grid1D(prob.a, prob.b, 9), Grid1D(prob.c, prob.d, 7))
+    rng = np.random.default_rng(97)
+    w = rng.standard_normal((2, 9, 7))
+    ax1, ax2, by1, by2 = weights_2d(g)
+    if case in ("float32 state", "all float32"):
+        w = w.astype(np.float32)
+    if case in ("float32 weights", "all float32"):
+        ax1, ax2, by1, by2 = (a.astype(np.float32)
+                              for a in (ax1, ax2, by1, by2))
+    if case == "complex state":
+        w = w + 1j * rng.standard_normal(w.shape)
+    elif case == "complex x-weights":
+        ax1, ax2 = ax1 * (1.0 + 0.5j), ax2 * (1.0 - 0.25j)
+    elif case == "complex y-weights":
+        by1, by2 = by1 * (1.0 + 0.5j), by2 * (1.0 - 0.25j)
+    nu_ax2 = np.multiply(prob.nu, ax2, dtype=ax2.dtype)
+    nu_by2 = np.multiply(prob.nu, by2, dtype=by2.dtype)
+    U, V = w
+    want = np.array([(nu_ax2 @ W + W @ nu_by2.T) - U * (ax1 @ W)
+                     - V * (W @ by1.T) for W in (U, V)])
+    want[:, ::8] = want[:, :, ::6] = 0.0  # the ring of the 9x7 grid
+    got = rhs_2d(w, 0.0, prob, ax1, ax2, by1, by2)
+    assert got.dtype == want.dtype == dtype
+    tol = 8 * np.finfo(dtype).eps * np.abs(want).max()
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("nx, ny", [(17, 17), (9, 7)])
 def test_a_held_2d_binding_keeps_no_view_of_a_state(nx, ny):
     # a solve calls one binding on its two stack heads and four stage states

@@ -425,6 +425,23 @@ def test_stability_rejects_non_finite_inputs(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--nu", "1e308"], "nu=1e+308"),
+    (["--tau0", "1e308", "--kappa0", "1e308"], "tau0=1e+308, kappa0=1e+308"),
+])
+def test_stability_names_the_parameters_whose_operator_overflows(
+        tmp_path, capsys, flags, named):
+    # finite parameters whose frozen operator is not finite
+    out = tmp_path / "x"
+    rc = main(["stability", "--nx", "11", "--dt-list", "1e-3", *flags,
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.rstrip().endswith("overflows for " + named)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # weights dump
 # ---------------------------------------------------------------------------

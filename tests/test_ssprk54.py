@@ -238,7 +238,7 @@ def _stage(rhs, t, dt):
 
 def _stacked_step(u, t, dt, rhs):
     state, advance = ssprk54._stacked_stepper(u, dt)
-    return advance(state, t, _stage(rhs, t, dt))
+    return advance(state, t, _stage(rhs, t, dt))[0]
 
 
 def test_increment_table_rows_sum_to_the_abscissae():
@@ -317,14 +317,19 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
         assert (x is state) == (k == 0)
         stage(k, x, xflat, row)
 
-    first = advance(state, 0.5, recorded)
+    first, first_flat = advance(state, 0.5, recorded)
     assert ks == [0, 1, 2, 3, 4]
     assert state.tobytes() == u.tobytes()
     again = advance(state, 0.5, stage)
-    assert again is first
-    second = advance(first, 0.6, stage)
-    assert advance(second, 0.7, stage) is first
+    assert again[0] is first and again[1] is first_flat
+    second, second_flat = advance(first, 0.6, stage)
+    assert advance(second, 0.7, stage)[0] is first
     assert not np.shares_memory(first, second)
+    # each result comes with its flat view, through which it may be written
+    for result, flat in ((first, first_flat), (second, second_flat)):
+        assert flat.ndim == 1 and flat.tobytes() == result.tobytes()
+        flat[-1] = 7.0
+        assert result[-1, -1] == 7.0
     with pytest.raises(KeyError):
         advance(u, 0.5, stage)
 
@@ -353,10 +358,10 @@ def test_each_stage_is_handed_the_flat_view_of_its_state(shape):
         stage(k, x, xflat, row)
 
     # both stacks' plans: a step from ``state`` and one from its result
-    for w in (state, advance(state, 0.5, stage)):
+    for w in (state, advance(state, 0.5, stage)[0]):
         seen.clear()
-        want = advance(w, 0.5, stage).copy()
-        got = advance(w, 0.5, checked)
+        want = advance(w, 0.5, stage)[0].copy()
+        got = advance(w, 0.5, checked)[0]
         assert seen == [0, 1, 2, 3, 4]
         assert got.tobytes() == want.tobytes()
 

@@ -1,6 +1,7 @@
 """Tests for the matrix (frozen-coefficient) stability analysis."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,25 @@ def test_frozen_params_validation():
             analyze(g, UNIT, [bad])
         with pytest.raises(DomainError):
             analyze(g, UNIT, [1e-3, bad])
+
+
+@pytest.mark.parametrize("params, named", [
+    (FrozenParams(tau0=1.0, kappa0=1.0, nu=1e308), "nu=1e+308"),
+    (FrozenParams(tau0=1e308, kappa0=1e308, nu=1.0),
+     "tau0=1e+308, kappa0=1e+308"),
+])
+def test_analyze_names_the_parameters_whose_operator_overflows(params, named):
+    with pytest.raises(DomainError, match=re.escape(named) + "$"):
+        analyze(Grid1D(-math.pi, math.pi, 11), params, [1e-3])
+
+
+def test_an_operator_whose_finite_terms_overflow_names_every_parameter():
+    # each term reaches 1e308 alone; only their sum overflows
+    params = FrozenParams(tau0=1e308, kappa0=0.0, nu=0.5e308)
+    with pytest.raises(DomainError, match="tau0=1e\\+308, kappa0=0.0, "
+                                          "nu=5e\\+307$"):
+        stability._frozen_operator(np.array([[-1.0]]), np.array([[1.0]]),
+                                   params)
 
 
 # ---------------------------------------------------------------------------
