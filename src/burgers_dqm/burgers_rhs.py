@@ -33,17 +33,19 @@ ny - 1), may differ from them by rounding; the solvers overwrite both and
 inputs alike: every weight matrix square and of its axis' size, every field
 of the grid's shape, else ``ShapeMismatch``.  Each ``rhs_*`` is that check,
 one call of a private binding (``_bind_1d``/``_bind_2d`` of the problem and
-the weights: the folded weights and work buffers, and ``rhs(w, out)``,
-which reads no time and leaves the boundary nodes unwritten) and zeroed
-boundary nodes; their ``t`` serves the ``step`` protocol only.  The solvers hold the same
-binding for a solve and leave the boundary nodes to the driver, so ``step``
-with ``rhs_*`` and ``apply_dirichlet_*`` repeats a solve byte for byte.  The
-paper writes each sum as its interior part plus a boundary forcing term (F
-for u, G for v) that collects the first/last-column contributions with the
-convection coefficients frozen at the node value; ``boundary_forcing_*``
-compute those terms on separate (u, v) fields.  The interior-plus-forcing
-RHS built on them is a test oracle (``tests/oracles.py``) that agrees with
-the full-sum route to rounding.
+the weights: the folded weights and work buffers, and a preparer ``at(w)``,
+which builds the views of a state ``w`` once and returns ``rhs(out)``, which
+reads w's entries at each call, reads no time and leaves the boundary nodes
+unwritten) and zeroed boundary nodes; their ``t`` serves the ``step``
+protocol only.  The solvers hold the same binding for a solve, prepare each
+state the stepper hands them once and leave the boundary nodes to the
+driver, so ``step`` with ``rhs_*`` and ``apply_dirichlet_*`` repeats a
+solve byte for byte.  The paper writes each sum as its interior part plus a
+boundary forcing term (F for u, G for v) that collects the first/last-column
+contributions with the convection coefficients frozen at the node value;
+``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The
+interior-plus-forcing RHS built on them is a test oracle
+(``tests/oracles.py``) that agrees with the full-sum route to rounding.
 """
 
 from dataclasses import dataclass
@@ -158,8 +160,8 @@ def _axis(*weights):
 
 
 def _bind_1d(prob, w1, w2, dtype):
-    """``rhs(w, out)``: the 1D right-hand side of a ``(2, n)`` state of
-    ``prob`` written into ``out``, its ends unwritten.
+    """``at(w)``, which returns ``rhs(out)``: the 1D right-hand side of the
+    ``(2, n)`` state w of ``prob`` written into ``out``, its ends unwritten.
 
     The weights and coefficients are folded once, in the weights' dtype:
     ``wt`` is the C-contiguous (n, 2n) matrix ``[w1.T | w2.T]`` and ``lhs``
@@ -167,12 +169,16 @@ def _bind_1d(prob, w1, w2, dtype):
     coupling ``[[eta, alpha, alpha, 0], [0, beta, beta, xi]]`` takes the
     products (u u_x, u v_x, v u_x, v v_x) to the convection terms of u and
     v.  One (8, n) work buffer in ``dtype`` holds u_x, u_xx, v_x, v_xx
-    (rows 0-3) and the four products (rows 4-7).  A call makes one product
-    of the state through ``wt``, which writes rows 0-3 as a (2, 2n) view,
-    one multiply for the four products, which reads the first derivatives
-    through the strided view of rows 0 and 2, and one product of ``lhs``
-    over rows 1-7, which writes ``out``; the column of ``lhs`` over v_x is
-    zero, so that the rows it reads are contiguous.  Both products are
+    (rows 0-3) and the four products (rows 4-7); they and their views are
+    shared by every state prepared.  ``at(w)`` builds w's broadcast view
+    ``w[:, None]`` once, and the ``rhs`` it returns reads w's entries at
+    each call, so a state written in place between calls needs no new
+    preparation.  A call makes one product of the state through ``wt``,
+    which writes rows 0-3 as a (2, 2n) view, one multiply for the four
+    products, which reads the first derivatives through the strided view
+    of rows 0 and 2, and one product of ``lhs`` over rows 1-7, which writes
+    ``out``; the column of ``lhs`` over v_x is zero, so that the rows it
+    reads are contiguous.  Both products are
     ``np.dot``, which writes only into a C-contiguous ``out`` of exactly
     its result dtype: ``dtype`` must be ``np.result_type(w, w1, w2)`` and
     ``out`` C-contiguous in it.  A state that is not C-contiguous may
@@ -189,12 +195,17 @@ def _bind_1d(prob, w1, w2, dtype):
     derivs, wx = work[:4].reshape(2, 2 * n), work[0:4:2]
     prods, terms = work[4:].reshape(2, 2, n), work[1:]
 
-    def rhs(w, out):
-        np.dot(w, wt, out=derivs)
-        np.multiply(w[:, None], wx, out=prods)
-        return np.dot(lhs, terms, out=out)
+    def at(w):
+        wn = w[:, None]
 
-    return rhs
+        def rhs(out):
+            np.dot(w, wt, out=derivs)
+            np.multiply(wn, wx, out=prods)
+            return np.dot(lhs, terms, out=out)
+
+        return rhs
+
+    return at
 
 
 def rhs_1d(w, t, prob, w1, w2):
@@ -215,7 +226,7 @@ def rhs_1d(w, t, prob, w1, w2):
     out = np.empty((2, n), dtype)
     # np.dot takes an F-ordered state by another BLAS path, which rounds
     # differently; a C-ordered copy gives every layout the solvers' bytes
-    _bind_1d(prob, w1, w2, dtype)(np.ascontiguousarray(w), out)
+    _bind_1d(prob, w1, w2, dtype)(np.ascontiguousarray(w))(out)
     out[:, ::n - 1] = 0.0  # both ends in one strided write
     return out
 
@@ -249,8 +260,9 @@ def _zero_ring(D):
 
 
 def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
-    """``rhs(w, out)``: the 2D right-hand side of a ``(2, nx, ny)`` state
-    of ``prob`` written into ``out``, its ring unwritten.
+    """``at(w)``, which returns ``rhs(out)``: the 2D right-hand side of the
+    ``(2, nx, ny)`` state w of ``prob`` written into ``out``, its ring
+    unwritten.
 
     ``prob.nu`` is folded once into copies of ``ax2`` and ``by2``, each in
     its own dtype (``nu`` is cast to it, even a numpy scalar).  The
@@ -260,13 +272,14 @@ def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
     ``np.result_type(w, ax1, ax2, by1, by2)``.  A (2, 2, nx, ny) stack
     ``conv`` in ``dtype`` takes the y-diffusion sums, then the
     x-derivatives (plane ``conv_x``) and the y-derivatives (plane
-    ``conv_y``), which one multiply scales by U and V.  A call takes both
-    y-products first, each as one ``np.dot`` of the state's (2 nx, ny) row
-    view into the held row view of its plane, and drops the row view before
-    the multiply, so that it is not alive beside ``w[:, None]``; the
-    x-products stay batched ``np.matmul``.  The planes and their row views
-    are built once per binding, so a call builds only the row view of its
-    ``w`` and ``w[:, None]``.
+    ``conv_y``), which one multiply scales by U and V.  The planes and
+    their row views are built once per binding and shared by every state
+    prepared.  ``at(w)`` builds w's (2 nx, ny) row view and ``w[:, None]``
+    once, so a call builds no view; for a C-contiguous w the row view is a
+    view, and the ``rhs`` it returns reads w's entries at each call (the
+    row view of any other layout is a copy made by ``at``).  A call takes
+    both y-products first, each as one ``np.dot`` of the row view into the
+    held row view of its plane; the x-products stay batched ``np.matmul``.
     """
     nx, ny = _axis(ax1, ax2), _axis(by1, by2)
     wdtype = np.result_type(ax1, ax2, by1, by2)
@@ -277,19 +290,22 @@ def _bind_2d(prob, ax1, ax2, by1, by2, dtype):
     conv_x, conv_y = conv
     xrows, yrows = conv.reshape(2, 2 * nx, ny)
 
-    def rhs(w, out):
-        rows = w.reshape(2 * nx, ny)
-        np.dot(rows, by2t, out=xrows)
-        np.dot(rows, by1t, out=yrows)
-        del rows  # not alive beside ``w[:, None]``, a step's peak bytes
-        out = np.matmul(ax2, w, out=out)
-        np.add(out, conv_x, out=out)
-        np.matmul(ax1, w, out=conv_x)
-        np.multiply(conv, w[:, None], out=conv)
-        np.subtract(out, conv_x, out=out)
-        return np.subtract(out, conv_y, out=out)
+    def at(w):
+        rows, wn = w.reshape(2 * nx, ny), w[:, None]
 
-    return rhs
+        def rhs(out):
+            np.dot(rows, by2t, out=xrows)
+            np.dot(rows, by1t, out=yrows)
+            out = np.matmul(ax2, w, out=out)
+            np.add(out, conv_x, out=out)
+            np.matmul(ax1, w, out=conv_x)
+            np.multiply(conv, wn, out=conv)
+            np.subtract(out, conv_x, out=out)
+            return np.subtract(out, conv_y, out=out)
+
+        return rhs
+
+    return at
 
 
 def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
@@ -310,7 +326,7 @@ def rhs_2d(w, t, prob, ax1, ax2, by1, by2):
     _check_state((2, _axis(ax1, ax2), _axis(by1, by2)), w)
     dtype = np.result_type(w, ax1, ax2, by1, by2)
     out = np.empty(w.shape, dtype)
-    _bind_2d(prob, ax1, ax2, by1, by2, dtype)(w, out)
+    _bind_2d(prob, ax1, ax2, by1, by2, dtype)(w)(out)
     _zero_ring(out)
     return out
 

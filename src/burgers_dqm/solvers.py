@@ -5,18 +5,19 @@ the command line, builds the grid, reads its quadrature weights from the
 per-process memo of ``dqm_weights``, then hands one shared driver the
 problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and the
-full-sum right-hand side ``rhs(w, out)`` that ``burgers_rhs._bind_1d`` or
-``_bind_2d`` binds for the solve.  It leaves the boundary nodes unwritten,
-since the driver overwrites every one it can reach.  The driver starts from
-the initial fields on the grid's ``coords`` and advances the state with the
-five-stage Runge-Kutta step in increment form
-(``ssprk54._stacked_stepper``), whose stacks and stage states are also held
-for the solve: each ``out`` is a row of a stack, and each stage state one
-product over it.  Time enters only through the traces, which the stage
-callback ``stage(k, x, xflat, out)`` writes into stage state x, through
-the flat view ``xflat`` the stepper holds for it, before it calls
-``rhs(x, out)``; so every stage state carries the traces at its own time,
-and time-varying traces keep the scheme's fourth order.  Every time a run
+preparer ``at(w)`` that ``burgers_rhs._bind_1d`` or ``_bind_2d`` binds for
+the solve, which returns the full-sum right-hand side ``rhs(out)`` of the
+state w.  It leaves the boundary nodes unwritten, since the driver
+overwrites every one it can reach.  The driver starts from the initial
+fields on the grid's ``coords`` and advances the state with the five-stage
+Runge-Kutta step in increment form (``ssprk54._stacked_stepper``), whose
+stacks and stage states are also held for the solve: each ``out`` is a row
+of a stack, and each stage state one product over it, and the driver
+prepares each of those arrays once.  Time enters only through the traces,
+which the stage callback ``stage(k, x, xflat, out)`` writes into stage
+state x, through the flat view ``xflat`` the stepper holds for it, before
+it calls x's prepared ``rhs(out)``; so every stage state carries the traces
+at its own time, and time-varying traces keep the scheme's fourth order.  Every time a run
 needs traces at is known before its first step, so each field's traces are
 evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
 block's stage and result times: they receive an array ``t`` and must
@@ -71,7 +72,7 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     return table
 
 
-def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
+def _drive(prob, grid, impose, prepare, dt, t_end, t0, snapshots, observer):
     """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
 
     The state starts as ``prob.phi``/``prob.psi`` on ``grid.coords``, and
@@ -91,18 +92,24 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     that raises therefore raises before the observer sees the earlier steps
     of its block.
 
-    ``rhs(x, out)`` writes the right-hand side of x into ``out``; its
-    return value is not read.  The stepper's two stacks and four stage
-    states, and every view of them a step reads, are made once per call,
-    and the state alternates between row 0 of the two stacks; each stage
-    writes its traces through the flat view of its stage state that the
-    stepper hands it, and the step's result through the flat view that
-    ``advance`` returns with it, so a step builds no view for its ring
-    writes.  ``observer(step_index, t, u, v)`` is called
-    after every step, once the Dirichlet data are reimposed, with read-only
-    views of the solver state; their memory is overwritten two steps later,
-    so copy them to keep them past the call.  Snapshots and the returned
-    fields are copies.
+    ``prepare(x)`` returns ``rhs(out)``, which writes the right-hand side
+    of x's entries at the time of the call into ``out``; its return value
+    is not read.  The stepper's two stacks and four stage states, and every
+    view of them a step reads, are made once per call, and the state
+    alternates between row 0 of the two stacks; each stage writes its
+    traces through the flat view of its stage state that the stepper hands
+    it, and the step's result through the flat view that ``advance``
+    returns with it, so a step builds no view for its ring writes.  The
+    stepper hands ``stage`` only those six arrays and holds them for the
+    whole call, so each is prepared once, at its first stage, and its
+    ``rhs`` is kept in a memo keyed by the array's identity, which no other
+    array can take while the stepper holds it; a step therefore builds no
+    view for its right-hand sides either.
+
+    ``observer(step_index, t, u, v)`` is called after every step, once the
+    Dirichlet data are reimposed, with read-only views of the solver state;
+    their memory is overwritten two steps later, so copy them to keep them
+    past the call.  Snapshots and the returned fields are copies.
 
     The steps of a block run in one region with numpy's overflow and
     invalid-value warnings silenced: a blow-up ends in ``NonFiniteState``,
@@ -130,12 +137,17 @@ def _drive(prob, grid, impose, rhs, dt, t_end, t0, snapshots, observer):
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
 
+    prepared = {}  # id(x) -> x's right-hand side, for the stepper's six x
+
     def stage(k, x, xflat, out):
         # ``traces`` is the running step's row of ``flat``; stage 0 runs on
         # the state, which holds the traces at its time
         if k:
             xflat[nodes] = traces[k - 1]
-        rhs(x, out)
+        rhs = prepared.get(id(x))
+        if rhs is None:
+            rhs = prepared[id(x)] = prepare(x)
+        rhs(out)
 
     caller = np.geterr()
     for first in range(0, steps, block):
@@ -179,15 +191,15 @@ def _solve(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         grid = Grid2D(Grid1D(prob.a, prob.b, nx),
                       Grid1D(prob.c, prob.d, nx if ny is None else ny))
         impose = apply_dirichlet_2d
-        rhs = _bind_2d(prob, *weights_2d(grid), float)
+        prepare = _bind_2d(prob, *weights_2d(grid), float)
     elif ny is not None:
         raise ConfigError("ny applies to the 2D problems only")
     else:
         grid = Grid1D(prob.a, prob.b, nx)
         weights = _grid_weights(grid)
         impose = apply_dirichlet_1d
-        rhs = _bind_1d(prob, weights.w1, weights.w2, float)
-    return Solution(grid, *_drive(prob, grid, impose, rhs, dt, t_end, t0,
+        prepare = _bind_1d(prob, weights.w1, weights.w2, float)
+    return Solution(grid, *_drive(prob, grid, impose, prepare, dt, t_end, t0,
                                   snapshots, observer))
 
 

@@ -91,14 +91,15 @@ def _check(u, t, stage):
         )
 
 
-def _check_result(out, t, stages):
+def _check_result(flat, ones, t, stages):
     """Raise ``NonFiniteState`` naming the first non-finite of ``stages``
-    (stages 1-4, then the result ``out``) if ``out`` is not finite."""
-    # a finite sum proves every entry finite; only a non-finite sum (which
-    # may be an overflow of finite entries) needs the entrywise check
-    if not cmath.isfinite(np.add.reduce(out, None)) \
-            and not np.isfinite(out).all():
-        for stage, uk in enumerate((*stages, out), start=1):
+    (stages 1-4, then the result, whose entries the 1D ``flat`` holds) if
+    ``flat`` is not finite; ``ones`` is a vector of ones of its size."""
+    # a finite sum of the entries, ``ones @ flat``, proves every entry
+    # finite; only a non-finite sum (which may be an overflow of finite
+    # entries) needs the entrywise check
+    if not cmath.isfinite(np.dot(ones, flat)) and not np.isfinite(flat).all():
+        for stage, uk in enumerate((*stages, flat), start=1):
             _check(uk, t, stage)
 
 
@@ -150,17 +151,24 @@ def _stacked_stepper(u, dt):
     entries in C order.  x is w for k = 0, which ``stage`` must not write,
     and then one of four held stage-state arrays, which it may write,
     through either view (the solvers write each stage's traces through
-    ``xflat``).  Stage state k + 1, or the
+    ``xflat``); so every x is one of six arrays that the stepper holds for
+    its whole life, and a caller may key what it prepares for an x by the
+    array's identity (the solvers prepare each x's right-hand side once).
+    Stage state k + 1, or the
     result after k = 4, is then one ``np.dot`` of its coefficient row over
     rows 0..k + 1 of the stack into that stage state's flat view, which the
     next stage is handed as its ``xflat`` (the result's is ``rflat``).
-    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table
-    and both stacks' plans (every view a step uses, and the pair it
-    returns) are made here, once.
+    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table,
+    a vector of ones of the state's size and both stacks' plans (every view
+    a step uses, and the pair it returns) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
-    nonzero weight.  When it is non-finite, ``NonFiniteState`` names t and
-    the first non-finite stage state (1-5).
+    nonzero weight.  The check is one ``np.dot`` of the ones with
+    ``rflat``, the sum of the result's entries: a finite sum proves every
+    entry finite, and only a non-finite one (which may be an overflow of
+    finite entries) leads to the entrywise check.  When the result is
+    non-finite, ``NonFiniteState`` names t and the first non-finite stage
+    state (1-5).
     """
     stacks = np.empty((2, 6) + u.shape, u.dtype)
     stacks[0, 0] = u
@@ -168,6 +176,7 @@ def _stacked_stepper(u, dt):
     flat = stacks.reshape(2, 6, -1)
     coeffs = np.ones((5, 6), u.dtype)
     coeffs[:, 1:] = dt * INCREMENTS
+    ones = np.ones(u.size, u.dtype)
     # ``...`` keeps a 0-d state's rows views rather than scalars
     heads = (stacks[0, 0, ...], stacks[1, 0, ...])
     states = [stages[k, ...] for k in range(4)]
@@ -187,7 +196,7 @@ def _stacked_stepper(u, dt):
         for k, x, xflat, row, c, prefix, target in plan:
             stage(k, x, xflat, row)
             np.dot(c, prefix, out=target)
-        _check_result(done[0], t, stages)
+        _check_result(done[1], ones, t, stages)
         return done
 
     return heads[0], advance

@@ -105,7 +105,11 @@ def eigen_spectrum(m):
     the probe (an exactly singular shift, sigma_min = 0, passes too).  Only
     when that certificate fails are sigma_min and ||M||_2 computed by SVD,
     to confirm the rejection or overturn it.  Raises ConvergenceFailure if
-    the QR iteration fails or the probe rejects a value.
+    the QR iteration fails, returns a non-finite eigenvalue or the probe
+    rejects a value.  The probe cannot judge a matrix whose norm overflows:
+    its comparisons against an infinite scale are never true, so it
+    neither confirms nor rejects a value; ``analyze`` refuses such an
+    operator before its eigensolve.
     """
     if np.iscomplexobj(m):
         raise DomainError("expected a real matrix, got complex entries")
@@ -122,6 +126,9 @@ def eigen_spectrum(m):
         lam = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure("eigenvalue iteration failed: %s" % exc)
+    if not np.isfinite(lam).all():
+        raise ConvergenceFailure("eigenvalue iteration returned non-finite "
+                                 "eigenvalues")
     n = len(lam)
     sample = sorted(set(int(round(k * (n - 1) / 4.0)) for k in range(5)))
     # not all ones: the odd modes of the derivative blocks are orthogonal
@@ -196,25 +203,34 @@ def _inside(max_abs_r):
     return max_abs_r <= 1.0 + MEMBERSHIP_TOL
 
 
+def _finite_norm(m):
+    """Whether m's entrywise 1-norm, the sum of its entries' magnitudes, is
+    finite: it is only when every entry is, and it bounds m's 1- and
+    inf-norms."""
+    with np.errstate(over="ignore"):
+        return math.isfinite(np.abs(m).sum())
+
+
 def _frozen_operator(a1, a2, params):
     """The assembled operator -(tau0 + kappa0) A1 + 2 nu A2.
 
-    Finite parameters can still overflow it; then a DomainError names the
-    parameters of each term that is not finite (tau0 and kappa0 for the
-    convection term, nu for the diffusion term, all three when only their
-    sum overflows), rather than leaving ``eigen_spectrum`` to refuse a
-    matrix that no input names.
+    Finite parameters can still overflow it, in an entry or in its norm,
+    which the eigensolver cannot scale.  When its ``_finite_norm`` fails, a
+    DomainError names the parameters of each term whose norm is not finite
+    (tau0 and kappa0 for the convection term, nu for the diffusion term,
+    all three when only their sum overflows), rather than leaving
+    ``eigen_spectrum`` to refuse a matrix that no input names.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         convection = -(params.tau0 + params.kappa0) * a1
         diffusion = 2.0 * params.nu * a2
         op = convection + diffusion
-    if np.isfinite(op).all():
+    if _finite_norm(op):
         return op
     names = ()
-    if not np.isfinite(convection).all():
+    if not _finite_norm(convection):
         names += ("tau0", "kappa0")
-    if not np.isfinite(diffusion).all():
+    if not _finite_norm(diffusion):
         names += ("nu",)
     names = names or ("tau0", "kappa0", "nu")
     raise DomainError(

@@ -419,8 +419,8 @@ def test_a_held_2d_binding_keeps_no_view_of_a_state(nx, ny):
     held = _bind_2d(prob, *weights, float)
     for w in np.random.default_rng(nx * ny + 2).standard_normal((6, 2, nx, ny)):
         got, want = np.zeros((2, 2, nx, ny))
-        held(w, got)
-        _bind_2d(prob, *weights, float)(w, want)
+        held(w)(got)
+        _bind_2d(prob, *weights, float)(w)(want)
         assert got.tobytes() == want.tobytes()
 
 
@@ -430,9 +430,42 @@ def test_a_held_1d_binding_keeps_no_view_of_a_state():
     held = _bind_1d(prob, w1, w2, float)
     for w in np.random.default_rng(121).standard_normal((6, 2, 121)):
         got, want = np.zeros((2, 2, 121))
-        held(w, got)
-        _bind_1d(prob, w1, w2, float)(w, want)
+        held(w)(got)
+        _bind_1d(prob, w1, w2, float)(w)(want)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nx, ny", [(17, 17), (9, 7)])
+def test_a_prepared_2d_rhs_reads_its_state_live(nx, ny):
+    # a solve prepares each state once and writes it in place between calls;
+    # a prepared right-hand side that held a copy would read stale values
+    prob = problem4()
+    weights = weights_2d(Grid2D(Grid1D(prob.a, prob.b, nx),
+                                Grid1D(prob.c, prob.d, ny)))
+    first, second = np.random.default_rng(nx * ny + 3).standard_normal(
+        (2, 2, nx, ny))
+    w = first.copy()
+    rhs = _bind_2d(prob, *weights, float)(w)
+    got, want = np.zeros((2, 2, nx, ny))
+    rhs(got)
+    w[...] = second
+    rhs(got)
+    _bind_2d(prob, *weights, float)(second)(want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_prepared_1d_rhs_reads_its_state_live():
+    prob = problem1()
+    w1, w2 = _weights_1d(Grid1D(prob.a, prob.b, 121))
+    first, second = np.random.default_rng(122).standard_normal((2, 2, 121))
+    w = first.copy()
+    rhs = _bind_1d(prob, w1, w2, float)(w)
+    got, want = np.zeros((2, 2, 121))
+    rhs(got)
+    w[...] = second
+    rhs(got)
+    _bind_1d(prob, w1, w2, float)(second)(want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rhs_2d_matches_analytic_time_derivative():

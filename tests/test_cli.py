@@ -1,7 +1,8 @@
 """End-to-end tests for the command-line interface.
 
 Every test drives cli.main(argv) directly and inspects the files it leaves
-behind; only the check of ``python -m burgers_dqm.cli`` shells out.
+behind; only the checks that need a fresh process (``python -m
+burgers_dqm.cli``) shell out.
 """
 
 import errno
@@ -439,6 +440,24 @@ def test_stability_names_the_parameters_whose_operator_overflows(
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.rstrip().endswith("overflows for " + named)
+    assert not out.exists()
+
+
+def test_stability_refuses_an_operator_whose_norm_overflows(tmp_path):
+    # the frozen operator's entries are finite but its norm is not; LAPACK
+    # printed argument errors to the process's own streams and the run
+    # exited 0, so it runs in a fresh process
+    out = tmp_path / "x"
+    done = subprocess.run(
+        [sys.executable, "-m", "burgers_dqm.cli", "stability", "--nx", "11",
+         "--dt-list", "1e-3", "--nu", "1e300", "--tau0", "1e308",
+         "--out", str(out)],
+        env=_script_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "DLASCL" not in done.stderr and "DLASCL" not in done.stdout
+    assert done.stderr.startswith("config error: ")
+    assert done.stderr.rstrip().endswith(
+        "overflows for tau0=1e+308, kappa0=1.0")
     assert not out.exists()
 
 

@@ -215,6 +215,41 @@ def test_unstable_run_raises_nonfinite_with_time():
     assert 0.0 <= exc.value.t <= 150.0
 
 
+@pytest.mark.parametrize("solve, bind, build, n", [
+    (solve_1d, "_bind_1d", problem1, 41), (solve_2d, "_bind_2d", problem4, 9),
+], ids=["1d", "2d"])
+def test_an_infinite_third_stage_of_a_solve_names_its_step(solve, bind, build,
+                                                            n, monkeypatch):
+    # the third right-hand side of the fourth step is infinite: the failure
+    # names that step's start time and stage state 3
+    dt, calls = 1e-3, []
+    real = getattr(solvers, bind)
+
+    def bind_infinite(*args):
+        prepare = real(*args)
+
+        def prepare_infinite(w):
+            rhs = prepare(w)
+
+            def infinite(out):
+                calls.append(1)
+                out = rhs(out)
+                if len(calls) == 5 * 3 + 3:
+                    out[...] = np.inf
+                return out
+
+            return infinite
+
+        return prepare_infinite
+
+    monkeypatch.setattr(solvers, bind, bind_infinite)
+    with pytest.raises(NonFiniteState) as exc:
+        solve(build(), n, dt, 10 * dt)
+    assert len(calls) == 5 * 4
+    assert exc.value.t == 3 * dt
+    assert exc.value.stage == 3
+
+
 # ---------------------------------------------------------------------------
 # 2D
 # ---------------------------------------------------------------------------
@@ -482,12 +517,15 @@ def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
     def bind_reference(bound, w1, w2, dtype):
         assert bound is prob
 
-        def reference(w, out):
-            calls.append(1)
-            out[...] = rhs_1d_reference(w, None, prob, w1, w2)
-            return out
+        def prepare(w):
+            def reference(out):
+                calls.append(1)
+                out[...] = rhs_1d_reference(w, None, prob, w1, w2)
+                return out
 
-        return reference
+            return reference
+
+        return prepare
 
     monkeypatch.setattr(solvers, "_bind_1d", bind_reference)
     want = solve_1d(prob, n, 1e-3, 1.0)
@@ -619,15 +657,20 @@ def test_ring_of_the_2d_rhs_never_reaches_the_solution(build, nx, ny,
     bind, calls = solvers._bind_2d, []
 
     def bind_garbage(*args):
-        rhs = bind(*args)
+        prepare = bind(*args)
 
-        def garbage(w, out):
-            out = rhs(w, out)
-            out[:, ring] = 7.0
-            calls.append(1)
-            return out
+        def prepare_garbage(w):
+            rhs = prepare(w)
 
-        return garbage
+            def garbage(out):
+                out = rhs(out)
+                out[:, ring] = 7.0
+                calls.append(1)
+                return out
+
+            return garbage
+
+        return prepare_garbage
 
     monkeypatch.setattr(solvers, "_bind_2d", bind_garbage)
     got = run()
@@ -720,15 +763,20 @@ def test_ends_of_the_1d_rhs_never_reach_the_solution(build, n, monkeypatch):
     bind, calls = solvers._bind_1d, []
 
     def bind_garbage(*args):
-        rhs = bind(*args)
+        prepare = bind(*args)
 
-        def garbage(w, out):
-            out = rhs(w, out)
-            out[:, [0, -1]] = 7.0
-            calls.append(1)
-            return out
+        def prepare_garbage(w):
+            rhs = prepare(w)
 
-        return garbage
+            def garbage(out):
+                out = rhs(out)
+                out[:, [0, -1]] = 7.0
+                calls.append(1)
+                return out
+
+            return garbage
+
+        return prepare_garbage
 
     monkeypatch.setattr(solvers, "_bind_1d", bind_garbage)
     got = run()

@@ -381,6 +381,33 @@ def test_nonfinite_stacked_step_names_the_failing_stage(stage):
     assert exc.value.stage == stage
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_a_finite_state_near_the_float_limit_is_not_refused(scale):
+    # at 1e200 a product of the state with itself overflows; at 1e308 the
+    # sum of its entries does too, and only the entrywise check can tell
+    # that every entry is finite
+    u = scale * np.array([1.0, 0.5, 1.0, 0.25])
+    with np.errstate(over="ignore" if scale > 1e300 else "raise"):
+        got = step(u, 0.0, 0.5, lambda x, t: np.zeros_like(x))
+    assert got.tobytes() == u.tobytes()
+
+
+def test_an_infinite_third_stage_is_named_by_step():
+    # the third right-hand side is infinite, so stage state 3 is the first
+    # non-finite one; later stages may meet inf - inf
+    t, dt = 0.5, 0.5
+    bad_t = t + ssprk54.ABSCISSAE[2] * dt
+
+    def rhs(u, s):
+        return np.full_like(u, np.inf) if s == bad_t else -u
+
+    with pytest.raises(NonFiniteState) as exc:
+        with np.errstate(invalid="ignore"):
+            step(np.ones(3), t, dt, rhs)
+    assert exc.value.t == t
+    assert exc.value.stage == 3
+
+
 # ---------------------------------------------------------------------------
 # amplification factor
 # ---------------------------------------------------------------------------

@@ -305,6 +305,21 @@ def test_an_operator_whose_finite_terms_overflow_names_every_parameter():
                                    params)
 
 
+def test_analyze_refuses_an_operator_whose_norm_overflows():
+    # every entry is finite (the largest is 1.42e308), but no norm of the
+    # operator is, and LAPACK cannot scale it
+    params = FrozenParams(tau0=1e308, kappa0=1.0, nu=1e300)
+    with pytest.raises(DomainError,
+                       match="overflows for tau0=1e\\+308, kappa0=1.0$"):
+        analyze(Grid1D(-math.pi, math.pi, 11), params, [1e-3])
+
+
+def test_eigen_spectrum_refuses_non_finite_eigenvalues():
+    # finite entries whose eigenvalue, 3.4e308, is not
+    with pytest.raises(ConvergenceFailure, match="non-finite eigenvalues"):
+        eigen_spectrum(np.full((2, 2), 1.7e308))
+
+
 # ---------------------------------------------------------------------------
 # largest stable step
 # ---------------------------------------------------------------------------
