@@ -51,9 +51,10 @@ class Grid1D:
         self.b = float(b)
         self.n = int(n)
         self.h = (self.b - self.a) / (self.n - 1)
-        self.x = np.linspace(self.a, self.b, self.n)
+        # before linspace, which warns on an infinite span
         if not (0.0 < self.h < H_MAX):
             raise DomainError(f"grid spacing h={self.h} outside (0, 2*pi/3)")
+        self.x = np.linspace(self.a, self.b, self.n)
         self.coords = (self.x,)
         self.measure = self.h
         self.ring = np.zeros(self.n, dtype=bool)

@@ -12,17 +12,17 @@ overwrites every one it can reach.  The driver starts from the initial
 fields on the grid's ``coords`` and advances the state with the five-stage
 Runge-Kutta step in increment form (``ssprk54._stacked_stepper``), whose
 stacks and stage states are also held for the solve: each ``out`` is a row
-of a stack, and each stage state one product over it, and the driver
-prepares each of those arrays once.  Time enters only through the traces,
-which the stage callback ``stage(k, x, xflat, out)`` writes into stage
-state x, through the flat view ``xflat`` the stepper holds for it, before
-it calls x's prepared ``rhs(out)``; so every stage state carries the traces
-at its own time, and time-varying traces keep the scheme's fourth order.  Every time a run
-needs traces at is known before its first step, so each field's traces are
-evaluated once per block of steps, over a ``(steps, 5, 1)`` array of the
-block's stage and result times: they receive an array ``t`` and must
-broadcast over it (a scalar return is allowed).  ``t_end`` and each
-snapshot meet ``num_steps``' rule.
+of a stack, and each stage state one product over it.  The stepper has the
+driver prepare each of its six arrays once, when it makes them.  Time
+enters only through the traces: the ``rhs(out)`` the driver prepares for
+stage state x first writes the stage's traces into x, through the flat
+view ``xflat`` the stepper holds for it; so every stage state carries the
+traces at its own time, and time-varying traces keep the scheme's fourth
+order.  Every time a run needs traces at is known before its first step,
+so each field's traces are evaluated once per block of steps, over a
+``(steps, 5, 1)`` array of the block's stage and result times: they
+receive an array ``t`` and must broadcast over it (a scalar return is
+allowed).  ``t_end`` and each snapshot meet ``num_steps``' rule.
 """
 
 from dataclasses import dataclass, field
@@ -72,7 +72,7 @@ def _snapshot_steps(snapshots, t0, dt, steps):
     return table
 
 
-def _drive(prob, grid, impose, prepare, dt, t_end, t0, snapshots, observer):
+def _drive(prob, grid, impose, at, dt, t_end, t0, snapshots, observer):
     """Integrate the stacked state from t0 to t_end; returns (t, u, v, snaps).
 
     The state starts as ``prob.phi``/``prob.psi`` on ``grid.coords``, and
@@ -92,19 +92,16 @@ def _drive(prob, grid, impose, prepare, dt, t_end, t0, snapshots, observer):
     that raises therefore raises before the observer sees the earlier steps
     of its block.
 
-    ``prepare(x)`` returns ``rhs(out)``, which writes the right-hand side
-    of x's entries at the time of the call into ``out``; its return value
-    is not read.  The stepper's two stacks and four stage states, and every
+    ``at(x)`` returns ``rhs(out)``, which writes the right-hand side of
+    x's entries at the time of the call into ``out``; its return value is
+    not read.  The stepper's two stacks and four stage states, and every
     view of them a step reads, are made once per call, and the state
-    alternates between row 0 of the two stacks; each stage writes its
-    traces through the flat view of its stage state that the stepper hands
-    it, and the step's result through the flat view that ``advance``
-    returns with it, so a step builds no view for its ring writes.  The
-    stepper hands ``stage`` only those six arrays and holds them for the
-    whole call, so each is prepared once, at its first stage, and its
-    ``rhs`` is kept in a memo keyed by the array's identity, which no other
-    array can take while the stepper holds it; a step therefore builds no
-    view for its right-hand sides either.
+    alternates between row 0 of the two stacks.  The stepper calls
+    ``prepare(k, x, xflat)`` once for each of those six arrays, as it makes
+    them: a head's ``rhs`` is ``at(x)``'s, and stage state k's first writes
+    the stage's traces through ``xflat``, the flat view the stepper holds
+    for x.  The step's result takes its traces through the flat view that
+    ``advance`` returns with it, so a step builds no view.
 
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
@@ -132,22 +129,23 @@ def _drive(prob, grid, impose, prepare, dt, t_end, t0, snapshots, observer):
                   np.broadcast_to(prob.psi(*grid.coords), grid.ring.shape)],
                  dtype=float)
     impose(w[0], w[1], t0, prob, grid)
-    w, advance = _stacked_stepper(w, dt)
+
+    def prepare(k, x, xflat):
+        # a head (k = 0) is a state, which holds the traces at its time;
+        # ``traces`` is the running step's row of ``flat``
+        rhs = at(x)
+        if not k:
+            return rhs
+
+        def traced(out):
+            xflat[nodes] = traces[k - 1]
+            rhs(out)
+        return traced
+
+    w, advance = _stacked_stepper(w, dt, prepare)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
-
-    prepared = {}  # id(x) -> x's right-hand side, for the stepper's six x
-
-    def stage(k, x, xflat, out):
-        # ``traces`` is the running step's row of ``flat``; stage 0 runs on
-        # the state, which holds the traces at its time
-        if k:
-            xflat[nodes] = traces[k - 1]
-        rhs = prepared.get(id(x))
-        if rhs is None:
-            rhs = prepared[id(x)] = prepare(x)
-        rhs(out)
 
     caller = np.geterr()
     for first in range(0, steps, block):
@@ -162,7 +160,7 @@ def _drive(prob, grid, impose, prepare, dt, t_end, t0, snapshots, observer):
             for j in range(size):
                 k = first + j + 1
                 traces = flat[j]
-                w, wflat = advance(w, base[j], stage)
+                w, wflat = advance(w, base[j])
                 wflat[nodes] = traces[-1]
                 if observer is not None:
                     ro = w.view()
@@ -191,15 +189,15 @@ def _solve(prob, nx, dt, t_end, ny=None, t0=0.0, snapshots=(),
         grid = Grid2D(Grid1D(prob.a, prob.b, nx),
                       Grid1D(prob.c, prob.d, nx if ny is None else ny))
         impose = apply_dirichlet_2d
-        prepare = _bind_2d(prob, *weights_2d(grid), float)
+        at = _bind_2d(prob, *weights_2d(grid), float)
     elif ny is not None:
         raise ConfigError("ny applies to the 2D problems only")
     else:
         grid = Grid1D(prob.a, prob.b, nx)
         weights = _grid_weights(grid)
         impose = apply_dirichlet_1d
-        prepare = _bind_1d(prob, weights.w1, weights.w2, float)
-    return Solution(grid, *_drive(prob, grid, impose, prepare, dt, t_end, t0,
+        at = _bind_1d(prob, weights.w1, weights.w2, float)
+    return Solution(grid, *_drive(prob, grid, impose, at, dt, t_end, t0,
                                   snapshots, observer))
 
 

@@ -14,8 +14,9 @@ side at stage state j (stage state 0 is u), and row 4 gives the result.
 The stage abscissae are the sums of rows 0-3 (Butcher's c = A 1).  The
 coefficient on u is exactly 1, so a zero right-hand side leaves the state
 unchanged and the roundings of u's multiples do not pile up over a run.
-The stepper computes no stage times, as the solvers' right-hand sides read
-none; ``step`` evaluates its ``rhs(u, t)`` at ``t + ABSCISSAE[k] * dt``.
+The stepper has its caller prepare, once, the right-hand side of each
+array it makes for a step to evaluate; it computes no stage times, as the
+solvers' right-hand sides read none, and ``step`` prepares its own.
 The solvers hold one stepper for a whole run, ``step`` builds one per call,
 and ``amplification`` evaluates the stability polynomial whose coefficients
 the table gives.
@@ -106,61 +107,59 @@ def _check_result(flat, ones, t, stages):
 def step(u, t, dt, rhs):
     """Advance u from t to t + dt with one SSP-RK54 step.
 
-    rhs(u, t) returns du/dt, broadcastable to u's shape, and is evaluated at
-    each stage's abscissa ``t + ABSCISSAE[k-1] * dt``.  The step is one
-    ``advance`` of a ``_stacked_stepper`` built for the call, in the dtype
-    of the expression form's first stage ``u + (B10 * dt) * rhs(u, t)`` (an
-    integer u gives a float result; a Python scalar from rhs is weakly
-    typed), to which later right-hand sides must cast by same-kind casting.
-    A 0-d u gives a numpy scalar.  Neither u nor an array rhs returns is
-    written, and rhs may return one array, overwritten at every call.  rhs
-    is handed u, which it must not write, then the step's own stage states;
-    a write to one of those reaches only that call's right-hand side, as
-    each stage state is built from u and the right-hand sides alone.  A
-    non-finite result raises ``NonFiniteState`` naming ``t`` and the first
-    non-finite stage (1-5).
+    The step is one ``advance`` of a ``_stacked_stepper`` built for the
+    call, in the dtype of the expression form's first stage ``u + (B10 *
+    dt) * rhs(u, t)`` (an integer u gives a float result; a Python scalar
+    from rhs is weakly typed).  rhs(u, t) returns du/dt, broadcastable to
+    u's shape; stage k evaluates it at ``t + ABSCISSAE[k] * dt`` (stage 0
+    reuses that first call), and each result must cast by same-kind
+    casting.  A 0-d u gives a numpy scalar.  Neither u nor an array rhs
+    returns is written, and rhs may return one array, overwritten at every
+    call.  rhs is handed u, which it must not write, then the step's own
+    stage states; a write to one of those reaches only that call's
+    right-hand side, as each stage state is built from u and the
+    right-hand sides alone.  A non-finite result raises ``NonFiniteState``
+    naming ``t`` and the first non-finite stage (1-5).
     """
     u = np.asarray(u)
     l0 = rhs(u, t)
     dtype = np.result_type(u, (B10 * dt) * l0)
-    state, advance = _stacked_stepper(np.asarray(u, dtype), dt)
 
-    def stage(k, x, xflat, row):
-        np.copyto(row, rhs(x, t + ABSCISSAE[k] * dt) if k else l0,
-                  casting="same_kind")
+    def prepare(k, x, xflat):
+        tk = t + ABSCISSAE[k] * dt
+        return lambda row: np.copyto(row, rhs(x, tk) if k else l0,
+                                     casting="same_kind")
 
+    state, advance = _stacked_stepper(np.asarray(u, dtype), dt, prepare)
     # a copy, so that the result does not keep the stepper's stacks alive
-    return advance(state, t, stage)[0].copy()[()]
+    return advance(state, t)[0].copy()[()]
 
 
-def _stacked_stepper(u, dt):
+def _stacked_stepper(u, dt, prepare):
     """The solvers' step: SSP-RK54 in increment form, on stacks held for a
     whole run at one dt.  Returns ``(state, advance)``.
 
     ``state`` is a copy of the array u, in u's dtype.  It is row 0 of one
     of two stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the
-    right-hand sides L0..L4 of a step from that row.  ``advance(w, t,
-    stage)`` steps w, which must be ``state`` or the result of an
-    ``advance``, and returns the pair ``(result, rflat)``: the result is
-    row 0 of the other stack, so that results alternate between two arrays
-    and w is not written, and ``rflat`` the 1D view of its entries in C
-    order, through which a caller may write it (the solvers write the
-    result's traces); t only names a failure.  For k = 0..4 it calls
-    ``stage(k, x, xflat, row)``, which must write the right-hand side of x
-    into ``row``, the stack row of L_k; ``xflat`` is the 1D view of x's
-    entries in C order.  x is w for k = 0, which ``stage`` must not write,
-    and then one of four held stage-state arrays, which it may write,
-    through either view (the solvers write each stage's traces through
-    ``xflat``); so every x is one of six arrays that the stepper holds for
-    its whole life, and a caller may key what it prepares for an x by the
-    array's identity (the solvers prepare each x's right-hand side once).
-    Stage state k + 1, or the
-    result after k = 4, is then one ``np.dot`` of its coefficient row over
-    rows 0..k + 1 of the stack into that stage state's flat view, which the
-    next stage is handed as its ``xflat`` (the result's is ``rflat``).
-    The stacks, the stage states, the dt-scaled ``[1 | INCREMENTS]`` table,
-    a vector of ones of the state's size and both stacks' plans (every view
-    a step uses, and the pair it returns) are made here, once.
+    right-hand sides L0..L4 of a step from that row.  As it makes the six
+    arrays a step evaluates, the two heads and four stage states, the
+    stepper calls ``prepare(k, x, xflat)`` once for each: k is 0 for a
+    head and k for stage state k, and ``xflat`` is x's 1D view in C order.
+    It returns ``rhs(row)``, which writes the right-hand side of x's
+    entries at the time of the call into ``row``, and may write a stage
+    state, never a head (the solvers write each stage's traces through
+    ``xflat``).  ``advance(w, t)`` steps w, which must be ``state`` or the
+    result of an ``advance``, and returns the pair ``(result, rflat)``:
+    the result is the other head, so that results alternate between two
+    arrays and w is not written, and ``rflat`` its 1D view, through which
+    a caller may write it (the solvers write the result's traces); t only
+    names a failure.  For each k = 0..4, the ``rhs`` of w or of stage
+    state k writes L_k into its stack row, and stage state k + 1, or the
+    result, is one ``np.dot`` of its coefficient row over rows 0..k + 1
+    into its flat view.  The stacks, the stage states, the dt-scaled
+    ``[1 | INCREMENTS]`` table, a vector of ones of the state's size and
+    both stacks' plans (every view and ``rhs`` a step uses, and the pair
+    it returns) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
     nonzero weight.  The check is one ``np.dot`` of the ones with
@@ -174,27 +173,27 @@ def _stacked_stepper(u, dt):
     stacks[0, 0] = u
     stages = np.empty((4,) + u.shape, u.dtype)
     flat = stacks.reshape(2, 6, -1)
+    sflat = stages.reshape(4, -1)
     coeffs = np.ones((5, 6), u.dtype)
     coeffs[:, 1:] = dt * INCREMENTS
     ones = np.ones(u.size, u.dtype)
     # ``...`` keeps a 0-d state's rows views rather than scalars
     heads = (stacks[0, 0, ...], stacks[1, 0, ...])
-    states = [stages[k, ...] for k in range(4)]
+    staged = [prepare(k + 1, stages[k, ...], sflat[k]) for k in range(4)]
 
     def build(s):
-        xs = (heads[s], *states)
-        targets = (*stages.reshape(4, -1), flat[1 - s, 0])
-        xflats = (flat[s, 0], *targets[:4])
+        fs = (prepare(0, heads[s], flat[s, 0]), *staged)
+        targets = (*sflat, flat[1 - s, 0])
         return (heads[1 - s], targets[4]), tuple(
-            (k, xs[k], xflats[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
+            (fs[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
              flat[s, :k + 2], targets[k]) for k in range(5))
 
     plans = {id(heads[s]): build(s) for s in (0, 1)}
 
-    def advance(w, t, stage):
+    def advance(w, t):
         done, plan = plans[id(w)]
-        for k, x, xflat, row, c, prefix, target in plan:
-            stage(k, x, xflat, row)
+        for f, row, c, prefix, target in plan:
+            f(row)
             np.dot(c, prefix, out=target)
         _check_result(done[1], ones, t, stages)
         return done

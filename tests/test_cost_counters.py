@@ -2,7 +2,9 @@
 cannot move.
 
 One step each of problem 4 at 17x17 and 65x65 and of problem 1 at n = 121
-is counted: the right-hand-side calls per step, the matrix products,
+is counted: the right-hand-side calls per step, the preparations of a
+right-hand side per solve (one for each of the stepper's six arrays, made
+as the stepper is built), the matrix products,
 elementwise ufunc calls and item writes (the ring writes) of one call of
 the solver's right-hand-side binding (every ufunc it calls through
 ``burgers_rhs``'s ``np``, on its held buffers too), the numpy calls
@@ -132,13 +134,16 @@ CASES = {
 # Preparing each state's views once per solve, rather than at every
 # right-hand-side call, took a step's peak from 10592, 1344 and 9040 bytes.
 PINS = {
-    "p4-17": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
+    "p4-17": {"rhs_calls_per_step": 5, "prepares_per_solve": 6,
+              "products": 4, "elementwise": 4,
               "item_writes": 0, "step_numpy_calls": 6,
               "step_peak_bytes": 10496},
-    "p4-65": {"rhs_calls_per_step": 5, "products": 4, "elementwise": 4,
+    "p4-65": {"rhs_calls_per_step": 5, "prepares_per_solve": 6,
+              "products": 4, "elementwise": 4,
               "item_writes": 0, "step_numpy_calls": 6,
               "step_peak_bytes": 1248},
-    "p1-121": {"rhs_calls_per_step": 5, "products": 2, "elementwise": 1,
+    "p1-121": {"rhs_calls_per_step": 5, "prepares_per_solve": 6,
+               "products": 2, "elementwise": 1,
                "item_writes": 0, "step_numpy_calls": 6,
                "step_peak_bytes": 8944, "public_step_numpy_calls": 6},
 }
@@ -150,7 +155,10 @@ def _costs(run):
     A run's first step allocates some bytes more than the later ones, and
     the first run of a process more again, so it is not the one counted.
     A step reads its input and writes the other stack, so it is run twice
-    on the same input: once counting calls, once tracing memory.
+    on the same input: once counting calls, once tracing memory.  The
+    stepper's ``prepare`` is wrapped, so that each right-hand side it
+    returns counts its calls, and the preparations are counted over the
+    whole run up to the counted step.
     """
     real_drive, real_stepper = solvers._drive, solvers._stacked_stepper
     real_binds = solvers._bind_1d, solvers._bind_2d
@@ -166,29 +174,37 @@ def _costs(run):
             return bound[-1]
         return record
 
-    def stepper(u, dt):
-        state, advance = real_stepper(u, dt)
+    def stepper(u, dt, prepare):
+        prepares, calls = [0], [0]
 
-        def counted_advance(w, t, stage):
-            calls = [0]
+        def counted_prepare(*args):
+            prepares[0] += 1
+            rhs = prepare(*args)
 
-            def counted_stage(*args):
+            def counted_rhs(out):
                 calls[0] += 1
-                return stage(*args)
+                rhs(out)
+            return counted_rhs
 
+        state, advance = real_stepper(u, dt, counted_prepare)
+
+        def counted_advance(w, t):
+            calls[0] = 0
             _COUNTS.clear()
             ssprk54.np = _CountingNumpy(_CountingCall)
             try:
-                advance(w, t, counted_stage)
+                advance(w, t)
             finally:
                 ssprk54.np = np
+            rhs_calls = calls[0]
             tracemalloc.start()
             try:
-                out = advance(w, t, stage)
+                out = advance(w, t)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            per_step.append({"rhs_calls_per_step": calls[0],
+            per_step.append({"rhs_calls_per_step": rhs_calls,
+                             "prepares_per_solve": prepares[0],
                              "step_numpy_calls": _COUNTS["step_numpy_calls"],
                              "step_peak_bytes": peak})
             return out

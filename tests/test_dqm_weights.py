@@ -1,6 +1,7 @@
 """Tests for grids and quadrature weight matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_grid_rejects_bad_input():
     # spacing must stay below the admissible limit for the spline constants
     with pytest.raises(DomainError):
         Grid1D(0.0, 100.0, 5)
+    # an infinite span is refused with no numpy warning first
+    for a, b in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="grid spacing"):
+                Grid1D(a, b, 5)
     # a node count must be whole; an integral float is still accepted
     for n in (10.7, 10.5, math.nan, math.inf):
         with pytest.raises(DomainError):

@@ -228,17 +228,20 @@ def test_an_rhs_that_returns_one_held_array_changes_no_bit(shape):
 # the solvers' step: increment form over a held stack
 # ---------------------------------------------------------------------------
 
-def _stage(rhs, t, dt):
-    """The stage callback of ``_stacked_stepper`` for ``rhs(x, t)`` on the
-    step from t, each stage at its abscissa, as ``step`` makes it."""
-    def stage(k, x, xflat, row):
-        row[...] = rhs(x, t + ssprk54.ABSCISSAE[k] * dt)
-    return stage
+def _prepare(rhs, t, dt):
+    """The ``prepare`` of ``_stacked_stepper`` for ``rhs(x, t)`` on steps
+    from t: each array's ``rhs(row)`` evaluates it at the abscissa of its
+    stage k, as ``step`` makes them."""
+    def prepare(k, x, xflat):
+        def at_stage(row):
+            row[...] = rhs(x, t + ssprk54.ABSCISSAE[k] * dt)
+        return at_stage
+    return prepare
 
 
 def _stacked_step(u, t, dt, rhs):
-    state, advance = ssprk54._stacked_stepper(u, dt)
-    return advance(state, t, _stage(rhs, t, dt))[0]
+    state, advance = ssprk54._stacked_stepper(u, dt, _prepare(rhs, t, dt))
+    return advance(state, t)[0]
 
 
 def test_increment_table_rows_sum_to_the_abscissae():
@@ -306,24 +309,65 @@ def test_step_is_bitwise_the_expression_form(shape, dtype):
         assert got.tobytes() == stacked.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 9, 7)])
+def test_a_stepper_prepares_each_of_its_six_arrays_once(shape):
+    u = np.random.default_rng(sum(shape) + 5).uniform(-1.0, 1.0, shape)
+    prepare, made = _prepare(_nonlinear_rhs, 0.5, 0.1), []
+
+    def recorded(k, x, xflat):
+        made.append((k, x, xflat))
+        return prepare(k, x, xflat)
+
+    state, advance = ssprk54._stacked_stepper(u, 0.1, recorded)
+    # the two stack heads at k = 0 and stage states 1-4, in any order
+    assert sorted(k for k, _, _ in made) == [0, 0, 1, 2, 3, 4]
+    assert any(x is state for k, x, _ in made if k == 0)
+    other, = [x for k, x, _ in made if k == 0 and x is not state]
+    for k, x, xflat in made:
+        assert x.shape == shape
+        assert xflat.ndim == 1 and xflat.size == x.size
+        assert xflat.flags.c_contiguous and np.shares_memory(xflat, x)
+        # x's entries in C order: a write through xflat reaches x there
+        kept = x.copy()
+        xflat[...] = np.arange(x.size)
+        assert np.array_equal(x.reshape(-1), np.arange(x.size))
+        x[...] = kept
+    for i, (_, x, _) in enumerate(made):
+        assert not any(np.shares_memory(x, y) for _, y, _ in made[i + 1:])
+    assert state.tobytes() == u.tobytes()
+
+    # three steps, whose results alternate between the heads, prepare none
+    w = state
+    for head in (other, state, other):
+        w = advance(w, 0.5)[0]
+        assert w is head
+    assert len(made) == 6
+
+
 def test_stacked_results_alternate_and_leave_their_input_unchanged():
     u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-    state, advance = ssprk54._stacked_stepper(u, 0.1)
+    prepare, calls = _prepare(_nonlinear_rhs, 0.5, 0.1), []
+
+    def recorded(k, x, xflat):
+        rhs = prepare(k, x, xflat)
+
+        def called(row):
+            calls.append((k, x))
+            rhs(row)
+        return called
+
+    state, advance = ssprk54._stacked_stepper(u, 0.1, recorded)
     assert state.tobytes() == u.tobytes() and not np.shares_memory(state, u)
-    stage, ks = _stage(_nonlinear_rhs, 0.5, 0.1), []
-
-    def recorded(k, x, xflat, row):
-        ks.append(k)
-        assert (x is state) == (k == 0)
-        stage(k, x, xflat, row)
-
-    first, first_flat = advance(state, 0.5, recorded)
-    assert ks == [0, 1, 2, 3, 4]
+    first, first_flat = advance(state, 0.5)
+    assert [k for k, _ in calls] == [0, 1, 2, 3, 4]
+    assert [x is state for _, x in calls] == [True] + 4 * [False]
     assert state.tobytes() == u.tobytes()
-    again = advance(state, 0.5, stage)
+    again = advance(state, 0.5)
     assert again[0] is first and again[1] is first_flat
-    second, second_flat = advance(first, 0.6, stage)
-    assert advance(second, 0.7, stage)[0] is first
+    calls.clear()
+    second, second_flat = advance(first, 0.6)
+    assert [x is first for _, x in calls] == [True] + 4 * [False]
+    assert advance(second, 0.7)[0] is first
     assert not np.shares_memory(first, second)
     # each result comes with its flat view, through which it may be written
     for result, flat in ((first, first_flat), (second, second_flat)):
@@ -331,39 +375,45 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
         flat[-1] = 7.0
         assert result[-1, -1] == 7.0
     with pytest.raises(KeyError):
-        advance(u, 0.5, stage)
+        advance(u, 0.5)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 121), (2, 9, 7)])
 def test_each_stage_is_handed_the_flat_view_of_its_state(shape):
     u = np.random.default_rng(sum(shape) + 3).uniform(-1.0, 1.0, shape)
-    state, advance = ssprk54._stacked_stepper(u, 0.1)
-    stage, seen = _stage(_nonlinear_rhs, 0.5, 0.1), []
+    prepare, seen = _prepare(_nonlinear_rhs, 0.5, 0.1), []
 
-    def checked(k, x, xflat, row):
-        seen.append(k)
+    def checked(k, x, xflat):
         assert xflat.ndim == 1 and xflat.size == x.size
         assert np.shares_memory(xflat, x)
-        if k == 0:
-            # a view of the state stepped from, not a copy of it
-            assert x is w
-            assert xflat.tobytes() == x.tobytes()
-        else:
-            # a stage state may be written; put each entry back after
-            for i in (0, x.size - 1):
-                kept = xflat[i]
-                xflat[i] = 7.0 + k
-                assert x.reshape(-1)[i] == 7.0 + k
-                xflat[i] = kept
-        stage(k, x, xflat, row)
+        rhs = prepare(k, x, xflat)
 
+        def at_stage(row):
+            seen.append(k)
+            if k == 0:
+                # a view of the state stepped from, not a copy of it
+                assert x is w
+                assert xflat.tobytes() == x.tobytes()
+            else:
+                # a stage state may be written; put each entry back after
+                for i in (0, x.size - 1):
+                    kept = xflat[i]
+                    xflat[i] = 7.0 + k
+                    assert x.reshape(-1)[i] == 7.0 + k
+                    xflat[i] = kept
+            rhs(row)
+        return at_stage
+
+    state, advance = ssprk54._stacked_stepper(u, 0.1, checked)
+    plain_state, plain = ssprk54._stacked_stepper(u, 0.1, prepare)
     # both stacks' plans: a step from ``state`` and one from its result
-    for w in (state, advance(state, 0.5, stage)[0]):
+    w, v = state, plain_state
+    for _ in range(2):
         seen.clear()
-        want = advance(w, 0.5, stage)[0].copy()
-        got = advance(w, 0.5, checked)[0]
+        got, want = advance(w, 0.5)[0], plain(v, 0.5)[0]
         assert seen == [0, 1, 2, 3, 4]
         assert got.tobytes() == want.tobytes()
+        w, v = got, want
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
