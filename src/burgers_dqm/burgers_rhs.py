@@ -37,10 +37,9 @@ the weights: the folded weights and work buffers, and a preparer ``at(w)``,
 which builds the views of a state ``w`` once and returns ``rhs(out)``, which
 reads w's entries at each call, reads no time and leaves the boundary nodes
 unwritten) and zeroed boundary nodes; their ``t`` serves the ``step``
-protocol only.  The solvers hold the same binding for a solve, prepare each
-of the stepper's six arrays once, as the stepper makes them, and leave the
-boundary nodes to the driver, so ``step`` with ``rhs_*`` and
-``apply_dirichlet_*`` repeats a solve byte for byte.  The paper writes each sum as its interior part plus a
+protocol only.  The solvers hold the same binding for a solve and leave the
+boundary nodes to the stepper, which pins them, so ``step`` with ``rhs_*``
+and ``apply_dirichlet_*`` repeats a solve byte for byte.  The paper writes each sum as its interior part plus a
 boundary forcing term (F for u, G for v) that collects the first/last-column
 contributions with the convection coefficients frozen at the node value;
 ``boundary_forcing_*`` compute those terms on separate (u, v) fields.  The

@@ -38,8 +38,10 @@ P2_HORIZON = 0.6
 
 
 def _check_re(re):
-    if not 0.0 < re < math.inf:
-        raise DomainError("re must be finite and positive, got %r" % (re,))
+    # a positive re below 1/DBL_MAX gives nu = 1/re = inf
+    if not 0.0 < re < math.inf or math.isinf(1.0 / float(re)):
+        raise DomainError(
+            "re must be positive with re and 1/re finite, got %r" % (re,))
 
 
 def _on_square(name, re, side, u, v, horizon=None, exact=True):

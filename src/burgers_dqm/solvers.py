@@ -6,23 +6,17 @@ per-process memo of ``dqm_weights``, then hands one shared driver the
 problem, the grid, ``apply_dirichlet_1d`` or ``_2d``, which write the
 Dirichlet traces at a column of times into rows of boundary values, and the
 preparer ``at(w)`` that ``burgers_rhs._bind_1d`` or ``_bind_2d`` binds for
-the solve, which returns the full-sum right-hand side ``rhs(out)`` of the
-state w.  It leaves the boundary nodes unwritten, since the driver
-overwrites every one it can reach.  The driver starts from the initial
-fields on the grid's ``coords`` and advances the state with the five-stage
-Runge-Kutta step in increment form (``ssprk54._stacked_stepper``), whose
-stacks and stage states are also held for the solve: each ``out`` is a row
-of a stack, and each stage state one product over it.  The stepper has the
-driver prepare each of its six arrays once, when it makes them.  Time
-enters only through the traces: the ``rhs(out)`` the driver prepares for
-stage state x first writes the stage's traces into x, through the flat
-view ``xflat`` the stepper holds for it; so every stage state carries the
-traces at its own time, and time-varying traces keep the scheme's fourth
-order.  Every time a run needs traces at is known before its first step,
-so each field's traces are evaluated once per block of steps, over a
-``(steps, 5, 1)`` array of the block's stage and result times: they
-receive an array ``t`` and must broadcast over it (a scalar return is
-allowed).  ``t_end`` and each snapshot meet ``num_steps``' rule.
+the solve.  The driver starts from the initial fields on the grid's
+``coords`` and advances the state with the five-stage Runge-Kutta step
+(``ssprk54._stacked_stepper``), also held for the solve, which pins the
+Dirichlet nodes of every stage state and result to the traces the driver
+hands it.  Time enters only through the traces, each stage state's at its
+own time, so time-varying traces keep the scheme's fourth order.  Every
+time a run needs traces at is known before its first step, so each
+field's traces are evaluated once per block of steps, over a ``(steps, 5,
+1)`` array of the block's stage and result times: they receive an array
+``t`` and must broadcast over it (a scalar return is allowed).  ``t_end``
+and each snapshot meet ``num_steps``' rule.
 """
 
 from dataclasses import dataclass, field
@@ -78,30 +72,15 @@ def _drive(prob, grid, impose, at, dt, t_end, t0, snapshots, observer):
     The state starts as ``prob.phi``/``prob.psi`` on ``grid.coords``, and
     ``grid.ring`` masks a field's Dirichlet nodes.  ``impose(u, v, t, prob,
     grid)`` fills two fields, or (..., b) rows of the masked values for an
-    array t of times with a trailing axis of 1.
-
-    ``rhs`` may leave any finite values on the masked nodes of its result.
-    The step combines stages pointwise, so they reach only masked entries of
-    later stage states and of the result, and the driver writes the traces
-    there before the next ``rhs`` call and after every step; only the step's
-    finiteness check reads them first.
+    array t of times with a trailing axis of 1.  ``at(x)`` prepares each
+    array x of the stepper, whatever its stage, and the stepper pins the
+    masked nodes to the running step's traces.
 
     The traces are evaluated one block of steps ahead: one ``impose`` call
     covers the stage and result times of up to ``TRACE_BUDGET // (5 *
     boundary nodes)`` steps, and the last block stops at t_end.  A trace
     that raises therefore raises before the observer sees the earlier steps
     of its block.
-
-    ``at(x)`` returns ``rhs(out)``, which writes the right-hand side of
-    x's entries at the time of the call into ``out``; its return value is
-    not read.  The stepper's two stacks and four stage states, and every
-    view of them a step reads, are made once per call, and the state
-    alternates between row 0 of the two stacks.  The stepper calls
-    ``prepare(k, x, xflat)`` once for each of those six arrays, as it makes
-    them: a head's ``rhs`` is ``at(x)``'s, and stage state k's first writes
-    the stage's traces through ``xflat``, the flat view the stepper holds
-    for x.  The step's result takes its traces through the flat view that
-    ``advance`` returns with it, so a step builds no view.
 
     ``observer(step_index, t, u, v)`` is called after every step, once the
     Dirichlet data are reimposed, with read-only views of the solver state;
@@ -130,19 +109,7 @@ def _drive(prob, grid, impose, at, dt, t_end, t0, snapshots, observer):
                  dtype=float)
     impose(w[0], w[1], t0, prob, grid)
 
-    def prepare(k, x, xflat):
-        # a head (k = 0) is a state, which holds the traces at its time;
-        # ``traces`` is the running step's row of ``flat``
-        rhs = at(x)
-        if not k:
-            return rhs
-
-        def traced(out):
-            xflat[nodes] = traces[k - 1]
-            rhs(out)
-        return traced
-
-    w, advance = _stacked_stepper(w, dt, prepare)
+    w, advance = _stacked_stepper(w, dt, lambda k, x: at(x), nodes)
     collected = []
     if 0 in snap_at:
         collected.append((snap_at[0], w[0].copy(), w[1].copy()))
@@ -159,9 +126,7 @@ def _drive(prob, grid, impose, at, dt, t_end, t0, snapshots, observer):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(size):
                 k = first + j + 1
-                traces = flat[j]
-                w, wflat = advance(w, base[j])
-                wflat[nodes] = traces[-1]
+                w = advance(w, base[j], flat[j])
                 if observer is not None:
                     ro = w.view()
                     ro.flags.writeable = False

@@ -14,9 +14,6 @@ side at stage state j (stage state 0 is u), and row 4 gives the result.
 The stage abscissae are the sums of rows 0-3 (Butcher's c = A 1).  The
 coefficient on u is exactly 1, so a zero right-hand side leaves the state
 unchanged and the roundings of u's multiples do not pile up over a run.
-The stepper has its caller prepare, once, the right-hand side of each
-array it makes for a step to evaluate; it computes no stage times, as the
-solvers' right-hand sides read none, and ``step`` prepares its own.
 The solvers hold one stepper for a whole run, ``step`` builds one per call,
 and ``amplification`` evaluates the stability polynomial whose coefficients
 the table gives.
@@ -104,20 +101,23 @@ def _check_result(flat, ones, t, stages):
             _check(uk, t, stage)
 
 
+# ``step`` pins no entries
+_NO_NODES, _NO_PINS = np.empty(0, np.intp), np.empty((5, 0))
+
+
 def step(u, t, dt, rhs):
     """Advance u from t to t + dt with one SSP-RK54 step.
 
-    The step is one ``advance`` of a ``_stacked_stepper`` built for the
-    call, in the dtype of the expression form's first stage ``u + (B10 *
-    dt) * rhs(u, t)`` (an integer u gives a float result; a Python scalar
-    from rhs is weakly typed).  rhs(u, t) returns du/dt, broadcastable to
-    u's shape; stage k evaluates it at ``t + ABSCISSAE[k] * dt`` (stage 0
-    reuses that first call), and each result must cast by same-kind
-    casting.  A 0-d u gives a numpy scalar.  Neither u nor an array rhs
-    returns is written, and rhs may return one array, overwritten at every
-    call.  rhs is handed u, which it must not write, then the step's own
-    stage states; a write to one of those reaches only that call's
-    right-hand side, as each stage state is built from u and the
+    The result has the dtype of the expression form's first stage ``u +
+    (B10 * dt) * rhs(u, t)`` (an integer u gives a float result; a Python
+    scalar from rhs is weakly typed).  rhs(u, t) returns du/dt,
+    broadcastable to u's shape; stage k evaluates it at ``t + ABSCISSAE[k]
+    * dt`` (stage 0 reuses that first call), and each result must cast by
+    same-kind casting.  A 0-d u gives a numpy scalar.  Neither u nor an
+    array rhs returns is written, and rhs may return one array, overwritten
+    at every call.  rhs is handed u, which it must not write, then the
+    step's own stage states; a write to one of those reaches only that
+    call's right-hand side, as each stage state is built from u and the
     right-hand sides alone.  A non-finite result raises ``NonFiniteState``
     naming ``t`` and the first non-finite stage (1-5).
     """
@@ -125,17 +125,18 @@ def step(u, t, dt, rhs):
     l0 = rhs(u, t)
     dtype = np.result_type(u, (B10 * dt) * l0)
 
-    def prepare(k, x, xflat):
+    def prepare(k, x):
         tk = t + ABSCISSAE[k] * dt
         return lambda row: np.copyto(row, rhs(x, tk) if k else l0,
                                      casting="same_kind")
 
-    state, advance = _stacked_stepper(np.asarray(u, dtype), dt, prepare)
+    state, advance = _stacked_stepper(np.asarray(u, dtype), dt, prepare,
+                                      _NO_NODES)
     # a copy, so that the result does not keep the stepper's stacks alive
-    return advance(state, t)[0].copy()[()]
+    return advance(state, t, _NO_PINS).copy()[()]
 
 
-def _stacked_stepper(u, dt, prepare):
+def _stacked_stepper(u, dt, prepare, nodes):
     """The solvers' step: SSP-RK54 in increment form, on stacks held for a
     whole run at one dt.  Returns ``(state, advance)``.
 
@@ -143,31 +144,35 @@ def _stacked_stepper(u, dt, prepare):
     of two stacks of shape ``(6, *u.shape)``, whose rows 1-5 take the
     right-hand sides L0..L4 of a step from that row.  As it makes the six
     arrays a step evaluates, the two heads and four stage states, the
-    stepper calls ``prepare(k, x, xflat)`` once for each: k is 0 for a
-    head and k for stage state k, and ``xflat`` is x's 1D view in C order.
-    It returns ``rhs(row)``, which writes the right-hand side of x's
-    entries at the time of the call into ``row``, and may write a stage
-    state, never a head (the solvers write each stage's traces through
-    ``xflat``).  ``advance(w, t)`` steps w, which must be ``state`` or the
-    result of an ``advance``, and returns the pair ``(result, rflat)``:
-    the result is the other head, so that results alternate between two
-    arrays and w is not written, and ``rflat`` its 1D view, through which
-    a caller may write it (the solvers write the result's traces); t only
-    names a failure.  For each k = 0..4, the ``rhs`` of w or of stage
-    state k writes L_k into its stack row, and stage state k + 1, or the
-    result, is one ``np.dot`` of its coefficient row over rows 0..k + 1
-    into its flat view.  The stacks, the stage states, the dt-scaled
-    ``[1 | INCREMENTS]`` table, a vector of ones of the state's size and
-    both stacks' plans (every view and ``rhs`` a step uses, and the pair
-    it returns) are made here, once.
+    stepper calls ``prepare(k, x)`` once for each (k is 0 for a head and k
+    for stage state k), which returns ``rhs(row)``: it writes the
+    right-hand side of x's entries at the time of the call into ``row``,
+    and may write a stage state, never a head.
+
+    ``advance(w, t, pinned)`` steps w, which must be ``state`` or the
+    result of an ``advance``, and returns the result: the other head, so
+    results alternate between two arrays and w is not written; t only
+    names a failure.  For each k = 0..4, the ``rhs`` of w or of stage state
+    k writes L_k into its stack row, and stage state k + 1, or the result,
+    is one ``np.dot`` of its coefficient row over rows 0..k + 1.  ``nodes``
+    are the flat (C-order) indices of the pinned entries, such as the
+    Dirichlet nodes, and ``pinned`` a (5, nodes.size) array of their
+    values: stage state k + 1 takes row k right after its product, so
+    before its ``rhs`` runs, and the result takes row 4 after the
+    finiteness check.  An ``rhs`` may thus leave any finite values on the
+    pinned entries of its row: stages combine pointwise, so these reach
+    only pinned entries, which are overwritten.  The stacks, the stage
+    states, the dt-scaled ``[1 | INCREMENTS]`` table, a vector of ones of
+    the state's size and both stacks' plans (every view and ``rhs`` a step
+    uses) are made here, once.
 
     Only the result is checked for finiteness: each L_k enters it with a
-    nonzero weight.  The check is one ``np.dot`` of the ones with
-    ``rflat``, the sum of the result's entries: a finite sum proves every
-    entry finite, and only a non-finite one (which may be an overflow of
-    finite entries) leads to the entrywise check.  When the result is
-    non-finite, ``NonFiniteState`` names t and the first non-finite stage
-    state (1-5).
+    nonzero weight.  The check is one ``np.dot`` of the ones with the
+    result's flat view, the sum of the result's entries: a finite sum
+    proves every entry finite, and only a non-finite one (which may be an
+    overflow of finite entries) leads to the entrywise check.  When the
+    result is non-finite, ``NonFiniteState`` names t and the first
+    non-finite stage state (1-5).
     """
     stacks = np.empty((2, 6) + u.shape, u.dtype)
     stacks[0, 0] = u
@@ -179,24 +184,27 @@ def _stacked_stepper(u, dt, prepare):
     ones = np.ones(u.size, u.dtype)
     # ``...`` keeps a 0-d state's rows views rather than scalars
     heads = (stacks[0, 0, ...], stacks[1, 0, ...])
-    staged = [prepare(k + 1, stages[k, ...], sflat[k]) for k in range(4)]
+    staged = [prepare(k + 1, stages[k, ...]) for k in range(4)]
 
     def build(s):
-        fs = (prepare(0, heads[s], flat[s, 0]), *staged)
+        fs = (prepare(0, heads[s]), *staged)
         targets = (*sflat, flat[1 - s, 0])
         return (heads[1 - s], targets[4]), tuple(
             (fs[k], stacks[s, k + 1, ...], coeffs[k, :k + 2],
-             flat[s, :k + 2], targets[k]) for k in range(5))
+             flat[s, :k + 2], targets[k], k) for k in range(5))
 
     plans = {id(heads[s]): build(s) for s in (0, 1)}
 
-    def advance(w, t):
-        done, plan = plans[id(w)]
-        for f, row, c, prefix, target in plan:
+    def advance(w, t, pinned):
+        (result, rflat), plan = plans[id(w)]
+        for f, row, c, prefix, target, k in plan:
             f(row)
             np.dot(c, prefix, out=target)
-        _check_result(done[1], ones, t, stages)
-        return done
+            if k < 4:
+                target[nodes] = pinned[k]
+        _check_result(rflat, ones, t, stages)
+        rflat[nodes] = pinned[4]
+        return result
 
     return heads[0], advance
 
@@ -215,7 +223,10 @@ def num_steps(t0, t_end, dt):
         raise ConfigError(f"dt={dt!r} gives an infinite step count over "
                           f"[{t0!r}, {t_end!r}]")
     steps = round(steps)
-    if abs(t0 + steps * dt - t_end) > 1e-9 * dt:
+    # within 1e-9 of dt, or of the times where they are smaller, so that a
+    # dt far beyond the span cannot round a positive span to no step
+    scale = min(dt, max(abs(t0), abs(t_end)))
+    if abs(t0 + steps * dt - t_end) > 1e-9 * scale:
         raise ConfigError(f"dt={dt!r} does not divide [{t0!r}, {t_end!r}]")
     return steps
 

@@ -160,6 +160,33 @@ def test_solve_rejects_re_for_1d_problem(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("dt, t_end", [("1e308", "0.02"), ("1e10", "1")])
+def test_solve_refuses_a_dt_no_step_of_which_reaches_t_end(tmp_path, capsys,
+                                                            dt, t_end):
+    # such a dt took no step and printed the initial data's error as the
+    # error at t_end
+    out = tmp_path / "x"
+    rc = main(["solve", "--problem", "p1", "--nx", "5", "--dt", dt,
+               "--t-end", t_end, "--out", str(out)])
+    assert rc == 2
+    assert "does not divide" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--nx", "5"]), ("convergence", ["--n-list", "5"]),
+])
+def test_an_re_whose_reciprocal_overflows_exits_2(tmp_path, capsys, command,
+                                                  flags):
+    # nu = 1/re would be inf: a bad setting, which exited 3 as a blow-up
+    out = tmp_path / "x"
+    rc = main([command, "--problem", "p4", *flags, "--dt", "0.01",
+               "--t-end", "0.02", "--re", "1e-310", "--out", str(out)])
+    assert rc == 2
+    assert "1/re finite, got 1e-310" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem,re", [
     ("p2", "nan"), ("p4", "nan"), ("p4", "inf"), ("p3", "inf"), ("p2", "-inf"),
 ])

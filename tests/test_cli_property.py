@@ -25,9 +25,11 @@ from oracles import csv_text_reference  # noqa: E402
 
 
 def _numbers(*usual):
-    # odd values are drawn one time in five, so most runs get past parsing
-    odd = ("0", "-1", "nan", "inf", "-inf")
-    return st.sampled_from(usual * 10 + odd)
+    # odd values are drawn one time in five, so most runs get past parsing;
+    # the float limits reach overflowing step counts, 1/re and operators
+    odd = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-310",
+           "5e-324")
+    return st.sampled_from(usual * 18 + odd)
 
 
 @st.composite

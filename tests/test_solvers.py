@@ -539,10 +539,10 @@ def test_solve_1d_as_with_the_per_field_rhs_oracle(build, n, monkeypatch):
 # driver oracle: the paper's F/G formulation stepped directly
 # ---------------------------------------------------------------------------
 
-def _reference_run(u, v, dt, steps, trace_time, dirichlet, split_rhs):
+def _reference_run(u, v, dt, steps, dirichlet, split_rhs):
     """SSP-RK54 on a flat (u, v) state; every stage RHS imposes the traces at
-    ``trace_time(t_base, t_stage)`` on a copy and evaluates the boundary-split
-    RHS."""
+    the stage's own time on a copy, as the solvers do, and evaluates the
+    boundary-split RHS."""
     shape, size = u.shape, u.size
 
     def unpack(w):
@@ -550,22 +550,15 @@ def _reference_run(u, v, dt, steps, trace_time, dirichlet, split_rhs):
 
     def rhs(w, t):
         uu, vv = (a.copy() for a in unpack(w))
-        dirichlet(uu, vv, trace_time(t_base, t))
+        dirichlet(uu, vv, t)
         return np.concatenate([d.ravel() for d in split_rhs(uu, vv, t)])
 
     w = np.concatenate([u.ravel(), v.ravel()]).astype(float)
     dirichlet(*unpack(w), 0.0)
     for m in range(steps):
-        t_base = m * dt
-        w = step(w, t_base, dt, rhs)
+        w = step(w, m * dt, dt, rhs)
         dirichlet(*unpack(w), (m + 1) * dt)
     return unpack(w)
-
-
-# The solver imposes each stage's traces at the stage's own time; the
-# reference runs take them there too.
-STAGE_TIMING = pytest.mark.parametrize(
-    "trace_time", [pytest.param(lambda t_base, t: t, id="stage")])
 
 
 def _assert_rel_close(got, want, rtol=1e-12):
@@ -574,40 +567,37 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got[1] - want[1]).max() <= rtol * scale
 
 
-def _check_1d_against_reference(trace_time, dt, steps):
+def _check_1d_against_reference(dt, steps):
     prob = _moved_problem1()
     n = 21
     grid = Grid1D(prob.a, prob.b, n)
     w1 = first_order_weights(grid)
     w2 = second_order_weights(w1, grid)
     want = _reference_run(
-        prob.phi(grid.x), prob.psi(grid.x), dt, steps, trace_time,
+        prob.phi(grid.x), prob.psi(grid.x), dt, steps,
         lambda u, v, t: apply_dirichlet_1d(u, v, t, prob, grid),
         lambda u, v, t: rhs_1d_split(u, v, t, prob, w1, w2))
     sol = solve_1d(prob, n, dt, steps * dt)
     _assert_rel_close((sol.u, sol.v), want)
 
 
-@STAGE_TIMING
-def test_solve_1d_matches_split_reference(trace_time):
-    _check_1d_against_reference(trace_time, 1e-2, 50)  # inside one block
+def test_solve_1d_matches_split_reference():
+    _check_1d_against_reference(1e-2, 50)  # inside one block
 
 
-@STAGE_TIMING
-def test_solve_1d_matches_split_reference_across_blocks(trace_time):
+def test_solve_1d_matches_split_reference_across_blocks():
     # three trace blocks, the last one partial
-    _check_1d_against_reference(trace_time, 2e-3, 2 * _block(4) + 82)
+    _check_1d_against_reference(2e-3, 2 * _block(4) + 82)
 
 
-@STAGE_TIMING
-def test_solve_2d_matches_split_reference(trace_time):
+def test_solve_2d_matches_split_reference():
     prob = problem4()
     nx, ny, dt, steps = 9, 7, 1e-3, 50
     assert steps > _block(2 * (2 * nx + 2 * ny - 4))  # crosses a trace block
     grid = Grid2D(Grid1D(prob.a, prob.b, nx), Grid1D(prob.c, prob.d, ny))
     ax1, ax2, by1, by2 = weights_2d(grid)
     want = _reference_run(
-        prob.phi(*grid.coords), prob.psi(*grid.coords), dt, steps, trace_time,
+        prob.phi(*grid.coords), prob.psi(*grid.coords), dt, steps,
         lambda u, v, t: apply_dirichlet_2d(u, v, t, prob, grid),
         lambda u, v, t: rhs_2d_split(u, v, t, prob, ax1, ax2, by1, by2))
     sol = solve_2d(prob, nx, dt, steps * dt, ny=ny)

@@ -232,16 +232,24 @@ def _prepare(rhs, t, dt):
     """The ``prepare`` of ``_stacked_stepper`` for ``rhs(x, t)`` on steps
     from t: each array's ``rhs(row)`` evaluates it at the abscissa of its
     stage k, as ``step`` makes them."""
-    def prepare(k, x, xflat):
+    def prepare(k, x):
         def at_stage(row):
             row[...] = rhs(x, t + ssprk54.ABSCISSAE[k] * dt)
         return at_stage
     return prepare
 
 
+def _stepper(u, dt, prepare):
+    """A stepper that pins no entries, as ``step``'s, and its
+    ``advance(w, t)``."""
+    state, advance = ssprk54._stacked_stepper(u, dt, prepare,
+                                              ssprk54._NO_NODES)
+    return state, lambda w, t: advance(w, t, ssprk54._NO_PINS)
+
+
 def _stacked_step(u, t, dt, rhs):
-    state, advance = ssprk54._stacked_stepper(u, dt, _prepare(rhs, t, dt))
-    return advance(state, t)[0]
+    state, advance = _stepper(u, dt, _prepare(rhs, t, dt))
+    return advance(state, t)
 
 
 def test_increment_table_rows_sum_to_the_abscissae():
@@ -314,32 +322,24 @@ def test_a_stepper_prepares_each_of_its_six_arrays_once(shape):
     u = np.random.default_rng(sum(shape) + 5).uniform(-1.0, 1.0, shape)
     prepare, made = _prepare(_nonlinear_rhs, 0.5, 0.1), []
 
-    def recorded(k, x, xflat):
-        made.append((k, x, xflat))
-        return prepare(k, x, xflat)
+    def recorded(k, x):
+        made.append((k, x))
+        return prepare(k, x)
 
-    state, advance = ssprk54._stacked_stepper(u, 0.1, recorded)
+    state, advance = _stepper(u, 0.1, recorded)
     # the two stack heads at k = 0 and stage states 1-4, in any order
-    assert sorted(k for k, _, _ in made) == [0, 0, 1, 2, 3, 4]
-    assert any(x is state for k, x, _ in made if k == 0)
-    other, = [x for k, x, _ in made if k == 0 and x is not state]
-    for k, x, xflat in made:
+    assert sorted(k for k, _ in made) == [0, 0, 1, 2, 3, 4]
+    assert any(x is state for k, x in made if k == 0)
+    other, = [x for k, x in made if k == 0 and x is not state]
+    for i, (_, x) in enumerate(made):
         assert x.shape == shape
-        assert xflat.ndim == 1 and xflat.size == x.size
-        assert xflat.flags.c_contiguous and np.shares_memory(xflat, x)
-        # x's entries in C order: a write through xflat reaches x there
-        kept = x.copy()
-        xflat[...] = np.arange(x.size)
-        assert np.array_equal(x.reshape(-1), np.arange(x.size))
-        x[...] = kept
-    for i, (_, x, _) in enumerate(made):
-        assert not any(np.shares_memory(x, y) for _, y, _ in made[i + 1:])
+        assert not any(np.shares_memory(x, y) for _, y in made[i + 1:])
     assert state.tobytes() == u.tobytes()
 
     # three steps, whose results alternate between the heads, prepare none
     w = state
     for head in (other, state, other):
-        w = advance(w, 0.5)[0]
+        w = advance(w, 0.5)
         assert w is head
     assert len(made) == 6
 
@@ -348,72 +348,92 @@ def test_stacked_results_alternate_and_leave_their_input_unchanged():
     u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
     prepare, calls = _prepare(_nonlinear_rhs, 0.5, 0.1), []
 
-    def recorded(k, x, xflat):
-        rhs = prepare(k, x, xflat)
+    def recorded(k, x):
+        rhs = prepare(k, x)
 
         def called(row):
             calls.append((k, x))
             rhs(row)
         return called
 
-    state, advance = ssprk54._stacked_stepper(u, 0.1, recorded)
+    state, advance = _stepper(u, 0.1, recorded)
     assert state.tobytes() == u.tobytes() and not np.shares_memory(state, u)
-    first, first_flat = advance(state, 0.5)
+    first = advance(state, 0.5)
+    assert type(first) is np.ndarray and first.shape == u.shape
     assert [k for k, _ in calls] == [0, 1, 2, 3, 4]
     assert [x is state for _, x in calls] == [True] + 4 * [False]
     assert state.tobytes() == u.tobytes()
-    again = advance(state, 0.5)
-    assert again[0] is first and again[1] is first_flat
+    assert advance(state, 0.5) is first
     calls.clear()
-    second, second_flat = advance(first, 0.6)
+    second = advance(first, 0.6)
     assert [x is first for _, x in calls] == [True] + 4 * [False]
-    assert advance(second, 0.7)[0] is first
+    assert advance(second, 0.7) is first
     assert not np.shares_memory(first, second)
-    # each result comes with its flat view, through which it may be written
-    for result, flat in ((first, first_flat), (second, second_flat)):
-        assert flat.ndim == 1 and flat.tobytes() == result.tobytes()
-        flat[-1] = 7.0
-        assert result[-1, -1] == 7.0
     with pytest.raises(KeyError):
         advance(u, 0.5)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 121), (2, 9, 7)])
-def test_each_stage_is_handed_the_flat_view_of_its_state(shape):
-    u = np.random.default_rng(sum(shape) + 3).uniform(-1.0, 1.0, shape)
+def test_a_stepper_pins_each_stage_state_before_its_rhs_runs(shape):
+    # every stage state holds its row of ``pinned`` at ``nodes`` when its
+    # right-hand side runs, the result holds row 4, and no entry off
+    # ``nodes`` is written: with a pointwise rhs, those entries have the
+    # bits of a stepper that pins none
+    rng = np.random.default_rng(sum(shape) + 3)
+    u = rng.uniform(-1.0, 1.0, shape)
+    nodes = np.array([0] if u.size == 1 else [0, 1, u.size - 1])
+    off = np.setdiff1d(np.arange(u.size), nodes)
     prepare, seen = _prepare(_nonlinear_rhs, 0.5, 0.1), []
 
-    def checked(k, x, xflat):
-        assert xflat.ndim == 1 and xflat.size == x.size
-        assert np.shares_memory(xflat, x)
-        rhs = prepare(k, x, xflat)
+    def checked(k, x):
+        rhs = prepare(k, x)
 
         def at_stage(row):
             seen.append(k)
             if k == 0:
                 # a view of the state stepped from, not a copy of it
                 assert x is w
-                assert xflat.tobytes() == x.tobytes()
             else:
-                # a stage state may be written; put each entry back after
-                for i in (0, x.size - 1):
-                    kept = xflat[i]
-                    xflat[i] = 7.0 + k
-                    assert x.reshape(-1)[i] == 7.0 + k
-                    xflat[i] = kept
+                assert x.reshape(-1)[nodes].tobytes() == \
+                    pinned[k - 1].tobytes()
             rhs(row)
         return at_stage
 
-    state, advance = ssprk54._stacked_stepper(u, 0.1, checked)
-    plain_state, plain = ssprk54._stacked_stepper(u, 0.1, prepare)
+    state, advance = ssprk54._stacked_stepper(u, 0.1, checked, nodes)
+    plain_state, plain = _stepper(u, 0.1, prepare)
     # both stacks' plans: a step from ``state`` and one from its result
     w, v = state, plain_state
-    for _ in range(2):
+    for step_index in range(2):
+        pinned = rng.uniform(2.0, 3.0, (5, nodes.size))
         seen.clear()
-        got, want = advance(w, 0.5)[0], plain(v, 0.5)[0]
+        got, want = advance(w, 0.5, pinned), plain(v, 0.5)
         assert seen == [0, 1, 2, 3, 4]
-        assert got.tobytes() == want.tobytes()
-        w, v = got, want
+        assert got.reshape(-1)[nodes].tobytes() == pinned[4].tobytes()
+        assert got.reshape(-1)[off].tobytes() == want.reshape(-1)[off].tobytes()
+        # ``plain`` carries on from pinned values, as the solvers do
+        v = want
+        v.reshape(-1)[nodes] = pinned[4]
+        w = got
+
+
+def test_the_result_is_pinned_after_its_finiteness_check():
+    # a right-hand side that is non-finite only on a pinned entry reaches
+    # only that entry of the result; the check sees it before the pin
+    # overwrites it, and names the result (stage 5)
+    t, dt, nodes = 0.5, 0.5, np.array([0, 4])
+    bad_t = t + ssprk54.ABSCISSAE[4] * dt
+
+    def rhs(u, s):
+        r = -u
+        if s == bad_t:
+            r[0] = np.nan
+        return r
+
+    state, advance = ssprk54._stacked_stepper(
+        np.ones(5), dt, _prepare(rhs, t, dt), nodes)
+    with pytest.raises(NonFiniteState) as exc:
+        advance(state, t, np.zeros((5, 2)))
+    assert exc.value.t == t and exc.value.stage == 5
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
@@ -542,6 +562,19 @@ def test_num_steps_validation():
                 (0.0, 1.0, 1e-310)):  # (t_end - t0) / dt overflows
         with pytest.raises(ConfigError):
             num_steps(*bad)
+    # a positive span that no step reaches: a dt of 1e9 spans or more
+    # rounded it to no step, which a tolerance of 1e-9 dt accepted
+    for bad in ((0.0, 0.02, 1e308), (0.0, 1.0, 1e10), (1.0, 1.5, 1e12),
+                (0.0, 1e-20, 1e-3)):
+        with pytest.raises(ConfigError, match="does not divide"):
+            num_steps(*bad)
+    # a zero horizon at any dt, and t0 plus rounding noise at an ordinary
+    # dt, take no step
+    for t0, dt in ((0.0, 1e308), (1.0, 1e308), (0.3, 1e-3)):
+        assert num_steps(t0, t0, dt) == 0
+    assert 0.1 + 0.2 != 0.3 and num_steps(0.3, 0.1 + 0.2, 1e-3) == 0
+    assert num_steps(0.0, 1e-3, 1e-3) == 1
+    assert num_steps(-0.05, 0.05, 0.1) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
